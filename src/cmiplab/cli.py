@@ -170,7 +170,12 @@ def parse_state_spec(text: str) -> StateVector:
     or json:<path> to load a serialized state."""
     s = text.strip()
     if s.startswith("json:"):
-        return state_from_json(_read_text(s[len("json:"):]))
+        path = s[len("json:"):]
+        text = _read_text(path)
+        try:
+            return state_from_json(text)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"cannot load a state from {path}: {exc!r}") from None
     m = _STATE_CALL.match(s)
     if not m:
         raise UsageError(f"cannot parse state spec {text!r}")
@@ -186,7 +191,10 @@ def parse_state_spec(text: str) -> StateVector:
     if name == "two_photon":
         if len(args) != 2:
             raise UsageError(f"two_photon takes (alpha, delta), got {len(args)} args")
-        cfg = elab.TwoPhotonConfig(parse_angle(args[0]), parse_angle(args[1]))
+        try:
+            cfg = elab.TwoPhotonConfig(parse_angle(args[0]), parse_angle(args[1]))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         return elab.polarization_pair_state(cfg)
     raise UsageError(f"unknown state constructor {name!r}")
 
@@ -257,8 +265,11 @@ def cmd_tomo(args) -> int:
     if shots == 0:
         raise UsageError("tomography needs shots >= 1 or 'exact'")
     seed = resolve_seed(args.seed)
-    rho = DensityMatrix.from_state(target)
-    table = tomography.simulate_counts(rho, shots, seed)
+    try:
+        rho = DensityMatrix.from_state(target)
+        table = tomography.simulate_counts(rho, shots, seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.counts_out:
         _write_text(args.counts_out, table.to_csv())
     if args.emit_target:
@@ -296,8 +307,8 @@ def cmd_qkd(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.log:
-        stats, records = qkd42.run_session(cfg, log=True)
-        _write_text(args.log, qkd42.pulse_log_csv(records, seed))
+        stats, pulses = qkd42.run_session(cfg, log=True)
+        _write_text(args.log, qkd42.pulse_log_csv(pulses, seed))
     else:
         stats = qkd42.run_session(cfg)
     _write_text(args.out, stats.to_json() + "\n")

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import BASIS as DEVICE_BASIS
-from .qcore import (IDLER_POL, DensityMatrix, Operator, StateVector, apply,
-                    concurrence, polarization_basis, postselect)
+from .interferometer import device_unitary, evolve
+from .qcore import (IDLER_POL, DensityMatrix, StateVector, concurrence,
+                    polarization_basis, postselect)
 
 #: signal polarization (x) signal path (x) idler polarization
 FULL_BASIS = DEVICE_BASIS.combine(polarization_basis(IDLER_POL))
@@ -56,39 +57,6 @@ def polarization_pair_state(cfg: TwoPhotonConfig) -> StateVector:
     return state
 
 
-def general_unitary(gamma1: float, gamma2: float) -> Operator:
-    """Both-plates device unitary on the signal polarization (x) path basis.
-
-    |H,1⟩ → cos2γ1|H,1⟩ − i sin2γ1|V,2⟩ and
-    |V,1⟩ → cos2γ2|V,1⟩ − i sin2γ2|H,2⟩, completed unitarily on the path-2
-    inputs.  The −i on the path-changing amplitudes is the convention of the
-    two-photon branch decomposition; it is a global phase of the path-2
-    branch and unobservable after filtering.
-    """
-    c1, s1 = math.cos(2 * gamma1), math.sin(2 * gamma1)
-    c2, s2 = math.cos(2 * gamma2), math.sin(2 * gamma2)
-    m = np.zeros((4, 4), dtype=complex)
-    h1 = DEVICE_BASIS.index("H", "1")
-    h2 = DEVICE_BASIS.index("H", "2")
-    v1 = DEVICE_BASIS.index("V", "1")
-    v2 = DEVICE_BASIS.index("V", "2")
-    m[h1, h1], m[v2, h1] = c1, -1j * s1
-    m[h1, v2], m[v2, v2] = -1j * s1, c1
-    m[v1, v1], m[h2, v1] = c2, -1j * s2
-    m[v1, h2], m[h2, h2] = -1j * s2, c2
-    return Operator(DEVICE_BASIS, m, unitary=True)
-
-
-def evolve_signal(state: StateVector, gamma1: float, gamma2: float) -> StateVector:
-    """Apply the both-plates unitary to the signal factors of the pair state."""
-    if state.basis != FULL_BASIS:
-        raise ValueError("expected a two-photon state on the standard basis")
-    U = general_unitary(gamma1, gamma2)
-    # signal factors are the leading axes, so lifting is a plain Kronecker
-    full = Operator(FULL_BASIS, np.kron(U.matrix, np.eye(2)), unitary=True)
-    return apply(full, state)
-
-
 @dataclass(frozen=True)
 class EntangledBranches:
     """Path-filtered branches of the evolved pair.
@@ -115,11 +83,13 @@ def branch_probabilities(alpha: float, gamma1: float, gamma2: float):
 
 
 def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> EntangledBranches:
-    """Evolve the signal photon and split the pair by its exit path."""
-    evolved = evolve_signal(state, gamma1, gamma2)
+    """Pass the signal photon through the device and split the pair by its exit path."""
+    if state.basis != FULL_BASIS:
+        raise ValueError("expected a two-photon state on the standard basis")
+    split = evolve(device_unitary(gamma1, gamma2), state)
     out = []
-    for port in ("1", "2"):
-        phi, n = postselect(evolved, "signal_path", port)
+    for phi, n in ((split.success_state, split.p_success),
+                   (split.failure_state, split.p_failure)):
         if n < EMPTY_BRANCH_TOL:
             out.append((None, n, None))
         else:

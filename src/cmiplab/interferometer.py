@@ -4,7 +4,9 @@ Two non-orthogonal polarization states cos(a/2)|H⟩ ± sin(a/2)|V⟩ enter a
 two-path interferometer whose half-wave plates leak amplitude into path 2.
 Conditioning on the photon leaving in path 1 maps the pair onto
 cos(b/2)|H⟩ ± sin(b/2)|V⟩ for a chosen inner angle b; the path-2 events are
-the heralded failures and carry no which-sign information.
+the heralded failures and carry no which-sign information.  `device_unitary`
+and `evolve` are the one device model: the two-photon layer and the verify
+suite pass their states through them too.
 """
 
 from __future__ import annotations
@@ -64,6 +66,13 @@ class CmipPlan:
         _check_angle("active plate angle", active, 0.0, math.pi / 4 + 1e-12)
         if abs(inactive) > 1e-12:
             raise ValueError(f"inactive plate must stay at 0, got {inactive}")
+
+    def unitary(self) -> Operator:
+        """The device unitary of this setting; the phase plate of the active
+        branch (φ′ on H when contracting, φ on V when expanding) is applied."""
+        return device_unitary(self.gamma1, self.gamma2,
+                              self.phi_prime if self.branch == CONTRACT else 0.0,
+                              self.phi if self.branch == EXPAND else 0.0)
 
 
 def solve_gamma1(alpha: float, beta: float) -> float:
@@ -129,24 +138,25 @@ def closed_form_probability(alpha: float, beta: float) -> float:
     return math.cos(alpha / 2) ** 2 / math.cos(beta / 2) ** 2
 
 
-def build_unitary(plan: CmipPlan) -> Operator:
-    """4x4 device unitary on the polarization (x) path basis.
+def device_unitary(gamma1: float, gamma2: float, phase_h: float = 0.0,
+                   phase_v: float = 0.0) -> Operator:
+    """The device unitary, 4x4 on the polarization (x) path basis.
 
-    Acts as |H,1⟩ → cos2γ1|H,1⟩ + sin2γ1|V,2⟩ and
-    |V,1⟩ → e^{iφ}(cos2γ2|V,1⟩ + sin2γ2|H,2⟩); the action on incoming
-    path-2 modes is the real orthogonal completion of each 2x2 block
-    (cos/−sin structure), which is unobservable for path-1 inputs but makes
-    the operator testably unitary.
+    |H,1⟩ → e^{iφH}(cos2γ1|H,1⟩ − i sin2γ1|V,2⟩) and
+    |V,1⟩ → e^{iφV}(cos2γ2|V,1⟩ − i sin2γ2|H,2⟩), completed unitarily on the
+    path-2 inputs.  The −i on the path-changing amplitudes is a global phase
+    of the path-2 branch and unobservable after filtering.  The phases are
+    the phase plates of a `CmipPlan`; the two-photon layer leaves them at 0.
     """
-    c1, s1 = math.cos(2 * plan.gamma1), math.sin(2 * plan.gamma1)
-    c2, s2 = math.cos(2 * plan.gamma2), math.sin(2 * plan.gamma2)
-    ph = np.exp(1j * plan.phi_prime) if plan.branch == CONTRACT else 1.0
-    pv = np.exp(1j * plan.phi) if plan.branch == EXPAND else 1.0
+    c1, s1 = math.cos(2 * gamma1), math.sin(2 * gamma1)
+    c2, s2 = math.cos(2 * gamma2), math.sin(2 * gamma2)
     m = np.zeros((4, 4), dtype=complex)
-    m[_H1, _H1], m[_V2, _H1] = ph * c1, ph * s1
-    m[_H1, _V2], m[_V2, _V2] = -ph * s1, ph * c1
-    m[_V1, _V1], m[_H2, _V1] = pv * c2, pv * s2
-    m[_V1, _H2], m[_H2, _H2] = -pv * s2, pv * c2
+    m[_H1, _H1], m[_V2, _H1] = c1, -1j * s1
+    m[_H1, _V2], m[_V2, _V2] = -1j * s1, c1
+    m[_V1, _V1], m[_H2, _V1] = c2, -1j * s2
+    m[_V1, _H2], m[_H2, _H2] = -1j * s2, c2
+    m[:, [_H1, _V2]] *= np.exp(1j * phase_h)
+    m[:, [_V1, _H2]] *= np.exp(1j * phase_v)
     return Operator(BASIS, m, unitary=True)
 
 
@@ -172,14 +182,27 @@ def target_state(beta: float, sign: int) -> StateVector:
 class BranchOutcome:
     """Path-split result of one device pass.
 
-    The states are polarization-only (the path factor is consumed by the
-    projection); a branch whose probability is below 1e-15 has state None.
+    The path factor is consumed by the projection, so the states hold the
+    signal polarization plus any factors that rode along (the idler of a
+    pair); a branch whose probability is below 1e-15 has state None.
     """
 
     success_state: StateVector | None
     p_success: float
     failure_state: StateVector | None
     p_failure: float
+
+
+def evolve(U: Operator, state: StateVector) -> BranchOutcome:
+    """Pass a state through the device and split it by the signal's exit path.
+
+    The device acts on the signal polarization and path, the leading factors
+    of the state's basis; trailing factors (an idler photon) are untouched.
+    """
+    out = apply(U, state)
+    success, p1 = postselect(out, "signal_path", "1")
+    failure, p2 = postselect(out, "signal_path", "2")
+    return BranchOutcome(success, p1, failure, p2)
 
 
 def _validate_plan_angles(plan: CmipPlan):
@@ -198,10 +221,7 @@ def _validate_plan_angles(plan: CmipPlan):
 def run_cmip(input_sign: int, plan: CmipPlan) -> BranchOutcome:
     """Evolve one input state through the device and split it by path."""
     _validate_plan_angles(plan)
-    out = apply(build_unitary(plan), input_state(plan.alpha, input_sign))
-    success, p1 = postselect(out, "signal_path", "1")
-    failure, p2 = postselect(out, "signal_path", "2")
-    return BranchOutcome(success, p1, failure, p2)
+    return evolve(plan.unitary(), input_state(plan.alpha, input_sign))
 
 
 @dataclass(frozen=True)

@@ -198,15 +198,16 @@ class DensityMatrix:
         return cls(s.basis, np.outer(s.amps, s.amps.conj()))
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two states on disjoint factor labels."""
-    return StateVector(a.basis.combine(b.basis), np.kron(a.amps, b.amps))
-
-
 def apply(U: Operator, s: StateVector) -> StateVector:
-    if U.basis != s.basis:
-        raise ValueError("operator and state bases differ")
-    return StateVector(s.basis, U.matrix @ s.amps)
+    """Apply U to the leading factors of s; any trailing factors are untouched.
+
+    The amplitudes are viewed as a (U's dimension, rest) matrix, so this is
+    U ⊗ I on the full basis without building the lifted matrix.
+    """
+    n = len(U.basis.factors)
+    if s.basis.factors[:n] != U.basis.factors:
+        raise ValueError("operator basis is not the leading factors of the state basis")
+    return StateVector(s.basis, U.matrix @ s.amps.reshape(U.basis.dim, -1))
 
 
 def postselect(s: StateVector, factor: str, symbol: str):
@@ -279,16 +280,6 @@ def concurrence(rho: DensityMatrix) -> float:
     sqrt_rho = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     lam = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ sqrt_rho.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def phase_aligned(reference: StateVector, s: StateVector) -> StateVector:
-    """Multiply `s` by the global phase that best matches `reference`."""
-    if reference.basis != s.basis:
-        raise ValueError("bases differ")
-    ov = np.vdot(s.amps, reference.amps)
-    if abs(ov) < 1e-300:
-        return s
-    return StateVector(s.basis, s.amps * (ov / abs(ov)))
 
 
 def state_to_json(s: StateVector) -> str:

@@ -10,7 +10,6 @@ the guess matched the sent port and the click was conclusive.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -18,17 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .qcore import StateVector, polarization_basis
 
-_POL = polarization_basis()
-_SQ2 = 1.0 / math.sqrt(2.0)
-
-#: reserved result labels; the ideal device never emits "inconclusive"
-#: (the path-1 ± measurement always clicks) but the value stays in the wire
-#: format for lossy extensions
+#: result labels of the pulse log; the path-1 ± measurement always clicks,
+#: so every pulse is one or the other
 RESULT_CONCLUSIVE = "conclusive"
 RESULT_MONITOR = "monitor"
-RESULT_INCONCLUSIVE = "inconclusive"
 
 
 def theta_angles(gamma1: float, gamma2: float):
@@ -117,61 +110,6 @@ def port_probability(cfg: QkdConfig) -> float:
     return (c1 ** 2 + c2 ** 2) / 2.0
 
 
-def alice_prepare(bit: int, cfg: QkdConfig, gen: np.random.Generator):
-    """Sample the exit port and return (sent polarization state, port)."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    port = 1 if gen.random() < port_probability(cfg) else 2
-    amps = _family_table(cfg)[bit, port - 1]
-    return StateVector(_POL, amps.astype(complex)), port
-
-
-@dataclass(frozen=True)
-class BobResult:
-    kind: str
-    bit: int | None = None
-
-
-def bob_measure(state: StateVector, guess_j: int, thetas,
-                gen: np.random.Generator) -> BobResult:
-    """Expand the guessed family to orthogonal and read the ± basis.
-
-    Path-2 events are monitor clicks; path-1 events always produce a
-    conclusive ± bit (+ reported as 0).  When the guess matches the sent
-    family the conclusive probability is 1 − cos θ and, for the positive
-    encoding sign, the bit is always correct; callers flip the mapping when
-    the public encoding angle is negative.
-    """
-    theta = thetas[guess_j - 1]
-    cb = math.tan(theta / 2)  # cos(2·discrimination angle)
-    h, v = state.amps
-    p_path1 = abs(cb * h) ** 2 + abs(v) ** 2
-    if gen.random() >= p_path1:
-        return BobResult(RESULT_MONITOR)
-    p_plus = abs(cb * h + v) ** 2 / (2.0 * p_path1)
-    return BobResult(RESULT_CONCLUSIVE, 0 if gen.random() < p_plus else 1)
-
-
-def eve_intercept_resend(state: StateVector, policy: InterceptResend,
-                         gen: np.random.Generator) -> StateVector:
-    """Measure in the policy basis and resend the eigenstate obtained."""
-    eta = policy.basis_angle
-    e1 = np.array([math.cos(eta), math.sin(eta)], dtype=complex)
-    e2 = np.array([-math.sin(eta), math.cos(eta)], dtype=complex)
-    p1 = abs(np.vdot(e1, state.amps)) ** 2
-    return StateVector(_POL, e1 if gen.random() < p1 else e2)
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    pulse: int
-    alice_bit: int
-    alice_output: int
-    bob_guess: int
-    result: str
-    bit: int | None
-
-
 @dataclass(frozen=True)
 class SessionStats:
     n_pulses: int
@@ -193,12 +131,15 @@ class SessionStats:
 
 
 def run_session(cfg: QkdConfig, log: bool = False):
-    """Simulate a whole session; returns SessionStats (+ records when log).
+    """Simulate a whole session; returns SessionStats (+ the pulse log when log).
 
     All randomness comes from streams derived from cfg.seed, one per role
     (alice bits/ports, eve outcomes, bob guesses/paths/bits), so identical
     configs give identical statistics and logs.  Sifting keeps matched-guess
     conclusive pulses; with no eavesdropper those bits are always correct.
+    The log is a dict of per-pulse arrays: alice_bit, alice_output,
+    bob_guess, monitor (bool) and bit (Bob's bit, meaningless on monitor
+    pulses).
     """
     n = cfg.n_pulses
     thetas = cfg.thetas
@@ -243,22 +184,18 @@ def run_session(cfg: QkdConfig, log: bool = False):
     )
     if not log:
         return stats
-    records = []
-    for i in range(n):
-        if monitor[i]:
-            result, bval = RESULT_MONITOR, None
-        else:
-            result, bval = RESULT_CONCLUSIVE, int(bob_bits[i])
-        records.append(PulseRecord(i, int(bits[i]), int(ports[i]),
-                                   int(guesses[i]), result, bval))
-    return stats, records
+    return stats, {"alice_bit": bits, "alice_output": ports, "bob_guess": guesses,
+                   "monitor": monitor, "bit": bob_bits}
 
 
-def pulse_log_csv(records, seed: int) -> str:
-    buf = io.StringIO()
-    buf.write(f"# seed={seed}\n")
-    buf.write("pulse,alice_bit,alice_output,bob_guess,result,bit\n")
-    for r in records:
-        bit = "" if r.bit is None else r.bit
-        buf.write(f"{r.pulse},{r.alice_bit},{r.alice_output},{r.bob_guess},{r.result},{bit}\n")
-    return buf.getvalue()
+def pulse_log_csv(pulses, seed: int) -> str:
+    """The pulse log of run_session as CSV; monitor rows leave the bit empty."""
+    rows = zip(pulses["alice_bit"].tolist(), pulses["alice_output"].tolist(),
+               pulses["bob_guess"].tolist(), pulses["monitor"].tolist(),
+               pulses["bit"].tolist())
+    lines = [f"# seed={seed}", "pulse,alice_bit,alice_output,bob_guess,result,bit"]
+    lines += [f"{i},{a},{o},{g},{RESULT_MONITOR}," if m else
+              f"{i},{a},{o},{g},{RESULT_CONCLUSIVE},{b}"
+              for i, (a, o, g, m, b) in enumerate(rows)]
+    lines.append("")
+    return "\n".join(lines)

@@ -9,16 +9,19 @@ sentinel used as the noiseless oracle.
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
-from .qcore import (IDLER_POL, DensityMatrix, Operator, StateVector,
-                    concurrence, fidelity, polarization_basis)
+from .qcore import (IDLER_POL, DensityMatrix, StateVector, concurrence,
+                    fidelity, polarization_basis)
 
 _SQ = 1.0 / math.sqrt(2.0)
 _KETS = {
@@ -45,43 +48,30 @@ def _basis_for(n_qubits: int):
     raise ValueError(f"n_qubits must be 1 or 2, got {n_qubits}")
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    labels: tuple[str, ...]
-    projector: Operator
+class Catalog(NamedTuple):
+    """Measurement settings of n qubits and the arrays built from them."""
+
+    settings: tuple          # label tuples in catalog order: HH, HV, ..., LL
+    projectors: np.ndarray   # rank-1 product projectors, (6^n, 2^n, 2^n)
+    paulis: np.ndarray       # Pauli products spanning the operators, (4^n, 2^n, 2^n)
+    design: np.ndarray       # Pauli coefficients to probabilities, tr(Π_i P_k)
 
 
-def projector_catalog(n_qubits: int) -> list[MeasurementSetting]:
-    """Rank-1 product projectors, 6 per qubit (informationally complete)."""
-    basis = _basis_for(n_qubits)
-    settings = []
-    if n_qubits == 1:
-        combos = [(lab,) for lab in LABELS]
-    else:
-        combos = [(a, b) for a in LABELS for b in LABELS]
-    for labs in combos:
-        ket = _KETS[labs[0]]
-        for lab in labs[1:]:
-            ket = np.kron(ket, _KETS[lab])
-        settings.append(MeasurementSetting(labs, Operator(basis, np.outer(ket, ket.conj()))))
-    return settings
+def _catalog(n_qubits: int) -> Catalog:
+    settings = tuple(itertools.product(LABELS, repeat=n_qubits))
+    kets = [functools.reduce(np.kron, [_KETS[lab] for lab in labs]) for labs in settings]
+    projectors = np.array([np.outer(ket, ket.conj()) for ket in kets])
+    paulis = np.array([functools.reduce(np.kron, ps)
+                       for ps in itertools.product(_PAULIS, repeat=n_qubits)])
+    design = np.trace(projectors[:, None] @ paulis[None], axis1=2, axis2=3).real
+    rank = np.linalg.matrix_rank(design, tol=1e-10)
+    if rank < 4 ** n_qubits:
+        raise RuntimeError(f"design matrix rank {rank} < {4 ** n_qubits}: catalog incomplete")
+    return Catalog(settings, projectors, paulis, design)
 
 
-def pauli_products(n_qubits: int) -> list[np.ndarray]:
-    if n_qubits == 1:
-        return list(_PAULIS)
-    return [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
-
-
-def design_matrix(n_qubits: int) -> np.ndarray:
-    """Map from Pauli coefficients to setting probabilities, tr(Π_i P_k)."""
-    catalog = projector_catalog(n_qubits)
-    paulis = pauli_products(n_qubits)
-    A = np.empty((len(catalog), len(paulis)))
-    for i, setting in enumerate(catalog):
-        for k, P in enumerate(paulis):
-            A[i, k] = np.trace(setting.projector.matrix @ P).real
-    return A
+#: the six-projector catalog per qubit count, built and rank-checked once
+CATALOG = {n: _catalog(n) for n in (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -97,8 +87,8 @@ class CountsTable:
         return len(next(iter(self.counts)))
 
     def frequencies(self) -> np.ndarray:
-        catalog = projector_catalog(self.n_qubits)
-        f = np.array([self.counts[s.labels] for s in catalog], dtype=float)
+        settings = CATALOG[self.n_qubits].settings
+        f = np.array([self.counts[labs] for labs in settings], dtype=float)
         if self.shots_per_setting is not None:
             f = f / self.shots_per_setting
         return f
@@ -116,16 +106,35 @@ class CountsTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "CountsTable":
-        counts, shots, seed = {}, None, 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("setting,"):
-                continue
-            setting, count, shots_txt, seed_txt = line.split(",")
-            shots = None if shots_txt == "exact" else int(shots_txt)
-            counts[tuple(setting)] = float(count) if shots is None else int(count)
-            seed = int(seed_txt)
-        return cls(counts, shots, seed)
+        """Read a table written by to_csv.
+
+        Raises ValueError unless the rows cover every setting of the one- or
+        two-qubit catalog exactly once, share one shots value, and each count
+        lies in [0, shots] (a probability in [0, 1] in exact mode).
+        """
+        rows = [line.split(",") for line in map(str.strip, text.splitlines())
+                if line and not line.startswith(("#", "setting,"))]
+        if any(len(row) != 4 for row in rows):
+            raise ValueError("every counts row needs 4 fields: setting,count,shots,seed")
+        shots_values = {row[2] for row in rows}
+        if len(shots_values) != 1:
+            raise ValueError(f"counts table needs one shots value, got {sorted(shots_values)}")
+        shots_txt = shots_values.pop()
+        shots = None if shots_txt == "exact" else int(shots_txt)
+        if shots is not None and shots < 1:
+            raise ValueError(f"shots must be >= 1, got {shots}")
+        counts = {tuple(setting): float(count) if shots is None else int(count)
+                  for setting, count, _, _ in rows}
+        n_qubits = len(rows[0][0])
+        expected = set(CATALOG[n_qubits].settings) if n_qubits in CATALOG else set()
+        if len(counts) != len(rows) or set(counts) != expected:
+            raise ValueError("counts table must list each setting of the 1- or 2-qubit "
+                             "catalog exactly once")
+        bound = 1.0 if shots is None else shots
+        outside = ["".join(labs) for labs, count in counts.items() if not 0 <= count <= bound]
+        if outside:
+            raise ValueError(f"counts of settings {outside} outside [0, {bound}]")
+        return cls(counts, shots, int(rows[-1][3]))
 
 
 def simulate_counts(rho: DensityMatrix, shots_per_setting: int | None,
@@ -140,14 +149,15 @@ def simulate_counts(rho: DensityMatrix, shots_per_setting: int | None,
         raise ValueError(f"tomography handles 1 or 2 qubits, got dim {rho.basis.dim}")
     if shots_per_setting is not None and shots_per_setting < 1:
         raise ValueError(f"shots_per_setting must be >= 1, got {shots_per_setting}")
+    catalog = CATALOG[n_qubits]
     counts = {}
-    for i, setting in enumerate(projector_catalog(n_qubits)):
-        p = float(np.trace(rho.matrix @ setting.projector.matrix).real)
+    for i, (labs, P) in enumerate(zip(catalog.settings, catalog.projectors)):
+        p = float(np.trace(rho.matrix @ P).real)
         p = min(1.0, max(0.0, p))
         if shots_per_setting is None:
-            counts[setting.labels] = p
+            counts[labs] = p
         else:
-            counts[setting.labels] = int(
+            counts[labs] = int(
                 rng.stream(seed, "tomo", i).binomial(shots_per_setting, p))
     return CountsTable(counts, shots_per_setting, seed)
 
@@ -182,14 +192,10 @@ def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoR
     """
     n_qubits = counts.n_qubits
     basis = _basis_for(n_qubits)
+    catalog = CATALOG[n_qubits]
     f = counts.frequencies()
-    A = design_matrix(n_qubits)
-    rank = np.linalg.matrix_rank(A, tol=1e-10)
-    if rank < 4 ** n_qubits:
-        raise ValueError(f"design matrix rank {rank} < {4 ** n_qubits}: catalog incomplete")
-    c, *_ = np.linalg.lstsq(A, f, rcond=None)
-    paulis = pauli_products(n_qubits)
-    raw = sum(ck * P for ck, P in zip(c, paulis))
+    c, *_ = np.linalg.lstsq(catalog.design, f, rcond=None)
+    raw = sum(ck * P for ck, P in zip(c, catalog.paulis))
     raw = 0.5 * (raw + raw.conj().T)
     w, V = np.linalg.eigh(raw)
     w = np.clip(w, 0.0, None)
@@ -197,8 +203,8 @@ def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoR
     if total < 1e-300:
         raise ValueError("reconstruction collapsed to the zero matrix")
     rho_hat = DensityMatrix(basis, (V * (w / total)) @ V.conj().T)
-    predicted = np.array([np.trace(rho_hat.matrix @ s.projector.matrix).real
-                          for s in projector_catalog(n_qubits)])
+    predicted = np.array([np.trace(rho_hat.matrix @ P).real
+                          for P in catalog.projectors])
     residual = float(np.sqrt(np.mean((predicted - f) ** 2)))
     fid = None
     if target is not None:

@@ -171,6 +171,35 @@ def test_tomo_two_photon_concurrence(capsys):
     assert doc["concurrence"] == pytest.approx(0.51, abs=1e-6)
 
 
+_QUBIT_BASIS = [{"factor": "signal_pol", "symbols": ["H", "V"]}]
+_BAD_STATE_FILES = {
+    "eight_dim": json.dumps({
+        "basis": [{"factor": f, "symbols": ["H", "V"]} for f in ("a", "b", "c")],
+        "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}),
+    "unnormalised": json.dumps({"basis": _QUBIT_BASIS,
+                                "amplitudes": [[1.0, 0.0], [1.0, 0.0]]}),
+    "not_json": "{not json",
+    "no_basis": json.dumps({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
+    "no_amplitudes": json.dumps({"basis": _QUBIT_BASIS}),
+}
+
+
+@pytest.mark.parametrize("spec", ["two_photon(4, 0)", *(
+    f"json:{name}" for name in _BAD_STATE_FILES)])
+def test_tomo_bad_state_is_a_usage_error(spec, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _BAD_STATE_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli("tomo", spec, "--shots", "100") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tomo_unreadable_state_file_is_an_io_error(tmp_path, capsys):
+    assert run_cli("tomo", f"json:{tmp_path / 'absent.json'}") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_qkd_json_and_log(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
     out = tmp_path / "session.json"

@@ -76,11 +76,20 @@ def test_run_rejects_inconsistent_plan():
         ifo.run_cmip(+1, ifo.CmipPlan(0.4, 1.0, ifo.EXPAND, gamma1=0.3, gamma2=0.0))
 
 
-def test_device_unitary_is_real_orthogonal_at_zero_phase():
+def test_device_unitary_is_unitary_at_zero_phase():
     for a, b in ((0.3, 1.2), (2.0, 0.9)):
-        U = ifo.build_unitary(ifo.plan_for(a, b)).matrix
-        assert np.max(np.abs(U.imag)) == 0.0
-        assert np.max(np.abs(U.T @ U - np.eye(4))) < 1e-12
+        U = ifo.plan_for(a, b).unitary().matrix
+        assert np.max(np.abs(U.conj().T @ U - np.eye(4))) < 1e-12
+
+
+def test_plan_unitary_places_the_phase_plates():
+    # phi acts on the V input when expanding, phi' on the H input when contracting
+    expand = ifo.plan_for(0.5, 1.3, phi=0.8, phi_prime=0.4)
+    want = ifo.device_unitary(expand.gamma1, expand.gamma2, 0.0, 0.8).matrix
+    assert np.array_equal(expand.unitary().matrix, want)
+    contract = ifo.plan_for(1.3, 0.5, phi=0.8, phi_prime=0.4)
+    want = ifo.device_unitary(contract.gamma1, contract.gamma2, 0.4, 0.0).matrix
+    assert np.array_equal(contract.unitary().matrix, want)
 
 
 def test_success_states_match_targets_and_probabilities():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from cmiplab.qcore import (DensityMatrix, ModeBasis, Operator, StateVector,
-                           concurrence, ensure_normalized, fidelity,
-                           partial_trace, path_basis, phase_aligned,
-                           polarization_basis, postselect, state_from_json,
-                           state_to_json, tensor)
+                           apply, concurrence, ensure_normalized, fidelity,
+                           partial_trace, path_basis, polarization_basis,
+                           postselect, state_from_json, state_to_json)
 
 TWO_QUBIT = polarization_basis("a").combine(polarization_basis("b"))
 
@@ -71,7 +70,7 @@ def test_density_matrix_validation():
 def test_tensor_and_postselect_inverse():
     pol = StateVector(polarization_basis(), [math.cos(0.3), math.sin(0.3)])
     path = StateVector(path_basis(), [1.0, 0.0])
-    joint = tensor(pol, path)
+    joint = StateVector(pol.basis.combine(path.basis), np.kron(pol.amps, path.amps))
     kept, prob = postselect(joint, "signal_path", "1")
     assert abs(prob - 1.0) < 1e-12
     assert np.allclose(kept.amps, pol.amps)
@@ -150,13 +149,19 @@ def test_concurrence_rejects_wrong_dimension():
         concurrence(DensityMatrix(polarization_basis(), np.eye(2) / 2))
 
 
-def test_phase_aligned_removes_global_phase():
+def test_apply_lifts_onto_leading_factors():
     gen = np.random.default_rng(3)
-    v = gen.normal(size=4) + 1j * gen.normal(size=4)
-    ref = StateVector(TWO_QUBIT, v)
-    rotated = StateVector(TWO_QUBIT, ref.amps * np.exp(1.7j))
-    back = phase_aligned(ref, rotated)
-    assert np.max(np.abs(back.amps - ref.amps)) < 1e-12
+    q, _ = np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))
+    U = Operator(TWO_QUBIT, q, unitary=True)
+    basis = TWO_QUBIT.combine(path_basis("c"))
+    s = StateVector(basis, gen.normal(size=8) + 1j * gen.normal(size=8))
+    out = apply(U, s)
+    assert out.basis == basis
+    assert np.max(np.abs(out.amps - np.kron(q, np.eye(2)) @ s.amps)) < 1e-12
+    assert np.max(np.abs(apply(U, StateVector(TWO_QUBIT, s.amps[:4])).amps
+                         - q @ s.amps[:4])) < 1e-12
+    with pytest.raises(ValueError):
+        apply(U, StateVector(path_basis("c").combine(TWO_QUBIT), s.amps))
 
 
 def test_state_json_round_trip():

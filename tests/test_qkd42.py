@@ -57,31 +57,6 @@ def test_family_states_are_normalized_with_overlap_cos_theta():
         assert abs(np.dot(s0, s1) - math.cos(theta)) < 1e-12
 
 
-def test_single_pulse_path_matches_closed_form():
-    cfg = qkd42.config_for_theta(math.pi / 3, seed=0)
-    gen = np.random.default_rng(17)
-    conclusive = correct = 0
-    n = 4000
-    for _ in range(n):
-        bit = int(gen.integers(0, 2))
-        state, port = qkd42.alice_prepare(bit, cfg, gen)
-        res = qkd42.bob_measure(state, port, cfg.thetas, gen)  # matched guess
-        if res.kind == qkd42.RESULT_CONCLUSIVE:
-            conclusive += 1
-            correct += res.bit == bit
-    p = 1 - math.cos(math.pi / 3)
-    assert abs(conclusive / n - p) < 4 * math.sqrt(p * (1 - p) / n)
-    assert correct == conclusive  # matched conclusive bits are never wrong
-
-
-def test_eve_resends_an_eigenstate():
-    policy = qkd42.InterceptResend(0.0)
-    gen = np.random.default_rng(3)
-    state, _ = qkd42.alice_prepare(0, qkd42.QkdConfig(), gen)
-    out = qkd42.eve_intercept_resend(state, policy, gen)
-    assert min(abs(abs(out.amps[0]) - 1.0), abs(abs(out.amps[1]) - 1.0)) < 1e-12
-
-
 def test_session_without_eve_is_error_free():
     for theta in (math.pi / 3, 0.4 * math.pi, math.pi / 2):
         cfg = qkd42.config_for_theta(theta, n_pulses=20_000, seed=101)
@@ -137,23 +112,28 @@ def test_session_json_is_byte_deterministic():
 
 def test_pulse_log_agrees_with_stats():
     cfg = qkd42.config_for_theta(math.pi / 3, n_pulses=3000, seed=15)
-    stats, records = qkd42.run_session(cfg, log=True)
-    assert len(records) == cfg.n_pulses
-    matched = [r for r in records if r.bob_guess == r.alice_output]
-    kept = [r for r in matched if r.result == qkd42.RESULT_CONCLUSIVE]
-    assert len(kept) == stats.sifted_key_length
-    monitor = sum(r.result == qkd42.RESULT_MONITOR for r in records)
-    assert abs(monitor / len(records) - stats.monitor_click_rate) < 1e-12
-    errors = sum(r.bit != r.alice_bit for r in kept)
-    assert errors / len(kept) == stats.qber
-    text = qkd42.pulse_log_csv(records, cfg.seed)
+    stats, pulses = qkd42.run_session(cfg, log=True)
+    assert all(len(col) == cfg.n_pulses for col in pulses.values())
+    assert stats == qkd42.run_session(cfg)
+    monitor = pulses["monitor"]
+    kept = (pulses["bob_guess"] == pulses["alice_output"]) & ~monitor
+    assert kept.sum() == stats.sifted_key_length
+    assert abs(monitor.mean() - stats.monitor_click_rate) < 1e-12
+    errors = (pulses["bit"][kept] != pulses["alice_bit"][kept]).sum()
+    assert errors / kept.sum() == stats.qber
+    text = qkd42.pulse_log_csv(pulses, cfg.seed)
     lines = text.splitlines()
+    assert text.endswith("\n")
     assert lines[0] == "# seed=15"
     assert lines[1] == "pulse,alice_bit,alice_output,bob_guess,result,bit"
     assert len(lines) == cfg.n_pulses + 2
-    # monitor rows leave the bit column empty
-    first_monitor = next(r for r in records if r.result == qkd42.RESULT_MONITOR)
-    assert lines[2 + first_monitor.pulse].endswith(",monitor,")
+    # monitor rows leave the bit column empty; conclusive rows carry Bob's bit
+    first_monitor = int(np.argmax(monitor))
+    assert lines[2 + first_monitor].endswith(",monitor,")
+    first_conclusive = int(np.argmin(monitor))
+    row = lines[2 + first_conclusive].split(",")
+    assert row[0] == str(first_conclusive) and row[4] == "conclusive"
+    assert row[5] == str(pulses["bit"][first_conclusive])
 
 
 def test_streams_are_stable_and_separated():

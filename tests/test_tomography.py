@@ -13,31 +13,32 @@ def random_pure(gen, dim):
 
 
 def test_catalog_sizes_and_projector_shape():
-    one = tomography.projector_catalog(1)
-    two = tomography.projector_catalog(2)
-    assert len(one) == 6 and len(two) == 36
-    for s in one:
-        P = s.projector.matrix
+    one, two = tomography.CATALOG[1], tomography.CATALOG[2]
+    assert one.projectors.shape == (6, 2, 2) and two.projectors.shape == (36, 4, 4)
+    assert len(one.settings) == 6 and len(two.settings) == 36
+    for P in one.projectors:
         assert np.allclose(P, P.conj().T)
         assert np.allclose(P @ P, P)          # rank-1 projector
         assert abs(np.trace(P).real - 1.0) < 1e-12
-    assert two[0].labels == ("H", "H") and len(two[0].labels) == 2
+    assert two.settings[0] == ("H", "H") and two.settings[1] == ("H", "V")
+    assert np.allclose(two.projectors[1], np.kron(one.projectors[0], one.projectors[1]))
 
 
 def test_circular_kets_convention():
     # R = (H - iV)/sqrt2, L = (H + iV)/sqrt2
-    r = next(s for s in tomography.projector_catalog(1) if s.labels == ("R",))
+    one = tomography.CATALOG[1]
+    projector = dict(zip(one.settings, one.projectors))
     want = np.outer([1, -1j], [1, 1j]) / 2.0
-    assert np.max(np.abs(r.projector.matrix - want)) < 1e-15
+    assert np.max(np.abs(projector[("R",)] - want)) < 1e-15
     # H/V projectors resolve the identity
-    h = next(s for s in tomography.projector_catalog(1) if s.labels == ("H",))
-    v = next(s for s in tomography.projector_catalog(1) if s.labels == ("V",))
-    assert np.allclose(h.projector.matrix + v.projector.matrix, np.eye(2))
+    assert np.allclose(projector[("H",)] + projector[("V",)], np.eye(2))
 
 
 def test_design_matrix_is_informationally_complete():
-    assert np.linalg.matrix_rank(tomography.design_matrix(1), tol=1e-10) == 4
-    assert np.linalg.matrix_rank(tomography.design_matrix(2), tol=1e-10) == 16
+    assert tomography.CATALOG[1].design.shape == (6, 4)
+    assert tomography.CATALOG[2].design.shape == (36, 16)
+    assert np.linalg.matrix_rank(tomography.CATALOG[1].design, tol=1e-10) == 4
+    assert np.linalg.matrix_rank(tomography.CATALOG[2].design, tol=1e-10) == 16
 
 
 def test_exact_counts_are_born_probabilities():
@@ -136,6 +137,51 @@ def test_incomplete_table_is_rejected():
     table = tomography.CountsTable({("H",): 1.0, ("V",): 0.0}, None, 0)
     with pytest.raises(KeyError):
         tomography.reconstruct(table)
+
+
+def _counts_csv(shots=1000):
+    s = StateVector(polarization_basis(), [math.cos(0.3), math.sin(0.3)])
+    return tomography.simulate_counts(DensityMatrix.from_state(s), shots, 3).to_csv()
+
+
+def _edit_row(text, setting, new_row):
+    lines = text.splitlines(keepends=True)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(setting + ","))
+    lines[i] = "" if new_row is None else new_row + "\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("setting,row,why", [
+    ("V", None, "each setting"),            # one setting row removed
+    ("V", "HV,10,1000,3", "each setting"),  # a two-qubit label in a one-qubit table
+    ("V", "H,10,1000,3", "each setting"),   # a setting repeated
+    ("V", "V,10,999,3", "one shots value"),
+    ("V", "V,5000,1000,3", "outside"),      # more clicks than shots
+    ("V", "V,-1,1000,3", "outside"),
+    ("V", "V,10,0,3", "one shots value"),
+    ("V", "V,10,1000", "4 fields"),
+])
+def test_counts_csv_validation(setting, row, why):
+    text = _edit_row(_counts_csv(), setting, row)
+    with pytest.raises(ValueError, match=why):
+        tomography.CountsTable.from_csv(text)
+
+
+def test_exact_counts_csv_rejects_probabilities_outside_the_unit_interval():
+    s = StateVector(polarization_basis(), [1.0, 0.0])
+    text = tomography.simulate_counts(DensityMatrix.from_state(s), None, 3).to_csv()
+    with pytest.raises(ValueError, match="outside"):
+        tomography.CountsTable.from_csv(_edit_row(text, "H", "H,1.5,exact,3"))
+    with pytest.raises(ValueError, match="one shots value"):
+        tomography.CountsTable.from_csv("# seed=3\nsetting,count,shots,seed\n")
+
+
+def test_counts_csv_rejects_zero_shots_and_three_qubit_labels():
+    with pytest.raises(ValueError, match=">= 1"):
+        tomography.CountsTable.from_csv(_counts_csv().replace(",1000,", ",0,"))
+    three = "".join(f"{a}{b}{c},0,10,3\n" for a in "HV" for b in "HV" for c in "HV")
+    with pytest.raises(ValueError, match="each setting"):
+        tomography.CountsTable.from_csv(three)
 
 
 def test_simulate_counts_input_validation():

@@ -32,3 +32,28 @@ def test_perturbed_solver_breaks_the_inner_product_contract():
     assert results["unitarity_preservation"].passed
     assert results["concurrence_pure_equivalence"].passed
     assert results["usd_idp_point"].passed
+
+
+def test_grid_is_evaluated_once_per_solver():
+    calls = []
+
+    def counting(alpha, beta):
+        calls.append((alpha, beta))
+        return solve_gamma1(alpha, beta)
+
+    results = verify.run_all(gamma1_solver=counting)
+    assert all(r.passed for r in results)
+    # inner_product_contract and probability_equivalence share one pass
+    expand_points = sum(a <= b for a, b in verify._ab_grid())
+    assert len(calls) == expand_points
+
+
+def test_raising_solver_fails_its_checks_without_aborting():
+    def broken(alpha, beta):
+        raise ArithmeticError("solver fault")
+
+    results = verify.run_all(gamma1_solver=broken)
+    assert len(results) == 16
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert set(failed) == {"inner_product_contract", "probability_equivalence"}
+    assert all("ArithmeticError: solver fault" in d for d in failed.values())
