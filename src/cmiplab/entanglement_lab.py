@@ -4,23 +4,29 @@ The signal photon of cos(a/2)|HH⟩ + e^{iδ} sin(a/2)|VV⟩ passes the
 interferometer with both plates rotated; conditioning on its exit path
 splits the pair into two branches whose entanglement can exceed (path 1)
 or fall below the input value, with closed forms for both probability and
-concurrence checked against explicit state evolution.
+concurrence checked against explicit state evolution.  `filter_pairs`
+evolves a whole grid of pairs and plate settings in one call;
+`apply_cmip_signal` is its n = 1 view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .interferometer import BASIS as DEVICE_BASIS
 from .interferometer import device_unitary, evolve
-from .qcore import (IDLER_POL, DensityMatrix, StateVector, concurrence,
-                    polarization_basis, postselect)
+from .qcore import (IDLER_POL, StateVector, concurrences, polarization_basis,
+                    postselect)
 
 #: signal polarization (x) signal path (x) idler polarization
 FULL_BASIS = DEVICE_BASIS.combine(polarization_basis(IDLER_POL))
+
+#: the two-qubit (signal, idler) polarization basis of a filtered pair
+PAIR_BASIS = FULL_BASIS.drop("signal_path")
 
 #: branches with less probability than this carry no usable state
 EMPTY_BRANCH_TOL = 1e-12
@@ -82,20 +88,60 @@ def branch_probabilities(alpha: float, gamma1: float, gamma2: float):
     return n1, 1.0 - n1
 
 
+class PairBranches(NamedTuple):
+    """Path-filtered branches of n evolved pairs, one row per pair.
+
+    phi1/phi2 are (n, 4) two-qubit polarization states (signal, idler); a
+    branch with probability below EMPTY_BRANCH_TOL has NaN entanglement and
+    its state is not used.
+    """
+
+    phi1: np.ndarray
+    n1: np.ndarray
+    e1: np.ndarray
+    phi2: np.ndarray
+    n2: np.ndarray
+    e2: np.ndarray
+
+    def row(self, i: int) -> EntangledBranches:
+        """Row i as EntangledBranches, with None for an empty branch."""
+        out = []
+        for phi, n, e in ((self.phi1, self.n1, self.e1), (self.phi2, self.n2, self.e2)):
+            p = float(n[i])
+            if p < EMPTY_BRANCH_TOL:
+                out.append((None, p, None))
+            else:
+                out.append((StateVector(PAIR_BASIS, phi[i]), p, float(e[i])))
+        (phi1, n1, e1), (phi2, n2, e2) = out
+        return EntangledBranches(phi1, n1, e1, phi2, n2, e2)
+
+
+def filter_pairs(amps: np.ndarray, gamma1, gamma2) -> PairBranches:
+    """Pass the signal photon of each pair through the device and split the
+    pairs by its exit path, in one batched call.
+
+    `amps` is an (n, 8) stack of pair states on FULL_BASIS; gamma1 and gamma2
+    are scalars or length-n arrays.  The concurrence of every branch with
+    probability at least EMPTY_BRANCH_TOL comes from one batched call.
+    """
+    n = len(amps)
+    U = device_unitary(np.broadcast_to(gamma1, n), np.broadcast_to(gamma2, n))
+    split = evolve(U, amps, FULL_BASIS)
+    cols = []
+    for phi, p in ((split.success, split.p_success), (split.failure, split.p_failure)):
+        live = p >= EMPTY_BRANCH_TOL
+        e = np.full(n, np.nan)
+        e[live] = concurrences(phi[live])
+        cols += [phi, p, e]
+    return PairBranches(*cols)
+
+
 def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> EntangledBranches:
-    """Pass the signal photon through the device and split the pair by its exit path."""
+    """Pass the signal photon through the device and split the pair by its
+    exit path (`filter_pairs` with one pair)."""
     if state.basis != FULL_BASIS:
         raise ValueError("expected a two-photon state on the standard basis")
-    split = evolve(device_unitary(gamma1, gamma2), state)
-    out = []
-    for phi, n in ((split.success_state, split.p_success),
-                   (split.failure_state, split.p_failure)):
-        if n < EMPTY_BRANCH_TOL:
-            out.append((None, n, None))
-        else:
-            out.append((phi, n, concurrence(DensityMatrix.from_state(phi))))
-    (phi1, n1, e1), (phi2, n2, e2) = out
-    return EntangledBranches(phi1, n1, e1, phi2, n2, e2)
+    return filter_pairs(state.amps[None], gamma1, gamma2).row(0)
 
 
 def output_entanglement(E_in: float, gamma1: float, gamma2: float, alpha: float):
@@ -156,18 +202,18 @@ def concentration_sweep(alpha: float, gamma1_grid, gamma2: float, delta: float =
     """Closed-form and state-derived n1/e1 over a gamma1 grid.
 
     Returns a dict of arrays keyed n1_closed, n1_state, e1_closed, e1_state;
-    undefined entanglement (empty branch) is recorded as NaN.
+    undefined entanglement (empty branch) is recorded as NaN.  The state
+    route evolves the whole grid in one call.
     """
     gamma1_grid = np.asarray(gamma1_grid, dtype=float)
     state = prepare_two_photon(TwoPhotonConfig(alpha, delta))
     e_in = abs(math.sin(alpha))
-    cols = {k: np.empty(gamma1_grid.size) for k in
-            ("n1_closed", "n1_state", "e1_closed", "e1_state")}
+    cols = {k: np.empty(gamma1_grid.size) for k in ("n1_closed", "e1_closed")}
     for i, g1 in enumerate(gamma1_grid):
         cols["n1_closed"][i] = branch_probabilities(alpha, g1, gamma2)[0]
         e1c, _ = output_entanglement(e_in, g1, gamma2, alpha)
         cols["e1_closed"][i] = np.nan if e1c is None else e1c
-        branches = apply_cmip_signal(state, float(g1), gamma2)
-        cols["n1_state"][i] = branches.n1
-        cols["e1_state"][i] = np.nan if branches.e1 is None else branches.e1
+    rows = np.repeat(state.amps[None], gamma1_grid.size, axis=0)
+    branches = filter_pairs(rows, gamma1_grid, gamma2)
+    cols["n1_state"], cols["e1_state"] = branches.n1, branches.e1
     return cols

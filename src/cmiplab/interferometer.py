@@ -5,20 +5,24 @@ two-path interferometer whose half-wave plates leak amplitude into path 2.
 Conditioning on the photon leaving in path 1 maps the pair onto
 cos(b/2)|H⟩ ± sin(b/2)|V⟩ for a chosen inner angle b; the path-2 events are
 the heralded failures and carry no which-sign information.  `device_unitary`
-and `evolve` are the one device model: the two-photon layer and the verify
-suite pass their states through them too.
+and `evolve` are the one device model, and they are array-shaped: a grid of
+plate settings and input states is evolved in one call.  `run_cmip` and
+`sample_runs` are its n = 1 views; the sweeps, the two-photon layer and the
+verify suite pass whole grids through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
-from .qcore import (Operator, StateVector, apply, path_basis,
-                    polarization_basis, postselect)
+from .qcore import (POSTSELECT_MIN, ModeBasis, Operator, StateVector, apply_rows,
+                    check_unitary_rows, in_chunks, path_basis,
+                    polarization_basis, postselect_rows)
 
 EXPAND = "expand"      # a <= b: rotate HWP1, HWP2 stays at 0
 CONTRACT = "contract"  # b <= a: rotate HWP2, HWP1 stays at 0
@@ -67,12 +71,17 @@ class CmipPlan:
         if abs(inactive) > 1e-12:
             raise ValueError(f"inactive plate must stay at 0, got {inactive}")
 
+    def plates(self) -> tuple[float, float, float, float]:
+        """The `device_unitary` arguments (γ1, γ2, φH, φV) of this setting;
+        the phase plate of the active branch (φ′ on H when contracting, φ on
+        V when expanding) is applied."""
+        return (self.gamma1, self.gamma2,
+                self.phi_prime if self.branch == CONTRACT else 0.0,
+                self.phi if self.branch == EXPAND else 0.0)
+
     def unitary(self) -> Operator:
-        """The device unitary of this setting; the phase plate of the active
-        branch (φ′ on H when contracting, φ on V when expanding) is applied."""
-        return device_unitary(self.gamma1, self.gamma2,
-                              self.phi_prime if self.branch == CONTRACT else 0.0,
-                              self.phi if self.branch == EXPAND else 0.0)
+        """The device unitary of this setting."""
+        return Operator(BASIS, device_unitary(*self.plates())[0])
 
 
 def solve_gamma1(alpha: float, beta: float) -> float:
@@ -138,36 +147,55 @@ def closed_form_probability(alpha: float, beta: float) -> float:
     return math.cos(alpha / 2) ** 2 / math.cos(beta / 2) ** 2
 
 
-def device_unitary(gamma1: float, gamma2: float, phase_h: float = 0.0,
-                   phase_v: float = 0.0) -> Operator:
-    """The device unitary, 4x4 on the polarization (x) path basis.
+def device_unitary(gamma1, gamma2, phase_h=0.0, phase_v=0.0) -> np.ndarray:
+    """Stacked device unitaries, (n, 4, 4) on the polarization (x) path basis.
 
-    |H,1⟩ → e^{iφH}(cos2γ1|H,1⟩ − i sin2γ1|V,2⟩) and
+    The four arguments are scalars or length-n arrays, broadcast together.
+    Each unitary maps |H,1⟩ → e^{iφH}(cos2γ1|H,1⟩ − i sin2γ1|V,2⟩) and
     |V,1⟩ → e^{iφV}(cos2γ2|V,1⟩ − i sin2γ2|H,2⟩), completed unitarily on the
     path-2 inputs.  The −i on the path-changing amplitudes is a global phase
     of the path-2 branch and unobservable after filtering.  The phases are
     the phase plates of a `CmipPlan`; the two-photon layer leaves them at 0.
+    One unitarity check (‖U†U−I‖∞ ≤ 1e-12) covers each chunk of rows.
     """
-    c1, s1 = math.cos(2 * gamma1), math.sin(2 * gamma1)
-    c2, s2 = math.cos(2 * gamma2), math.sin(2 * gamma2)
-    m = np.zeros((4, 4), dtype=complex)
-    m[_H1, _H1], m[_V2, _H1] = c1, -1j * s1
-    m[_H1, _V2], m[_V2, _V2] = -1j * s1, c1
-    m[_V1, _V1], m[_H2, _V1] = c2, -1j * s2
-    m[_V1, _H2], m[_H2, _H2] = -1j * s2, c2
-    m[:, [_H1, _V2]] *= np.exp(1j * phase_h)
-    m[:, [_V1, _H2]] *= np.exp(1j * phase_v)
-    return Operator(BASIS, m, unitary=True)
+    args = [np.atleast_1d(np.asarray(x, dtype=float))
+            for x in (gamma1, gamma2, phase_h, phase_v)]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    return in_chunks(_device_unitary_rows, *(np.broadcast_to(a, shape) for a in args))
+
+
+def _device_unitary_rows(g1, g2, ph, pv):
+    c1, s1 = np.cos(2 * g1), np.sin(2 * g1)
+    c2, s2 = np.cos(2 * g2), np.sin(2 * g2)
+    m = np.zeros((g1.size, 4, 4), dtype=complex)
+    m[:, _H1, _H1], m[:, _V2, _H1] = c1, -1j * s1
+    m[:, _H1, _V2], m[:, _V2, _V2] = -1j * s1, c1
+    m[:, _V1, _V1], m[:, _H2, _V1] = c2, -1j * s2
+    m[:, _V1, _H2], m[:, _H2, _H2] = -1j * s2, c2
+    # each column takes the phase of its input's polarization: H1 and V2
+    # pair up under the first plate, V1 and H2 under the second
+    phase = np.empty((g1.size, 1, 4), dtype=complex)
+    phase[:, 0, _H1] = phase[:, 0, _V2] = np.exp(1j * ph)
+    phase[:, 0, _V1] = phase[:, 0, _H2] = np.exp(1j * pv)
+    m *= phase
+    check_unitary_rows(m)
+    return m
+
+
+def input_amps(alpha, sign: int) -> np.ndarray:
+    """(n, 4) amplitudes of cos(a/2)|H,1⟩ ± sin(a/2)|V,1⟩ for each alpha."""
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    amps = np.zeros((alpha.size, 4), dtype=complex)
+    amps[:, _H1] = np.cos(alpha / 2)
+    amps[:, _V1] = sign * np.sin(alpha / 2)
+    return amps
 
 
 def input_state(alpha: float, sign: int) -> StateVector:
     """cos(a/2)|H,1⟩ ± sin(a/2)|V,1⟩ entering the device in path 1."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    amps = np.zeros(4, dtype=complex)
-    amps[_H1] = math.cos(alpha / 2)
-    amps[_V1] = sign * math.sin(alpha / 2)
-    return StateVector(BASIS, amps)
+    return StateVector(BASIS, input_amps(alpha, sign)[0])
 
 
 def target_state(beta: float, sign: int) -> StateVector:
@@ -193,16 +221,44 @@ class BranchOutcome:
     p_failure: float
 
 
-def evolve(U: Operator, state: StateVector) -> BranchOutcome:
-    """Pass a state through the device and split it by the signal's exit path.
+class Branches(NamedTuple):
+    """Path-split result of n device passes, one row per pass.
 
-    The device acts on the signal polarization and path, the leading factors
-    of the state's basis; trailing factors (an idler photon) are untouched.
+    `success`/`failure` hold the renormalized branch states on `basis` (the
+    input basis without the signal path); a branch whose probability is
+    below 1e-15 has no state and an all-zero row.
     """
-    out = apply(U, state)
-    success, p1 = postselect(out, "signal_path", "1")
-    failure, p2 = postselect(out, "signal_path", "2")
-    return BranchOutcome(success, p1, failure, p2)
+
+    basis: ModeBasis
+    success: np.ndarray
+    p_success: np.ndarray
+    failure: np.ndarray
+    p_failure: np.ndarray
+
+    def outcome(self, i: int) -> BranchOutcome:
+        """Row i as a BranchOutcome, with None for a branch that has no state."""
+        def state(rows, p):
+            return StateVector(self.basis, rows[i]) if p >= POSTSELECT_MIN else None
+
+        p1, p2 = float(self.p_success[i]), float(self.p_failure[i])
+        return BranchOutcome(state(self.success, p1), p1, state(self.failure, p2), p2)
+
+
+def evolve(U: np.ndarray, amps: np.ndarray, basis: ModeBasis) -> Branches:
+    """Pass n states through n device settings and split each by exit path.
+
+    U is an (n, 4, 4) stack from `device_unitary`, amps an (n, d) stack of
+    normalized states on `basis`, whose leading factors are the signal
+    polarization and path; trailing factors (an idler photon) are untouched.
+    Each output row gets the norm repair of `qcore.normalize_rows` before it
+    is split.  Rows are evolved in chunks of `qcore.CHUNK_ROWS`.
+    """
+    def chunk(U, amps):
+        out = apply_rows(U, amps)
+        return (*postselect_rows(out, basis, "signal_path", "1"),
+                *postselect_rows(out, basis, "signal_path", "2"))
+
+    return Branches(basis.drop("signal_path"), *in_chunks(chunk, U, amps))
 
 
 def _validate_plan_angles(plan: CmipPlan):
@@ -218,10 +274,19 @@ def _validate_plan_angles(plan: CmipPlan):
                 f"plan gamma2 = {plan.gamma2} inconsistent with solver value {g}")
 
 
+def run_plans(input_sign: int, plans) -> Branches:
+    """Evolve the input state of each plan through its device setting, in one
+    batched call; every plan is first checked against the true solvers."""
+    for plan in plans:
+        _validate_plan_angles(plan)
+    U = device_unitary(*zip(*(p.plates() for p in plans)))
+    return evolve(U, input_amps([p.alpha for p in plans], input_sign), BASIS)
+
+
 def run_cmip(input_sign: int, plan: CmipPlan) -> BranchOutcome:
-    """Evolve one input state through the device and split it by path."""
-    _validate_plan_angles(plan)
-    return evolve(plan.unitary(), input_state(plan.alpha, input_sign))
+    """Evolve one input state through the device and split it by path
+    (`run_plans` with one plan)."""
+    return run_plans(input_sign, [plan]).outcome(0)
 
 
 @dataclass(frozen=True)
@@ -232,17 +297,28 @@ class RunCounts:
     seed: int
 
 
-def sample_runs(input_sign: int, plan: CmipPlan, shots: int, seed: int) -> RunCounts:
-    """Draw heralding outcomes from the amplitude-derived branch probability.
+def _draw_successes(input_sign: int, plans, shots: int, seeds) -> list[int]:
+    """Heralded successes out of `shots` for each plan, one binomial draw from
+    the stream (seed, 'sample_runs') per plan.
 
-    The probability comes from the evolved state (run_cmip), not from the
+    The probability comes from the evolved state (run_plans), not from the
     closed form, so statistical comparisons against the closed form remain a
-    two-route check.  Identical (plan, shots, seed) give identical counts.
+    two-route check.  It can exceed 1 by rounding (1 + 4e-16 at beta =
+    alpha), within the norm repair bound, so it is clipped into [0, 1] here.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p = run_cmip(input_sign, plan).p_success
-    success = int(rng.stream(seed, "sample_runs").binomial(shots, p))
+    probs = np.clip(run_plans(input_sign, plans).p_success, 0.0, 1.0)
+    return [int(rng.stream(seed, "sample_runs").binomial(shots, p))
+            for p, seed in zip(probs, seeds)]
+
+
+def sample_runs(input_sign: int, plan: CmipPlan, shots: int, seed: int) -> RunCounts:
+    """Draw heralding outcomes from the amplitude-derived branch probability.
+
+    Identical (plan, shots, seed) give identical counts.
+    """
+    success = _draw_successes(input_sign, [plan], shots, [seed])[0]
     return RunCounts(shots, success, shots - success, seed)
 
 
@@ -250,15 +326,14 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
     """Closed-form and Monte Carlo success probabilities over a beta grid.
 
     Returns (p_closed, p_mc) arrays; p_mc is None when shots == 0 (closed
-    form only).  Point i uses the derived stream (seed, 'cmip_sweep', i).
+    form only).  The whole grid is evolved in one call; point i draws from
+    the derived seed (seed, 'cmip_sweep', i).
     """
     betas = np.asarray(betas, dtype=float)
     p_closed = np.array([closed_form_probability(alpha, b) for b in betas])
     if shots == 0:
         return p_closed, None
-    p_mc = np.empty_like(p_closed)
-    for i, b in enumerate(betas):
-        counts = sample_runs(+1, plan_for(alpha, float(b)), shots,
-                             rng.derive(seed, "cmip_sweep", i))
-        p_mc[i] = counts.success / counts.shots
-    return p_closed, p_mc
+    plans = [plan_for(alpha, float(b)) for b in betas]
+    seeds = [rng.derive(seed, "cmip_sweep", i) for i in range(betas.size)]
+    successes = _draw_successes(+1, plans, shots, seeds)
+    return p_closed, np.array(successes) / shots

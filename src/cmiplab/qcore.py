@@ -3,12 +3,18 @@
 Everything here is plain dense linear algebra over labeled tensor-product
 mode bases (polarization, path, idler polarization).  States are immutable;
 every operation returns a new value, so concurrent use needs no locking.
+
+The arithmetic is array-shaped: the `*_rows` functions and `concurrences`
+act on a stack of n states or matrices at once and validate each stack with
+one vectorised check.  The `StateVector`, `Operator` and `DensityMatrix`
+methods and checks, `ensure_normalized`, `apply`, `postselect` and
+`concurrence` are the n = 1 calls into them, so a row of a batch and the
+scalar call give the same bits.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +32,85 @@ PATH_SYMBOLS = ("1", "2")
 # construction bug and gets rejected.
 NORM_REPAIR_TOL = 1e-9
 
+#: postselection outcomes less likely than this are impossible: no state
+POSTSELECT_MIN = 1e-15
+
+#: rows per pass of a batched call; bounds its temporaries for any batch size
+CHUNK_ROWS = 256
+
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+
+
+def in_chunks(fn, *rows):
+    """fn applied to aligned chunks of at most CHUNK_ROWS rows of the arrays,
+    its outputs (an array or a tuple of arrays) stacked back together."""
+    n, step = len(rows[0]), CHUNK_ROWS
+    if n <= step:
+        return fn(*rows)
+    parts = [fn(*(r[lo:lo + step] for r in rows)) for lo in range(0, n, step)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
+
+
+def row_norms(amps: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) complex stack.
+
+    Computed as sqrt(re·re + im·im) with one dot product per row, the same
+    sum np.linalg.norm forms for a single vector, so the bits agree.
+    """
+    re, im = amps.real, amps.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
+
+
+def normalize_rows(amps: np.ndarray) -> np.ndarray:
+    """Repair nearly-normalized rows, reject the batch if any is further out.
+
+    Rows whose norm is within NORM_REPAIR_TOL of 1 but not exactly 1 are
+    divided by their norm; one row outside raises ValueError.
+    """
+    norms = row_norms(amps)
+    dev = np.abs(norms - 1.0)
+    bad = np.flatnonzero(dev > NORM_REPAIR_TOL)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"state norm {float(norms[i])} deviates from 1 by {dev[i]:.3e}")
+    fix = dev != 0.0
+    if fix.any():
+        amps = amps.copy()
+        amps[fix] /= norms[fix, None]
+    return amps
+
+
+def check_unitary_rows(mats: np.ndarray):
+    """Reject a stack of (n, d, d) matrices unless every one has ‖U†U−I‖∞ ≤ 1e-12."""
+    d = mats.shape[-1]
+    err = np.max(np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)))
+    if err > 1e-12:
+        raise ValueError(f"operator flagged unitary but ‖U†U−I‖∞ = {err:.3e}")
+
+
+def check_density_rows(mats: np.ndarray):
+    """Reject a stack of (n, d, d) matrices unless every one is Hermitian,
+    of unit trace and positive semidefinite up to -1e-8."""
+    herm = np.max(np.abs(mats - mats.conj().swapaxes(1, 2)))
+    if herm > 1e-10:
+        raise ValueError(f"not Hermitian: max |ρ − ρ†| = {herm:.3e}")
+    tr = np.trace(mats, axis1=1, axis2=2).real
+    off = np.flatnonzero(np.abs(tr - 1.0) > 1e-10)
+    if off.size:
+        raise ValueError(f"trace {float(tr[off[0]])} deviates from 1")
+    lo = float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
+    if lo < -1e-8:
+        raise ValueError(f"negative eigenvalue {lo:.3e} beyond repair tolerance")
+
+
+def density_rows(amps: np.ndarray) -> np.ndarray:
+    """|ψ⟩⟨ψ| for each row of an (n, d) stack of states, after the norm repair."""
+    amps = normalize_rows(amps)
+    return amps[:, :, None] * amps.conj()[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -125,7 +208,7 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return float(row_norms(self.amps[None])[0])
 
     def amplitude(self, *symbols: str) -> complex:
         return complex(self.amps[self.basis.index(*symbols)])
@@ -143,10 +226,7 @@ def ensure_normalized(s: StateVector) -> StateVector:
     Norms inside [1 - 1e-9, 1 + 1e-9] are renormalized silently; larger
     deviations indicate a construction bug and raise ValueError.
     """
-    dev = abs(s.norm - 1.0)
-    if dev > NORM_REPAIR_TOL:
-        raise ValueError(f"state norm {s.norm} deviates from 1 by {dev:.3e}")
-    return s if dev == 0.0 else s.normalized()
+    return StateVector(s.basis, normalize_rows(s.amps[None])[0])
 
 
 @dataclass(frozen=True)
@@ -163,9 +243,7 @@ class Operator:
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
         if self.unitary:
-            err = np.max(np.abs(m.conj().T @ m - np.eye(d)))
-            if err > 1e-12:
-                raise ValueError(f"operator flagged unitary but ‖U†U−I‖∞ = {err:.3e}")
+            check_unitary_rows(m[None])
         object.__setattr__(self, "matrix", m)
 
 
@@ -181,33 +259,56 @@ class DensityMatrix:
         d = self.basis.dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > 1e-10:
-            raise ValueError(f"not Hermitian: max |ρ − ρ†| = {herm:.3e}")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace {tr} deviates from 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -1e-8:
-            raise ValueError(f"negative eigenvalue {lo:.3e} beyond repair tolerance")
+        check_density_rows(m[None])
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_state(cls, s: StateVector) -> "DensityMatrix":
-        s = ensure_normalized(s)
-        return cls(s.basis, np.outer(s.amps, s.amps.conj()))
+        return cls(s.basis, density_rows(s.amps[None])[0])
+
+
+def apply_rows(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Apply each (k, k) operator of a stack to the leading factors of the
+    matching row of an (n, d) state stack; trailing factors are untouched.
+
+    Each row is viewed as a (k, d/k) matrix, so this is U ⊗ I on the full
+    basis without building the lifted matrix.
+    """
+    n, k = mats.shape[:2]
+    if len(amps) != n:
+        raise ValueError(f"{n} operators for {len(amps)} states")
+    return (mats @ np.ascontiguousarray(amps).reshape(n, k, -1)).reshape(n, -1)
 
 
 def apply(U: Operator, s: StateVector) -> StateVector:
-    """Apply U to the leading factors of s; any trailing factors are untouched.
-
-    The amplitudes are viewed as a (U's dimension, rest) matrix, so this is
-    U ⊗ I on the full basis without building the lifted matrix.
-    """
+    """Apply U to the leading factors of s; any trailing factors are untouched."""
     n = len(U.basis.factors)
     if s.basis.factors[:n] != U.basis.factors:
         raise ValueError("operator basis is not the leading factors of the state basis")
-    return StateVector(s.basis, U.matrix @ s.amps.reshape(U.basis.dim, -1))
+    return StateVector(s.basis, apply_rows(U.matrix[None], s.amps[None])[0])
+
+
+def postselect_rows(amps: np.ndarray, basis: ModeBasis, factor: str, symbol: str):
+    """Project each row of an (n, d) state stack onto one symbol of one factor.
+
+    Returns (states, probs): the renormalized conditional states on the
+    remaining factors, (n, d'), and the outcome probabilities, (n,).  A row
+    whose probability is below POSTSELECT_MIN has no state; its row of
+    `states` is zero.  The norm repair of `normalize_rows` runs first.
+    """
+    ax = basis.axis(factor)
+    syms = basis.symbols_of(factor)
+    if symbol not in syms:
+        raise ValueError(f"symbol {symbol!r} not in factor {factor!r} {syms}")
+    amps = normalize_rows(amps)
+    n = len(amps)
+    grid = amps.reshape((n,) + basis.shape)
+    kept = np.take(grid, syms.index(symbol), axis=ax + 1).reshape(n, -1)
+    probs = (kept.conj()[:, None, :] @ kept[:, :, None]).real[:, 0, 0]
+    live = probs >= POSTSELECT_MIN
+    states = np.zeros_like(kept)
+    states[live] = kept[live] / np.sqrt(probs[live])[:, None]
+    return states, probs
 
 
 def postselect(s: StateVector, factor: str, symbol: str):
@@ -227,18 +328,11 @@ def postselect(s: StateVector, factor: str, symbol: str):
         outcome probability.  Probabilities below 1e-15 are flagged as
         impossible: the state slot is None.
     """
-    s = ensure_normalized(s)
-    ax = s.basis.axis(factor)
-    syms = s.basis.symbols_of(factor)
-    if symbol not in syms:
-        raise ValueError(f"symbol {symbol!r} not in factor {factor!r} {syms}")
-    grid = s.amps.reshape(s.basis.shape)
-    kept = np.take(grid, syms.index(symbol), axis=ax).reshape(-1)
-    prob = float(np.vdot(kept, kept).real)
-    if prob < 1e-15:
+    states, probs = postselect_rows(s.amps[None], s.basis, factor, symbol)
+    prob = float(probs[0])
+    if prob < POSTSELECT_MIN:
         return None, prob
-    out = StateVector(s.basis.drop(factor), kept / math.sqrt(prob))
-    return out, prob
+    return StateVector(s.basis.drop(factor), states[0]), prob
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -265,8 +359,8 @@ def fidelity(rho: DensityMatrix, target: StateVector) -> float:
     return float(np.real(np.vdot(t, rho.matrix @ t)))
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def _wootters(mats: np.ndarray) -> np.ndarray:
+    """Concurrence of each validated (4, 4) density matrix of a stack.
 
     The λi are the square roots of the eigenvalues of the Hermitian product
     √ρ·ρ̃·√ρ with ρ̃ = (σy⊗σy) ρ* (σy⊗σy).  They are computed as the singular
@@ -274,12 +368,39 @@ def concurrence(rho: DensityMatrix) -> float:
     singular values directly avoids the ~1e-8 noise that sqrt-of-eigenvalue
     picks up near zero and keeps pure states exact to ~1e-15.
     """
+    w, V = np.linalg.eigh(mats)
+    sqrt_rho = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.conj().swapaxes(1, 2)
+    lam = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ sqrt_rho.conj(), compute_uv=False)
+    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return np.where(c > 0.0, c, 0.0)
+
+
+def concurrences(rows: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of a stack of two-qubit states.
+
+    `rows` is either (n, 4) pure-state amplitudes, which get the norm repair
+    of `normalize_rows`, or (n, 4, 4) density matrices.  The density-matrix
+    checks run once per chunk of rows.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if rows.shape[1:] not in ((4,), (4, 4)):
+        raise ValueError(f"concurrence needs two-qubit states, got shape {rows.shape[1:]}")
+    if not len(rows):
+        return np.zeros(0)
+
+    def chunk(r):
+        mats = density_rows(r) if r.ndim == 2 else r
+        check_density_rows(mats)
+        return _wootters(mats)
+
+    return in_chunks(chunk, rows)
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Wootters concurrence of a two-qubit density matrix (see `_wootters`)."""
     if rho.basis.dim != 4:
         raise ValueError(f"concurrence needs a 4-dimensional state, got dim {rho.basis.dim}")
-    w, V = np.linalg.eigh(rho.matrix)
-    sqrt_rho = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-    lam = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ sqrt_rho.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(_wootters(rho.matrix[None])[0])
 
 
 def state_to_json(s: StateVector) -> str:

@@ -15,8 +15,9 @@ import numpy as np
 from . import entanglement_lab as elab
 from . import interferometer as ifo
 from . import qkd42, tomography
-from .qcore import (DensityMatrix, StateVector, concurrence, ensure_normalized,
-                    polarization_basis, postselect)
+from .qcore import (POSTSELECT_MIN, DensityMatrix, StateVector, concurrences,
+                    ensure_normalized, polarization_basis, postselect,
+                    postselect_rows)
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,8 @@ def _check_unitarity(gen):
         U = plan.unitary()
         s = StateVector(ifo.BASIS, _random_pure(gen, 4))
         worst = max(worst, abs(np.linalg.norm(U.matrix @ s.amps) - 1.0))
-        G = ifo.device_unitary(gen.uniform(0, math.pi / 4), gen.uniform(0, math.pi / 4))
-        worst = max(worst, np.max(np.abs(G.matrix.conj().T @ G.matrix - np.eye(4))))
+        G = ifo.device_unitary(gen.uniform(0, math.pi / 4), gen.uniform(0, math.pi / 4))[0]
+        worst = max(worst, np.max(np.abs(G.conj().T @ G - np.eye(4))))
     return worst <= 1e-12, f"worst unitarity deviation {worst:.2e}"
 
 
@@ -82,40 +83,34 @@ def _check_postselect_completeness(gen):
 
 
 def _check_concurrence_pure(gen):
-    worst = 0.0
-    basis = tomography._basis_for(2)
-    for _ in range(1000):
-        v = _random_pure(gen, 4)
-        c = concurrence(DensityMatrix.from_state(StateVector(basis, v)))
-        worst = max(worst, abs(c - 2 * abs(v[0] * v[3] - v[1] * v[2])))
+    v = np.empty((1000, 4), dtype=complex)
+    for i in range(len(v)):
+        v[i] = _random_pure(gen, 4)
+    c = concurrences(v)
+    worst = float(np.max(np.abs(c - 2 * np.abs(v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2]))))
     return worst <= 1e-9, f"worst |Wootters − 2|ad−bc|| = {worst:.2e}"
 
 
 def _check_concurrence_local_unitary(gen):
-    worst = 0.0
-    basis = tomography._basis_for(2)
-    for _ in range(200):
-        rho = _random_mixed(gen, 4)
+    rhos, turned = np.empty((2, 200, 4, 4), dtype=complex)
+    for i in range(len(rhos)):
+        rhos[i] = _random_mixed(gen, 4)
         UV = np.kron(_random_unitary(gen, 2), _random_unitary(gen, 2))
-        c0 = concurrence(DensityMatrix(basis, rho))
-        c1 = concurrence(DensityMatrix(basis, UV @ rho @ UV.conj().T))
-        worst = max(worst, abs(c0 - c1))
+        turned[i] = UV @ rhos[i] @ UV.conj().T
+    worst = float(np.max(np.abs(concurrences(rhos) - concurrences(turned))))
     return worst <= 1e-9, f"worst local-unitary deviation {worst:.2e}"
 
 
 def _check_delta_independence(gen):
     worst = 0.0
     for alpha in np.linspace(0.1, 3.0, 7):
-        ref = None
-        for delta in np.linspace(0.0, 2 * math.pi, 9):
-            cfg = elab.TwoPhotonConfig(float(alpha), float(delta))
-            c = concurrence(DensityMatrix.from_state(elab.polarization_pair_state(cfg)))
-            br = elab.apply_cmip_signal(elab.prepare_two_photon(cfg), 0.3, 0.2)
-            vals = (c, br.n1, br.e1, br.e2)
-            if ref is None:
-                ref = vals
-            else:
-                worst = max(worst, max(abs(x - y) for x, y in zip(vals, ref)))
+        cfgs = [elab.TwoPhotonConfig(float(alpha), float(delta))
+                for delta in np.linspace(0.0, 2 * math.pi, 9)]
+        pairs = np.array([elab.prepare_two_photon(cfg).amps for cfg in cfgs])
+        pol, _ = postselect_rows(pairs, elab.FULL_BASIS, "signal_path", "1")
+        br = elab.filter_pairs(pairs, 0.3, 0.2)
+        vals = np.stack([concurrences(pol), br.n1, br.e1, br.e2], axis=1)
+        worst = max(worst, float(np.max(np.abs(vals[1:] - vals[0]))))
     return worst <= 1e-12, f"worst delta dependence {worst:.2e}"
 
 
@@ -130,33 +125,42 @@ def _grid_deviations(gamma1_solver, cache):
 
     Returns (⟨φ+|φ−⟩ vs cos β, success probability vs closed form, stray
     failure amplitude).  The plan takes its expansion angle from
-    `gamma1_solver` and is evolved with the device function run_cmip uses,
-    skipping only run_cmip's check that the plan agrees with the true
-    solver.  One pass per solver and run_all serves every check that reads
-    it, and only the three numbers are kept in `cache`.
+    `gamma1_solver`, and the whole grid is evolved in one call through the
+    engine run_cmip uses, skipping only run_cmip's check that the plan
+    agrees with the true solver.  One pass per solver and run_all serves
+    every check that reads it, and only the three numbers are kept in
+    `cache`.
     """
     if gamma1_solver not in cache:
-        worst_ip = worst_p = worst_stray = 0.0
-        for alpha, beta in _ab_grid():
+        # each plan is validated on construction and dropped once its plate
+        # settings are stored: 900 live plan objects would raise peak memory
+        n = sum(1 for _ in _ab_grid())
+        alphas, betas, p_closed = np.empty((3, n))
+        plates = np.empty((4, n))
+        for i, (alpha, beta) in enumerate(_ab_grid()):
             if alpha <= beta:
                 plan = ifo.CmipPlan(alpha, beta, ifo.EXPAND,
                                     gamma1_solver(alpha, beta), 0.0)
             else:
                 plan = ifo.CmipPlan(alpha, beta, ifo.CONTRACT, 0.0,
                                     ifo.solve_gamma2(alpha, beta))
-            U = plan.unitary()
-            out = {sign: ifo.evolve(U, ifo.input_state(alpha, sign)) for sign in (+1, -1)}
-            ip = complex(np.vdot(out[+1].success_state.amps, out[-1].success_state.amps))
-            worst_ip = max(worst_ip, abs(ip.real - math.cos(beta)), abs(ip.imag))
-            for sign in (+1, -1):
-                worst_p = max(worst_p, abs(out[sign].p_success
-                                           - ifo.closed_form_probability(alpha, beta)))
-                fail = out[sign].failure_state
-                if fail is None:
-                    continue
-                # all amplitude off the expected single mode
-                idx = 1 if alpha <= beta else 0  # V for expansion, H for contraction
-                worst_stray = max(worst_stray, float(np.abs(np.delete(fail.amps, idx)).max()))
+            alphas[i], betas[i], plates[:, i] = alpha, beta, plan.plates()
+            p_closed[i] = ifo.closed_form_probability(alpha, beta)
+        U = ifo.device_unitary(*plates)
+        out = {sign: ifo.evolve(U, ifo.input_amps(alphas, sign), ifo.BASIS)
+               for sign in (+1, -1)}
+        ip = (out[+1].success.conj()[:, None, :] @ out[-1].success[:, :, None])[:, 0, 0]
+        worst_ip = float(max(np.max(np.abs(ip.real - np.cos(betas))),
+                             np.max(np.abs(ip.imag))))
+        # the failure branch holds a single mode: V for expansion, H for
+        # contraction; the stray amplitude is the other one
+        stray_mode = np.where(alphas <= betas, 0, 1)
+        worst_p = worst_stray = 0.0
+        for sign in (+1, -1):
+            worst_p = max(worst_p, float(np.max(np.abs(out[sign].p_success - p_closed))))
+            has_fail = out[sign].p_failure >= POSTSELECT_MIN
+            stray = np.abs(out[sign].failure[np.arange(n), stray_mode])[has_fail]
+            worst_stray = max(worst_stray, float(np.max(stray, initial=0.0)))
         cache[gamma1_solver] = (worst_ip, worst_p, worst_stray)
     return cache[gamma1_solver]
 
@@ -196,18 +200,18 @@ def _check_failure_purity(gen, cache):
 
 def _check_entanglement_brute_force(gen):
     worst = 0.0
+    plates = np.linspace(0.0, math.pi / 4, 10)
+    g1s, g2s = (g.ravel() for g in np.meshgrid(plates, plates, indexing="ij"))
     for alpha in np.linspace(0.15, math.pi - 0.15, 10):
         state = elab.prepare_two_photon(elab.TwoPhotonConfig(float(alpha), 0.4))
         e_in = abs(math.sin(alpha))
-        for g1 in np.linspace(0.0, math.pi / 4, 10):
-            for g2 in np.linspace(0.0, math.pi / 4, 10):
-                br = elab.apply_cmip_signal(state, float(g1), float(g2))
-                n1, n2 = elab.branch_probabilities(alpha, g1, g2)
-                e1, e2 = elab.output_entanglement(e_in, g1, g2, alpha)
-                worst = max(worst, abs(br.n1 - n1), abs(br.n2 - n2))
-                for closed, brute in ((e1, br.e1), (e2, br.e2)):
-                    if closed is not None and brute is not None:
-                        worst = max(worst, abs(closed - brute))
+        br = elab.filter_pairs(np.repeat(state.amps[None], g1s.size, axis=0), g1s, g2s)
+        closed = np.array([elab.branch_probabilities(alpha, g1, g2)
+                           + elab.output_entanglement(e_in, g1, g2, alpha)
+                           for g1, g2 in zip(g1s, g2s)], dtype=float)
+        brute = np.stack([br.n1, br.n2, br.e1, br.e2], axis=1)
+        # an empty branch (NaN on either side) has nothing to compare
+        worst = max(worst, float(np.nanmax(np.abs(closed - brute))))
     return worst <= 1e-9, f"worst closed-form-vs-state gap {worst:.2e}"
 
 

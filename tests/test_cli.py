@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,16 @@ def test_cmip_closed_form_only(tmp_path):
                    "--shots", "0", "--out", str(out)) == 0
     rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
     assert all(r[3] == "" for r in rows)
+
+
+def test_cmip_sweep_ending_at_alpha_samples_probability_one(tmp_path):
+    # at beta = alpha the state-route probability is 1 + 4e-16, which the
+    # binomial draw rejects unless it is clipped into [0, 1]
+    out = tmp_path / "contract.csv"
+    assert run_cli("cmip", "--alpha", "0.8pi", "--betas", "0.05:0.8pi:41",
+                   "--shots", "10", "--out", str(out)) == 0
+    last = out.read_text().splitlines()[-1].split(",")
+    assert last[0] == last[1] and float(last[3]) == 1.0
 
 
 def test_entangle_writes_both_tables(tmp_path):
@@ -254,15 +266,19 @@ def test_verify_exit_codes_and_mutation(capsys):
 
 
 def test_console_entry_point_subprocess(tmp_path):
-    # the real process must propagate exit codes and bytes
+    # the real process must propagate exit codes and bytes; it imports the
+    # same cmiplab as this one, whether installed or on the test path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     res = subprocess.run([sys.executable, "-m", "cmiplab", "qkd",
                           "--pulses", "500", "--seed", "1"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["seed"] == 1
     bad = subprocess.run([sys.executable, "-m", "cmiplab", "cmip",
                           "--alpha", "bogus", "--betas", "0:pi:4"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert bad.returncode == 1
     assert "error:" in bad.stderr

@@ -5,7 +5,7 @@ import pytest
 
 from cmiplab import entanglement_lab as elab
 from cmiplab import interferometer as ifo
-from cmiplab.qcore import apply
+from cmiplab.qcore import Operator, apply
 
 # frozen solutions for gamma2 = pi/9 and the three input entanglement values
 # used in the concentration curves (alpha = arcsin E, full precision)
@@ -58,14 +58,14 @@ def test_general_unitary_matrix_entries():
         [0, 0, c2, -1j * s2],
         [0, 0, -1j * s2, c2],
     ])[[0, 3, 2, 1]][:, [0, 3, 2, 1]]
-    U = ifo.device_unitary(g1, g2).matrix
+    U = ifo.device_unitary(g1, g2)[0]
     assert np.max(np.abs(U - want)) < 1e-15
     assert np.max(np.abs(U.conj().T @ U - np.eye(4))) < 1e-12
 
 
 def test_zero_plates_are_the_identity():
     s = elab.prepare_two_photon(elab.TwoPhotonConfig(1.1, 0.7))
-    out = apply(ifo.device_unitary(0.0, 0.0), s)
+    out = apply(Operator(ifo.BASIS, ifo.device_unitary(0.0, 0.0)[0]), s)
     assert np.max(np.abs(out.amps - s.amps)) < 1e-15
 
 

@@ -85,10 +85,10 @@ def test_device_unitary_is_unitary_at_zero_phase():
 def test_plan_unitary_places_the_phase_plates():
     # phi acts on the V input when expanding, phi' on the H input when contracting
     expand = ifo.plan_for(0.5, 1.3, phi=0.8, phi_prime=0.4)
-    want = ifo.device_unitary(expand.gamma1, expand.gamma2, 0.0, 0.8).matrix
+    want = ifo.device_unitary(expand.gamma1, expand.gamma2, 0.0, 0.8)[0]
     assert np.array_equal(expand.unitary().matrix, want)
     contract = ifo.plan_for(1.3, 0.5, phi=0.8, phi_prime=0.4)
-    want = ifo.device_unitary(contract.gamma1, contract.gamma2, 0.4, 0.0).matrix
+    want = ifo.device_unitary(contract.gamma1, contract.gamma2, 0.4, 0.0)[0]
     assert np.array_equal(contract.unitary().matrix, want)
 
 
