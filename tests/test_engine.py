@@ -8,6 +8,7 @@ must not change any result.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,3 +116,29 @@ def test_small_chunks_give_the_same_sweeps(monkeypatch):
     for key in conc:
         assert np.array_equal(conc[key], conc7[key], equal_nan=True), key
     assert np.array_equal(p_closed, p_closed7) and np.array_equal(p_mc, p_mc7)
+
+
+def test_one_bad_row_fails_the_whole_batch():
+    rhos = np.tile(np.eye(4, dtype=complex) / 4, (6, 1, 1))
+    bad = {
+        "not Hermitian": np.diag([0.25] * 4) + np.triu(np.full((4, 4), 0.1j), 1),
+        "trace": np.eye(4) / 2,
+        "negative eigenvalue": np.diag([0.7, 0.4, 0.1, -0.2]),
+    }
+    for message, m in bad.items():
+        stack = rhos.copy()
+        stack[4] = m
+        with pytest.raises(ValueError, match=message):
+            concurrences(stack)
+    pure = np.tile(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), (6, 1))
+    pure[3, 0] = 1.01
+    with pytest.raises(ValueError, match="state norm"):
+        concurrences(pure)
+    units = ifo.device_unitary(np.linspace(0.0, 0.7, 6), 0.3)
+    units[2, 0, 0] *= 1.001
+    with pytest.raises(ValueError, match="unitary"):
+        qcore.check_unitary_rows(units)
+    plans = [ifo.plan_for(0.4, b) for b in (0.5, 0.9, 1.3)]
+    plans[1] = ifo.CmipPlan(0.4, 0.9, ifo.EXPAND, plans[1].gamma1 + 1e-3, 0.0)
+    with pytest.raises(ValueError, match="inconsistent"):
+        ifo.run_plans(+1, plans)
