@@ -26,8 +26,7 @@ import numpy as np
 from . import entanglement_lab as elab
 from . import interferometer as ifo
 from . import qkd42, tomography, verify
-from .qcore import (DensityMatrix, StateVector, polarization_basis,
-                    state_from_json, state_to_json)
+from .qcore import DensityMatrix, StateVector, state_from_json, state_to_json
 
 ENV_SEED = "CMIPLAB_SEED"
 EXIT_OK = 0
@@ -185,9 +184,7 @@ def parse_state_spec(text: str) -> StateVector:
     if name in pair_signs:
         if len(args) != 1:
             raise UsageError(f"{name} takes one angle, got {len(args)}")
-        half = parse_angle(args[0]) / 2.0
-        amps = [math.cos(half), pair_signs[name] * math.sin(half)]
-        return StateVector(polarization_basis(), amps)
+        return ifo.target_state(parse_angle(args[0]), pair_signs[name])
     if name == "two_photon":
         if len(args) != 2:
             raise UsageError(f"two_photon takes (alpha, delta), got {len(args)} args")

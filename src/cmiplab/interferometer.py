@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .qcore import (POSTSELECT_MIN, ModeBasis, Operator, StateVector, apply_rows,
-                    check_unitary_rows, in_chunks, path_basis,
+from .qcore import (POSTSELECT_MIN, ModeBasis, StateVector, apply_rows,
+                    check_unitary_rows, in_chunks, normalize_rows, path_basis,
                     polarization_basis, postselect_rows)
 
 EXPAND = "expand"      # a <= b: rotate HWP1, HWP2 stays at 0
@@ -44,44 +44,39 @@ def _check_angle(name, value, lo=0.0, hi=math.pi):
 
 @dataclass(frozen=True)
 class CmipPlan:
-    """Full parameterization of one device setting."""
+    """One device setting: the input and target inner angles (α, β) and the
+    two phase plates.  The branch and the plate angles follow from (α, β):
+    α ≤ β expands with γ1 = `solve_gamma1(α, β)`, otherwise the device
+    contracts with γ2 = `solve_gamma2(α, β)`; the other plate stays at 0."""
 
     alpha: float
     beta: float
-    branch: str
-    gamma1: float
-    gamma2: float
     phi: float = 0.0
     phi_prime: float = 0.0
 
     def __post_init__(self):
         _check_angle("alpha", self.alpha)
         _check_angle("beta", self.beta)
-        if self.branch not in (EXPAND, CONTRACT):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if self.branch == EXPAND:
-            if self.alpha > self.beta:
-                raise ValueError(f"expand branch needs alpha <= beta, got ({self.alpha}, {self.beta})")
-            active, inactive = self.gamma1, self.gamma2
-        else:
-            if self.beta > self.alpha:
-                raise ValueError(f"contract branch needs beta <= alpha, got ({self.alpha}, {self.beta})")
-            active, inactive = self.gamma2, self.gamma1
-        _check_angle("active plate angle", active, 0.0, math.pi / 4 + 1e-12)
-        if abs(inactive) > 1e-12:
-            raise ValueError(f"inactive plate must stay at 0, got {inactive}")
+
+    @property
+    def branch(self) -> str:
+        return EXPAND if self.alpha <= self.beta else CONTRACT
+
+    @property
+    def gamma1(self) -> float:
+        return solve_gamma1(self.alpha, self.beta) if self.branch == EXPAND else 0.0
+
+    @property
+    def gamma2(self) -> float:
+        return solve_gamma2(self.alpha, self.beta) if self.branch == CONTRACT else 0.0
 
     def plates(self) -> tuple[float, float, float, float]:
-        """The `device_unitary` arguments (γ1, γ2, φH, φV) of this setting;
-        the phase plate of the active branch (φ′ on H when contracting, φ on
-        V when expanding) is applied."""
-        return (self.gamma1, self.gamma2,
-                self.phi_prime if self.branch == CONTRACT else 0.0,
-                self.phi if self.branch == EXPAND else 0.0)
-
-    def unitary(self) -> Operator:
-        """The device unitary of this setting."""
-        return Operator(BASIS, device_unitary(*self.plates())[0])
+        """The `device_unitary` arguments (γ1, γ2, φH, φV) of this setting,
+        solving the active plate once; the phase plate of the active branch
+        (φ′ on H when contracting, φ on V when expanding) is applied."""
+        if self.branch == EXPAND:
+            return self.gamma1, 0.0, 0.0, self.phi
+        return 0.0, self.gamma2, self.phi_prime, 0.0
 
 
 def solve_gamma1(alpha: float, beta: float) -> float:
@@ -128,12 +123,9 @@ def contract_hardware_angle(alpha: float, beta: float) -> float:
 
 def plan_for(alpha: float, beta: float, phi: float = 0.0,
              phi_prime: float = 0.0) -> CmipPlan:
-    """Solve the plate angles and package them with the branch choice."""
-    if alpha <= beta:
-        return CmipPlan(alpha, beta, EXPAND, solve_gamma1(alpha, beta), 0.0,
-                        phi, phi_prime)
-    return CmipPlan(alpha, beta, CONTRACT, 0.0, solve_gamma2(alpha, beta),
-                    phi, phi_prime)
+    """The setting that takes inner angle alpha to beta; its branch and
+    plate angles are derived from (alpha, beta) when read."""
+    return CmipPlan(alpha, beta, phi, phi_prime)
 
 
 def closed_form_probability(alpha: float, beta: float) -> float:
@@ -250,35 +242,21 @@ def evolve(U: np.ndarray, amps: np.ndarray, basis: ModeBasis) -> Branches:
     U is an (n, 4, 4) stack from `device_unitary`, amps an (n, d) stack of
     normalized states on `basis`, whose leading factors are the signal
     polarization and path; trailing factors (an idler photon) are untouched.
-    Each output row gets the norm repair of `qcore.normalize_rows` before it
-    is split.  Rows are evolved in chunks of `qcore.CHUNK_ROWS`.
+    Each output row gets the norm repair of `qcore.normalize_rows` once, and
+    both paths are split from the repaired rows.  Rows are evolved in chunks
+    of `qcore.CHUNK_ROWS`.
     """
     def chunk(U, amps):
-        out = apply_rows(U, amps)
+        out = normalize_rows(apply_rows(U, amps))
         return (*postselect_rows(out, basis, "signal_path", "1"),
                 *postselect_rows(out, basis, "signal_path", "2"))
 
     return Branches(basis.drop("signal_path"), *in_chunks(chunk, U, amps))
 
 
-def _validate_plan_angles(plan: CmipPlan):
-    if plan.branch == EXPAND:
-        g = solve_gamma1(plan.alpha, plan.beta)
-        if abs(plan.gamma1 - g) > 1e-9:
-            raise ValueError(
-                f"plan gamma1 = {plan.gamma1} inconsistent with solver value {g}")
-    else:
-        g = solve_gamma2(plan.alpha, plan.beta)
-        if abs(plan.gamma2 - g) > 1e-9:
-            raise ValueError(
-                f"plan gamma2 = {plan.gamma2} inconsistent with solver value {g}")
-
-
 def run_plans(input_sign: int, plans) -> Branches:
     """Evolve the input state of each plan through its device setting, in one
-    batched call; every plan is first checked against the true solvers."""
-    for plan in plans:
-        _validate_plan_angles(plan)
+    batched call; each plan's active plate angle is solved once, here."""
     U = device_unitary(*zip(*(p.plates() for p in plans)))
     return evolve(U, input_amps([p.alpha for p in plans], input_sign), BASIS)
 

@@ -294,13 +294,13 @@ def postselect_rows(amps: np.ndarray, basis: ModeBasis, factor: str, symbol: str
     Returns (states, probs): the renormalized conditional states on the
     remaining factors, (n, d'), and the outcome probabilities, (n,).  A row
     whose probability is below POSTSELECT_MIN has no state; its row of
-    `states` is zero.  The norm repair of `normalize_rows` runs first.
+    `states` is zero.  The rows are taken as normalized: callers run
+    `normalize_rows` first.
     """
     ax = basis.axis(factor)
     syms = basis.symbols_of(factor)
     if symbol not in syms:
         raise ValueError(f"symbol {symbol!r} not in factor {factor!r} {syms}")
-    amps = normalize_rows(amps)
     n = len(amps)
     grid = amps.reshape((n,) + basis.shape)
     kept = np.take(grid, syms.index(symbol), axis=ax + 1).reshape(n, -1)
@@ -328,7 +328,7 @@ def postselect(s: StateVector, factor: str, symbol: str):
         outcome probability.  Probabilities below 1e-15 are flagged as
         impossible: the state slot is None.
     """
-    states, probs = postselect_rows(s.amps[None], s.basis, factor, symbol)
+    states, probs = postselect_rows(normalize_rows(s.amps[None]), s.basis, factor, symbol)
     prob = float(probs[0])
     if prob < POSTSELECT_MIN:
         return None, prob

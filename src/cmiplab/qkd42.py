@@ -38,14 +38,6 @@ def theta_angles(gamma1: float, gamma2: float):
     return theta1, theta2
 
 
-def discrimination_angle(theta: float) -> float:
-    """Bob's plate angle arccos(tan(θ/2))/2 expanding a family to orthogonal."""
-    t = math.tan(theta / 2)
-    if t > 1.0 + 1e-12:
-        raise ValueError(f"theta = {theta} > pi/2 has no discrimination angle")
-    return 0.5 * math.acos(min(1.0, t))
-
-
 @dataclass(frozen=True)
 class InterceptResend:
     """Single projective basis per pulse: {(cos η, sin η), (−sin η, cos η)}.

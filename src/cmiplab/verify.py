@@ -2,7 +2,10 @@
 
 Each check returns pass/fail plus a short detail line; `run_all` accepts an
 alternative gamma1 solver so intentional faults (mutation testing) can
-demonstrate that the physics contracts actually bite.
+demonstrate that the physics contracts actually bite.  The grid checks take
+their expansion plate angles from that solver and evolve them through the
+device engine directly; a `CmipPlan` always derives its angles from the true
+solvers, so no plan is built here.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from . import entanglement_lab as elab
 from . import interferometer as ifo
 from . import qkd42, tomography
 from .qcore import (POSTSELECT_MIN, DensityMatrix, StateVector, concurrences,
-                    ensure_normalized, polarization_basis, postselect,
-                    postselect_rows)
+                    ensure_normalized, normalize_rows, polarization_basis,
+                    postselect, postselect_rows)
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,9 @@ def _check_unitarity(gen):
         b = gen.uniform(0, math.pi)
         plan = ifo.plan_for(a, b, phi=gen.uniform(0, 2 * math.pi),
                             phi_prime=gen.uniform(0, 2 * math.pi))
-        U = plan.unitary()
+        U = ifo.device_unitary(*plan.plates())[0]
         s = StateVector(ifo.BASIS, _random_pure(gen, 4))
-        worst = max(worst, abs(np.linalg.norm(U.matrix @ s.amps) - 1.0))
+        worst = max(worst, abs(np.linalg.norm(U @ s.amps) - 1.0))
         G = ifo.device_unitary(gen.uniform(0, math.pi / 4), gen.uniform(0, math.pi / 4))[0]
         worst = max(worst, np.max(np.abs(G.conj().T @ G - np.eye(4))))
     return worst <= 1e-12, f"worst unitarity deviation {worst:.2e}"
@@ -107,7 +110,8 @@ def _check_delta_independence(gen):
         cfgs = [elab.TwoPhotonConfig(float(alpha), float(delta))
                 for delta in np.linspace(0.0, 2 * math.pi, 9)]
         pairs = np.array([elab.prepare_two_photon(cfg).amps for cfg in cfgs])
-        pol, _ = postselect_rows(pairs, elab.FULL_BASIS, "signal_path", "1")
+        pol, _ = postselect_rows(normalize_rows(pairs), elab.FULL_BASIS,
+                                 "signal_path", "1")
         br = elab.filter_pairs(pairs, 0.3, 0.2)
         vals = np.stack([concurrences(pol), br.n1, br.e1, br.e2], axis=1)
         worst = max(worst, float(np.max(np.abs(vals[1:] - vals[0]))))
@@ -124,29 +128,24 @@ def _grid_deviations(gamma1_solver, cache):
     """Worst deviations of the device over the (α, β) grid, for both signs.
 
     Returns (⟨φ+|φ−⟩ vs cos β, success probability vs closed form, stray
-    failure amplitude).  The plan takes its expansion angle from
-    `gamma1_solver`, and the whole grid is evolved in one call through the
-    engine run_cmip uses, skipping only run_cmip's check that the plan
-    agrees with the true solver.  One pass per solver and run_all serves
-    every check that reads it, and only the three numbers are kept in
-    `cache`.
+    failure amplitude).  Each point's plate angles are solved here: γ1 by
+    `gamma1_solver` where α ≤ β, γ2 by `solve_gamma2` otherwise; then the
+    whole grid is evolved in one call through `device_unitary` and `evolve`,
+    the engine run_cmip uses.  One pass per solver and run_all serves every
+    check that reads it, and only the three numbers are kept in `cache`.
     """
     if gamma1_solver not in cache:
-        # each plan is validated on construction and dropped once its plate
-        # settings are stored: 900 live plan objects would raise peak memory
-        n = sum(1 for _ in _ab_grid())
-        alphas, betas, p_closed = np.empty((3, n))
-        plates = np.empty((4, n))
-        for i, (alpha, beta) in enumerate(_ab_grid()):
+        grid = list(_ab_grid())
+        n = len(grid)
+        alphas, betas = np.array(grid).T
+        g1, g2, p_closed = np.zeros((3, n))
+        for i, (alpha, beta) in enumerate(grid):
             if alpha <= beta:
-                plan = ifo.CmipPlan(alpha, beta, ifo.EXPAND,
-                                    gamma1_solver(alpha, beta), 0.0)
+                g1[i] = gamma1_solver(alpha, beta)
             else:
-                plan = ifo.CmipPlan(alpha, beta, ifo.CONTRACT, 0.0,
-                                    ifo.solve_gamma2(alpha, beta))
-            alphas[i], betas[i], plates[:, i] = alpha, beta, plan.plates()
+                g2[i] = ifo.solve_gamma2(alpha, beta)
             p_closed[i] = ifo.closed_form_probability(alpha, beta)
-        U = ifo.device_unitary(*plates)
+        U = ifo.device_unitary(g1, g2)
         out = {sign: ifo.evolve(U, ifo.input_amps(alphas, sign), ifo.BASIS)
                for sign in (+1, -1)}
         ip = (out[+1].success.conj()[:, None, :] @ out[-1].success[:, :, None])[:, 0, 0]

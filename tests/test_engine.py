@@ -138,7 +138,3 @@ def test_one_bad_row_fails_the_whole_batch():
     units[2, 0, 0] *= 1.001
     with pytest.raises(ValueError, match="unitary"):
         qcore.check_unitary_rows(units)
-    plans = [ifo.plan_for(0.4, b) for b in (0.5, 0.9, 1.3)]
-    plans[1] = ifo.CmipPlan(0.4, 0.9, ifo.EXPAND, plans[1].gamma1 + 1e-3, 0.0)
-    with pytest.raises(ValueError, match="inconsistent"):
-        ifo.run_plans(+1, plans)

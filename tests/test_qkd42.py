@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cmiplab import interferometer as ifo
 from cmiplab import qkd42, rng
 
 # frozen oracle values
@@ -22,10 +23,11 @@ def test_theta_angles_and_empty_ports():
 
 
 def test_discrimination_angle():
-    assert abs(qkd42.discrimination_angle(math.pi / 3) - BOB_ANGLE_THIRD) < 1e-12
-    assert abs(qkd42.discrimination_angle(math.pi / 2)) < 1e-7  # tan -> 1
+    # Bob expands a family to orthogonal: arccos(tan(θ/2))/2
+    assert abs(ifo.solve_gamma1(math.pi / 3, math.pi / 2) - BOB_ANGLE_THIRD) < 1e-12
+    assert abs(ifo.solve_gamma1(math.pi / 2, math.pi / 2)) < 1e-7  # tan -> 1
     with pytest.raises(ValueError):
-        qkd42.discrimination_angle(2.0)
+        ifo.solve_gamma1(2.0, math.pi / 2)
 
 
 def test_config_validation():
