@@ -137,8 +137,8 @@ def parse_shots(text: str, allow_exact: bool):
         shots = int(text)
     except ValueError:
         raise UsageError(f"shots {text!r} must be an integer or 'exact'") from None
-    if shots < 0:
-        raise UsageError(f"shots must be >= 0, got {shots}")
+    if not 0 <= shots < 2 ** 63:  # the draws take int64 counts
+        raise UsageError(f"shots {shots} outside [0, 2^63)")
     return shots
 
 

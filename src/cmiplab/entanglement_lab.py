@@ -5,8 +5,10 @@ interferometer with both plates rotated; conditioning on its exit path
 splits the pair into two branches whose entanglement can exceed (path 1)
 or fall below the input value, with closed forms for both probability and
 concurrence checked against explicit state evolution.  `filter_pairs`
-evolves a whole grid of pairs and plate settings in one call;
-`apply_cmip_signal` is its n = 1 view.
+evolves a whole grid of pairs and plate settings in one call.
+`apply_cmip_signal` filters one pair and returns its branches as
+`StateVector`s (`EntangledBranches`), the form that `state_to_json` writes
+for the tomography of a concentrated pair.
 """
 
 from __future__ import annotations

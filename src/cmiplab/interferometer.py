@@ -6,9 +6,10 @@ Conditioning on the photon leaving in path 1 maps the pair onto
 cos(b/2)|H⟩ ± sin(b/2)|V⟩ for a chosen inner angle b; the path-2 events are
 the heralded failures and carry no which-sign information.  `device_unitary`
 and `evolve` are the one device model, and they are array-shaped: a grid of
-plate settings and input states is evolved in one call.  `run_cmip` and
-`sample_runs` are its n = 1 views; the sweeps, the two-photon layer and the
-verify suite pass whole grids through it.
+plate settings and input states is evolved in one call, and every call
+returns its branches as `Branches` arrays, one row per pass.  `run_cmip` is
+the one-row call; the sweeps, the two-photon layer and the verify suite pass
+whole grids through it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .qcore import (POSTSELECT_MIN, ModeBasis, StateVector, apply_rows,
-                    check_unitary_rows, in_chunks, normalize_rows, path_basis,
-                    polarization_basis, postselect_rows)
+from .qcore import (ModeBasis, StateVector, apply_rows, check_unitary_rows,
+                    in_chunks, normalize_rows, path_basis, polarization_basis,
+                    postselect_rows)
 
 EXPAND = "expand"      # a <= b: rotate HWP1, HWP2 stays at 0
 CONTRACT = "contract"  # b <= a: rotate HWP2, HWP1 stays at 0
@@ -198,21 +199,6 @@ def target_state(beta: float, sign: int) -> StateVector:
                        [math.cos(beta / 2), sign * math.sin(beta / 2)])
 
 
-@dataclass(frozen=True)
-class BranchOutcome:
-    """Path-split result of one device pass.
-
-    The path factor is consumed by the projection, so the states hold the
-    signal polarization plus any factors that rode along (the idler of a
-    pair); a branch whose probability is below 1e-15 has state None.
-    """
-
-    success_state: StateVector | None
-    p_success: float
-    failure_state: StateVector | None
-    p_failure: float
-
-
 class Branches(NamedTuple):
     """Path-split result of n device passes, one row per pass.
 
@@ -226,14 +212,6 @@ class Branches(NamedTuple):
     p_success: np.ndarray
     failure: np.ndarray
     p_failure: np.ndarray
-
-    def outcome(self, i: int) -> BranchOutcome:
-        """Row i as a BranchOutcome, with None for a branch that has no state."""
-        def state(rows, p):
-            return StateVector(self.basis, rows[i]) if p >= POSTSELECT_MIN else None
-
-        p1, p2 = float(self.p_success[i]), float(self.p_failure[i])
-        return BranchOutcome(state(self.success, p1), p1, state(self.failure, p2), p2)
 
 
 def evolve(U: np.ndarray, amps: np.ndarray, basis: ModeBasis) -> Branches:
@@ -261,23 +239,16 @@ def run_plans(input_sign: int, plans) -> Branches:
     return evolve(U, input_amps([p.alpha for p in plans], input_sign), BASIS)
 
 
-def run_cmip(input_sign: int, plan: CmipPlan) -> BranchOutcome:
-    """Evolve one input state through the device and split it by path
-    (`run_plans` with one plan)."""
-    return run_plans(input_sign, [plan]).outcome(0)
+def run_cmip(input_sign: int, plan: CmipPlan) -> Branches:
+    """Evolve one input state through the device and split it by path: the
+    one-row `Branches` of `run_plans` with one plan."""
+    return run_plans(input_sign, [plan])
 
 
-@dataclass(frozen=True)
-class RunCounts:
-    shots: int
-    success: int
-    failure: int
-    seed: int
-
-
-def _draw_successes(input_sign: int, plans, shots: int, seeds) -> list[int]:
+def sample_runs(input_sign: int, plans, shots: int, seeds) -> list[int]:
     """Heralded successes out of `shots` for each plan, one binomial draw from
-    the stream (seed, 'sample_runs') per plan.
+    the stream (seed, 'sample_runs') per plan; identical (plans, shots,
+    seeds) give identical counts.
 
     The probability comes from the evolved state (run_plans), not from the
     closed form, so statistical comparisons against the closed form remain a
@@ -289,15 +260,6 @@ def _draw_successes(input_sign: int, plans, shots: int, seeds) -> list[int]:
     probs = np.clip(run_plans(input_sign, plans).p_success, 0.0, 1.0)
     return [int(rng.stream(seed, "sample_runs").binomial(shots, p))
             for p, seed in zip(probs, seeds)]
-
-
-def sample_runs(input_sign: int, plan: CmipPlan, shots: int, seed: int) -> RunCounts:
-    """Draw heralding outcomes from the amplitude-derived branch probability.
-
-    Identical (plan, shots, seed) give identical counts.
-    """
-    success = _draw_successes(input_sign, [plan], shots, [seed])[0]
-    return RunCounts(shots, success, shots - success, seed)
 
 
 def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
@@ -313,5 +275,4 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
         return p_closed, None
     plans = [plan_for(alpha, float(b)) for b in betas]
     seeds = [rng.derive(seed, "cmip_sweep", i) for i in range(betas.size)]
-    successes = _draw_successes(+1, plans, shots, seeds)
-    return p_closed, np.array(successes) / shots
+    return p_closed, np.array(sample_runs(+1, plans, shots, seeds)) / shots

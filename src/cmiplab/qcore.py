@@ -7,9 +7,8 @@ every operation returns a new value, so concurrent use needs no locking.
 The arithmetic is array-shaped: the `*_rows` functions and `concurrences`
 act on a stack of n states or matrices at once and validate each stack with
 one vectorised check.  The `StateVector`, `Operator` and `DensityMatrix`
-methods and checks, `ensure_normalized`, `apply`, `postselect` and
-`concurrence` are the n = 1 calls into them, so a row of a batch and the
-scalar call give the same bits.
+checks, `ensure_normalized`, `postselect` and `concurrence` are the n = 1
+calls into them, so a row of a batch and the scalar call give the same bits.
 """
 
 from __future__ import annotations
@@ -157,10 +156,6 @@ class ModeBasis:
             multi.append(syms.index(sym))
         return int(np.ravel_multi_index(multi, self.shape)) if multi else 0
 
-    def symbols_at(self, flat_index: int) -> tuple[str, ...]:
-        multi = np.unravel_index(flat_index, self.shape)
-        return tuple(syms[i] for i, (_, syms) in zip(multi, self.factors))
-
     def combine(self, other: "ModeBasis") -> "ModeBasis":
         overlap = set(self.labels) & set(other.labels)
         if overlap:
@@ -209,15 +204,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(row_norms(self.amps[None])[0])
-
-    def amplitude(self, *symbols: str) -> complex:
-        return complex(self.amps[self.basis.index(*symbols)])
-
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n < 1e-300:
-            raise ValueError("cannot normalize a zero state")
-        return StateVector(self.basis, self.amps / n)
 
 
 def ensure_normalized(s: StateVector) -> StateVector:
@@ -278,14 +264,6 @@ def apply_rows(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
     if len(amps) != n:
         raise ValueError(f"{n} operators for {len(amps)} states")
     return (mats @ np.ascontiguousarray(amps).reshape(n, k, -1)).reshape(n, -1)
-
-
-def apply(U: Operator, s: StateVector) -> StateVector:
-    """Apply U to the leading factors of s; any trailing factors are untouched."""
-    n = len(U.basis.factors)
-    if s.basis.factors[:n] != U.basis.factors:
-        raise ValueError("operator basis is not the leading factors of the state basis")
-    return StateVector(s.basis, apply_rows(U.matrix[None], s.amps[None])[0])
 
 
 def postselect_rows(amps: np.ndarray, basis: ModeBasis, factor: str, symbol: str):

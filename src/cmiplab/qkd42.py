@@ -62,8 +62,8 @@ class QkdConfig:
         if abs(abs(self.gamma0) - math.pi / 8) > 1e-12:
             raise ValueError(
                 f"gamma0 must be ±pi/8 (the ±45° encoding), got {self.gamma0}")
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
+        if not 1 <= self.n_pulses < 2 ** 63:  # numpy array sizes are int64
+            raise ValueError(f"n_pulses = {self.n_pulses} outside [1, 2^63)")
         th1, th2 = theta_angles(self.gamma1, self.gamma2)
         for name, th in (("theta1", th1), ("theta2", th2)):
             if th is None or not 0.0 < th <= math.pi / 2 + 1e-12:

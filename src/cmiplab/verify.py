@@ -254,8 +254,8 @@ def _check_qkd_no_eve(gen):
 
 def _check_determinism(gen):
     plan = ifo.plan_for(0.7, 1.9)
-    a = ifo.sample_runs(+1, plan, 5000, 42)
-    b = ifo.sample_runs(+1, plan, 5000, 42)
+    a = ifo.sample_runs(+1, [plan], 5000, [42])
+    b = ifo.sample_runs(+1, [plan], 5000, [42])
     cfg = qkd42.QkdConfig(n_pulses=5000, seed=42)
     s1 = qkd42.run_session(cfg)
     s2 = qkd42.run_session(cfg)

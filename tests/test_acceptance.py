@@ -58,9 +58,9 @@ def test_criterion_3_inner_product_contract(acceptance):
         for alpha in np.linspace(0.1, 3.0, 30):
             for beta in np.linspace(0.05, math.pi - 0.05, 30):
                 plan = ifo.plan_for(float(alpha), float(beta))
-                sp = ifo.run_cmip(+1, plan).success_state
-                sm = ifo.run_cmip(-1, plan).success_state
-                ip = complex(np.vdot(sp.amps, sm.amps))
+                sp = ifo.run_cmip(+1, plan).success[0]
+                sm = ifo.run_cmip(-1, plan).success[0]
+                ip = complex(np.vdot(sp, sm))
                 worst = max(worst, abs(ip - math.cos(beta)))
         assert worst < 1e-9, worst
         assert time.perf_counter() - start < 5.0
@@ -170,7 +170,7 @@ def test_criterion_7_tomography_round_trip(acceptance):
             for n, dim in ((1, 2), (2, 4)):
                 basis = tomography._basis_for(n)
                 v = gen.normal(size=dim) + 1j * gen.normal(size=dim)
-                rho = DensityMatrix.from_state(StateVector(basis, v).normalized())
+                rho = DensityMatrix.from_state(StateVector(basis, v / np.linalg.norm(v)))
                 rep = tomography.reconstruct(tomography.simulate_counts(rho, None, 0))
                 worst = max(worst, float(np.max(np.abs(rep.rho_hat.matrix - rho.matrix))))
         assert worst <= 1e-8, worst

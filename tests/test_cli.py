@@ -131,6 +131,36 @@ def test_cmip_sweep_ending_at_alpha_samples_probability_one(tmp_path):
     assert last[0] == last[1] and float(last[3]) == 1.0
 
 
+# 2**63 - 1 is the largest count numpy's binomial and array sizes accept
+TOO_MANY = str(2 ** 63)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cmip", "--alpha", "1/4pi", "--betas", "0.9:1/2pi:2", "--shots", TOO_MANY),
+    ("cmip", "--alpha", "1/4pi", "--betas", "0.9:1/2pi:2",
+     "--shots", "100000000000000000000"),
+    ("tomo", "psi_plus(1)", "--shots", TOO_MANY),
+    ("tomo", "psi_plus(1)", "--shots", "100000000000000000000"),
+    ("qkd", "--theta", "1/2pi", "--pulses", TOO_MANY),
+    ("qkd", "--theta", "1/2pi", "--pulses", "100000000000000000000"),
+], ids=["cmip", "cmip_1e20", "tomo", "tomo_1e20", "qkd", "qkd_1e20"])
+def test_counts_beyond_int64_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_shots_at_the_int64_limit_still_run(tmp_path):
+    out = tmp_path / "limit.csv"
+    assert run_cli("cmip", "--alpha", "1/4pi", "--betas", "0.9:1/2pi:2",
+                   "--shots", str(2 ** 63 - 1), "--seed", "7", "--out", str(out)) == 0
+    for row in out.read_text().splitlines()[2:]:
+        _, _, closed, mc, shots, _ = row.split(",")
+        assert int(shots) == 2 ** 63 - 1 and abs(float(mc) - float(closed)) < 1e-8
+
+
 def test_entangle_writes_both_tables(tmp_path):
     prefix = tmp_path / "fig"
     code = run_cli("entangle", "--e-in", "0.51", "--gamma2", "1/9pi",

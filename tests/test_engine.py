@@ -41,11 +41,12 @@ def pair_rows(draw):
     return draw(angles), draw(phases), g1, g2
 
 
-def same_state(batch_row, p, single):
-    """A batched state row against the StateVector (or None) of an n = 1 call."""
+def same_state(batch_row, p, single_row):
+    """A batched state row against the one-row call's row: the same bits, and
+    a zero row on both sides for an empty branch."""
     if p < POSTSELECT_MIN:
-        return single is None and not batch_row.any()
-    return single is not None and np.array_equal(batch_row, single.amps)
+        return not batch_row.any() and not single_row.any()
+    return np.array_equal(batch_row, single_row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -54,10 +55,11 @@ def test_batched_device_rows_equal_single_runs(plans, sign):
     batch = ifo.run_plans(sign, plans)
     for i, plan in enumerate(plans):
         one = ifo.run_cmip(sign, plan)
-        assert batch.p_success[i] == one.p_success
-        assert batch.p_failure[i] == one.p_failure
-        assert same_state(batch.success[i], one.p_success, one.success_state)
-        assert same_state(batch.failure[i], one.p_failure, one.failure_state)
+        assert one.basis == batch.basis and len(one.p_success) == 1
+        assert batch.p_success[i] == one.p_success[0]
+        assert batch.p_failure[i] == one.p_failure[0]
+        assert same_state(batch.success[i], one.p_success[0], one.success[0])
+        assert same_state(batch.failure[i], one.p_failure[0], one.failure[0])
 
 
 def same_entanglement(batch_e, single_e):

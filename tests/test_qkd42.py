@@ -36,6 +36,9 @@ def test_config_validation():
         qkd42.QkdConfig(gamma0=0.3)
     with pytest.raises(ValueError):
         qkd42.QkdConfig(n_pulses=0)
+    with pytest.raises(ValueError, match="outside"):
+        qkd42.QkdConfig(n_pulses=2 ** 63)  # beyond numpy's int64 array sizes
+    assert qkd42.QkdConfig(n_pulses=2 ** 63 - 1).n_pulses == 2 ** 63 - 1
     with pytest.raises(ValueError):
         # theta1 = 2pi/3 > pi/2: Bob cannot build the discrimination stage
         qkd42.QkdConfig(gamma1=math.pi / 6, gamma2=math.pi / 12)
