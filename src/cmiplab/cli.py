@@ -14,11 +14,12 @@ failure.
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,11 @@ def format_angle(value: float) -> str:
     return repr(float(value))
 
 
+#: a sweep evolves its whole grid in one device stack; at 2^31 points the
+#: (n, 4, 4) complex unitaries alone take 512 GiB
+MAX_SWEEP_STEPS = 2 ** 31
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     name: str
@@ -96,6 +102,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 2:
             raise UsageError(f"{self.name} sweep needs >= 2 steps, got {self.steps}")
+        if self.steps >= MAX_SWEEP_STEPS:
+            raise UsageError(f"{self.name} sweep needs < 2^31 steps, got {self.steps}")
         if self.start == self.stop:
             raise UsageError(f"{self.name} sweep endpoints coincide")
 
@@ -142,13 +150,16 @@ def parse_shots(text: str, allow_exact: bool):
     return shots
 
 
-def _write_text(path: str | None, text: str):
+@contextmanager
+def _open_out(path: str | None):
+    """Text stream for `path`, or stdout for None and "-"; any OSError on
+    opening, writing or closing the file becomes an OutputError."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from None
 
@@ -206,13 +217,12 @@ def cmd_cmip(args) -> int:
         p_closed, p_mc = ifo.success_probability_sweep(alpha, betas, shots, seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    buf = io.StringIO()
-    buf.write(f"# seed={seed}\n")
-    buf.write("alpha_rad,beta_rad,p_closed_form,p_monte_carlo,shots,seed\n")
-    for i, beta in enumerate(betas):
-        mc = "" if p_mc is None else f"{p_mc[i]:.9g}"
-        buf.write(f"{alpha:.9g},{beta:.9g},{p_closed[i]:.9g},{mc},{shots},{seed}\n")
-    _write_text(args.out, buf.getvalue())
+    with _open_out(args.out) as out:
+        out.write(f"# seed={seed}\n")
+        out.write("alpha_rad,beta_rad,p_closed_form,p_monte_carlo,shots,seed\n")
+        for i, beta in enumerate(betas):
+            mc = "" if p_mc is None else f"{p_mc[i]:.9g}"
+            out.write(f"{alpha:.9g},{beta:.9g},{p_closed[i]:.9g},{mc},{shots},{seed}\n")
     return EXIT_OK
 
 
@@ -240,19 +250,18 @@ def cmd_entangle(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    n1_buf = io.StringIO()
-    n1_buf.write(f"# seed={seed}\n")
-    n1_buf.write("E_in,alpha_rad,gamma1_rad,gamma2_rad,n1_closed,n1_sim\n")
-    e1_buf = io.StringIO()
-    e1_buf.write(f"# seed={seed}\n")
-    e1_buf.write("gamma1_rad,e1_closed,e1_from_state,n1\n")
-    for i, g1 in enumerate(grid):
-        n1_buf.write(f"{e_in:.17g},{alpha:.17g},{g1:.17g},{gamma2:.17g},"
-                     f"{res['n1_closed'][i]:.17g},{res['n1_state'][i]:.17g}\n")
-        e1_buf.write(f"{g1:.17g},{res['e1_closed'][i]:.17g},"
-                     f"{res['e1_state'][i]:.17g},{res['n1_closed'][i]:.17g}\n")
-    _write_text(f"{args.out}_n1.csv", n1_buf.getvalue())
-    _write_text(f"{args.out}_e1.csv", e1_buf.getvalue())
+    with _open_out(f"{args.out}_n1.csv") as out:
+        out.write(f"# seed={seed}\n")
+        out.write("E_in,alpha_rad,gamma1_rad,gamma2_rad,n1_closed,n1_sim\n")
+        for i, g1 in enumerate(grid):
+            out.write(f"{e_in:.17g},{alpha:.17g},{g1:.17g},{gamma2:.17g},"
+                      f"{res['n1_closed'][i]:.17g},{res['n1_state'][i]:.17g}\n")
+    with _open_out(f"{args.out}_e1.csv") as out:
+        out.write(f"# seed={seed}\n")
+        out.write("gamma1_rad,e1_closed,e1_from_state,n1\n")
+        for i, g1 in enumerate(grid):
+            out.write(f"{g1:.17g},{res['e1_closed'][i]:.17g},"
+                      f"{res['e1_state'][i]:.17g},{res['n1_closed'][i]:.17g}\n")
     return EXIT_OK
 
 
@@ -268,11 +277,14 @@ def cmd_tomo(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.counts_out:
-        _write_text(args.counts_out, table.to_csv())
+        with _open_out(args.counts_out) as out:
+            out.write(table.to_csv())
     if args.emit_target:
-        _write_text(args.emit_target, state_to_json(target) + "\n")
+        with _open_out(args.emit_target) as out:
+            out.write(state_to_json(target) + "\n")
     report = tomography.reconstruct(table, target=target)
-    _write_text(args.out, report.to_json() + "\n")
+    with _open_out(args.out) as out:
+        out.write(report.to_json() + "\n")
     return EXIT_OK
 
 
@@ -304,11 +316,13 @@ def cmd_qkd(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.log:
-        stats, pulses = qkd42.run_session(cfg, log=True)
-        _write_text(args.log, qkd42.pulse_log_csv(pulses, seed))
+        # the log streams to its file chunk by chunk as the session runs
+        with _open_out(args.log) as log:
+            stats = qkd42.run_session(cfg, log=log)
     else:
         stats = qkd42.run_session(cfg)
-    _write_text(args.out, stats.to_json() + "\n")
+    with _open_out(args.out) as out:
+        out.write(stats.to_json() + "\n")
     return EXIT_OK
 
 
@@ -336,7 +350,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="cmiplab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.set_defaults(func=None)

@@ -23,6 +23,9 @@ from . import rng
 RESULT_CONCLUSIVE = "conclusive"
 RESULT_MONITOR = "monitor"
 
+#: pulses simulated per pass of run_session; bounds its memory
+QKD_CHUNK = 65_536
+
 
 def theta_angles(gamma1: float, gamma2: float):
     """Inner angles (theta1, theta2) of the two output families.
@@ -122,72 +125,98 @@ class SessionStats:
         })
 
 
-def run_session(cfg: QkdConfig, log: bool = False):
-    """Simulate a whole session; returns SessionStats (+ the pulse log when log).
+def run_session(cfg: QkdConfig, log=None) -> SessionStats:
+    """Simulate a session in chunks of QKD_CHUNK pulses; returns SessionStats.
 
     All randomness comes from streams derived from cfg.seed, one per role
-    (alice bits/ports, eve outcomes, bob guesses/paths/bits), so identical
-    configs give identical statistics and logs.  Sifting keeps matched-guess
-    conclusive pulses; with no eavesdropper those bits are always correct.
-    The log is a dict of per-pulse arrays: alice_bit, alice_output,
-    bob_guess, monitor (bool) and bit (Bob's bit, meaningless on monitor
-    pulses).
+    (alice bits/ports, eve outcomes, bob guesses/paths/bits).  Each role's
+    generator lives across chunks, and a chunked draw equals one long draw,
+    so identical configs give identical statistics and logs whatever the
+    chunk size.  Sifting keeps matched-guess conclusive pulses; with no
+    eavesdropper those bits are always correct.  The statistics come from
+    integer tallies, so memory stays bounded however many pulses are asked
+    for.  When `log` is an open text stream, each chunk's rows of the pulse
+    log (see pulse_log_csv) are written to it as the chunk is produced.
     """
     n = cfg.n_pulses
-    thetas = cfg.thetas
-    bits = rng.stream(cfg.seed, "alice_bits").integers(0, 2, n)
-    ports = np.where(rng.stream(cfg.seed, "alice_ports").random(n)
-                     < port_probability(cfg), 1, 2)
+    alice_bits = rng.stream(cfg.seed, "alice_bits")
+    alice_ports = rng.stream(cfg.seed, "alice_ports")
+    eve = rng.stream(cfg.seed, "eve") if cfg.eve is not None else None
+    bob_guesses = rng.stream(cfg.seed, "bob_guesses")
+    bob_path = rng.stream(cfg.seed, "bob_path")
+    bob_bits = rng.stream(cfg.seed, "bob_bits")
+    p_port1 = port_probability(cfg)
     table = _family_table(cfg)
-    arriving = table[bits, ports - 1]  # (n, 2) real amplitudes
-
-    if cfg.eve is not None:
+    thetas = cfg.thetas
+    cb = np.array([math.tan(thetas[0] / 2), math.tan(thetas[1] / 2)])
+    if eve is not None:
         eta = cfg.eve.basis_angle
         e1 = np.array([math.cos(eta), math.sin(eta)])
         e2 = np.array([-math.sin(eta), math.cos(eta)])
-        p_e1 = (arriving @ e1) ** 2
-        got_e1 = rng.stream(cfg.seed, "eve").random(n) < p_e1
-        arriving = np.where(got_e1[:, None], e1, e2)
 
-    guesses = rng.stream(cfg.seed, "bob_guesses").integers(1, 3, n)
-    cb = np.array([math.tan(thetas[0] / 2), math.tan(thetas[1] / 2)])
-    cb_used = cb[guesses - 1]
-    h, v = arriving[:, 0], arriving[:, 1]
-    p_path1 = (cb_used * h) ** 2 + v ** 2
-    monitor = rng.stream(cfg.seed, "bob_path").random(n) >= p_path1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_plus = np.where(p_path1 > 0, (cb_used * h + v) ** 2 / (2 * p_path1), 0.0)
-    bob_bits = np.where(rng.stream(cfg.seed, "bob_bits").random(n) < p_plus, 0, 1)
-    if cfg.gamma0 < 0:
-        # the public encoding sign tells Bob which ± outcome means bit 0
-        bob_bits = 1 - bob_bits
+    matched = sifted = errors = monitor_clicks = 0
+    for start in range(0, n, QKD_CHUNK):
+        m = min(QKD_CHUNK, n - start)
+        bits = alice_bits.integers(0, 2, m)
+        ports = np.where(alice_ports.random(m) < p_port1, 1, 2)
+        arriving = table[bits, ports - 1]  # (m, 2) real amplitudes
+        if eve is not None:
+            got_e1 = eve.random(m) < (arriving @ e1) ** 2
+            arriving = np.where(got_e1[:, None], e1, e2)
 
-    matched = guesses == ports
-    kept = matched & ~monitor
-    sifted = int(kept.sum())
-    errors = int((bob_bits[kept] != bits[kept]).sum())
-    stats = SessionStats(
+        guesses = bob_guesses.integers(1, 3, m)
+        cb_used = cb[guesses - 1]
+        h, v = arriving[:, 0], arriving[:, 1]
+        p_path1 = (cb_used * h) ** 2 + v ** 2
+        monitor = bob_path.random(m) >= p_path1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_plus = np.where(p_path1 > 0, (cb_used * h + v) ** 2 / (2 * p_path1), 0.0)
+        bob = np.where(bob_bits.random(m) < p_plus, 0, 1)
+        if cfg.gamma0 < 0:
+            # the public encoding sign tells Bob which ± outcome means bit 0
+            bob = 1 - bob
+
+        match = guesses == ports
+        kept = match & ~monitor
+        matched += int(match.sum())
+        sifted += int(kept.sum())
+        errors += int((bob[kept] != bits[kept]).sum())
+        monitor_clicks += int(monitor.sum())
+        if log is not None:
+            log.write(pulse_log_csv({"alice_bit": bits, "alice_output": ports,
+                                     "bob_guess": guesses, "monitor": monitor,
+                                     "bit": bob}, cfg.seed, start))
+
+    return SessionStats(
         n_pulses=n,
         sifted_key_length=sifted,
-        conclusive_rate=float((~monitor)[matched].mean()) if matched.any() else 0.0,
+        conclusive_rate=sifted / matched if matched else 0.0,
         qber=errors / sifted if sifted > 0 else None,
-        monitor_click_rate=float(monitor.mean()),
+        monitor_click_rate=monitor_clicks / n,
         seed=cfg.seed,
     )
-    if not log:
-        return stats
-    return stats, {"alice_bit": bits, "alice_output": ports, "bob_guess": guesses,
-                   "monitor": monitor, "bit": bob_bits}
 
 
-def pulse_log_csv(pulses, seed: int) -> str:
-    """The pulse log of run_session as CSV; monitor rows leave the bit empty."""
-    rows = zip(pulses["alice_bit"].tolist(), pulses["alice_output"].tolist(),
-               pulses["bob_guess"].tolist(), pulses["monitor"].tolist(),
-               pulses["bit"].tolist())
-    lines = [f"# seed={seed}", "pulse,alice_bit,alice_output,bob_guess,result,bit"]
-    lines += [f"{i},{a},{o},{g},{RESULT_MONITOR}," if m else
-              f"{i},{a},{o},{g},{RESULT_CONCLUSIVE},{b}"
-              for i, (a, o, g, m, b) in enumerate(rows)]
-    lines.append("")
-    return "\n".join(lines)
+#: the pulse log's row after the pulse number, indexed by the 5-bit code
+#: alice_bit·16 + (port−1)·8 + (guess−1)·4 + monitor·2 + bit
+_ROW_SUFFIX = tuple(
+    f",{a},{o},{g},{RESULT_MONITOR},\n" if m else
+    f",{a},{o},{g},{RESULT_CONCLUSIVE},{b}\n"
+    for a in (0, 1) for o in (1, 2) for g in (1, 2) for m in (0, 1) for b in (0, 1))
+
+
+def pulse_log_csv(pulses, seed: int, start: int) -> str:
+    """CSV rows of a run of pulses numbered from `start`, led by the
+    "# seed=" and column header lines when start == 0.
+
+    `pulses` holds per-pulse arrays: alice_bit, alice_output, bob_guess,
+    monitor (bool) and bit (Bob's bit, meaningless on monitor pulses, whose
+    rows leave the bit empty).  run_session writes one call's text per chunk.
+    """
+    codes = (pulses["alice_bit"] * 16 + (pulses["alice_output"] - 1) * 8
+             + (pulses["bob_guess"] - 1) * 4 + pulses["monitor"] * 2
+             + pulses["bit"]).tolist()
+    head = (f"# seed={seed}\npulse,alice_bit,alice_output,bob_guess,result,bit\n"
+            if start == 0 else "")
+    return head + "".join([str(i) + _ROW_SUFFIX[c]
+                           for i, c in enumerate(codes, start)])

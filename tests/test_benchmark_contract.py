@@ -3,8 +3,9 @@
 Its traced run wraps every public function and dataclass check of each
 module, and `Tracer.count` raises for a name that no longer exists, so a
 rename or deletion in `src/` would otherwise surface only in a traced
-benchmark run.  The child also writes the paper_figures set-up's
-concentrated-pair state file and loads it back.  The tracer rebinds module
+benchmark run.  The child also runs a logged 70 000-pulse session through
+the CLI, whose log the tracer must measure in full, and it writes the
+paper_figures set-up's concentrated-pair state file and loads it back.  The tracer rebinds module
 attributes for good, so the check runs in a child process.
 """
 
@@ -24,12 +25,19 @@ tracer = Tracer()
 tracer.install()
 import workloads
 workloads.warm_up(Path("."))
+from cmiplab import cli
+pulses, log_bytes = tracer.pulses, tracer.log_bytes
+rc = cli.main(["qkd", "--theta", "1/2pi", "--pulses", "70000",
+               "--log", "log.csv", "--out", "s.json"])
+session = {"rc": rc, "pulses": tracer.pulses - pulses,
+           "log_bytes": tracer.log_bytes - log_bytes,
+           "log_size": Path("log.csv").stat().st_size}
 workloads.write_concentrated_pair(Path("pair.json"), 1.1, 0.3)
 from cmiplab.qcore import state_from_json
 pair = state_from_json(Path("pair.json").read_text(encoding="utf-8"))
 print(json.dumps({"metrics": sorted(tracer.layer_metrics(1, [], 0)),
                   "pair_labels": list(pair.basis.labels),
-                  "pair_norm": pair.norm}))
+                  "pair_norm": pair.norm, "session": session}))
 """
 
 
@@ -48,3 +56,8 @@ def test_benchmark_names_exist(tmp_path):
     # apply_cmip_signal(...).phi1 must stay a two-qubit StateVector
     assert out["pair_labels"] == ["signal_pol", "idler_pol"]
     assert abs(out["pair_norm"] - 1.0) < 1e-12
+    # the tracer counts the pulse log through what pulse_log_csv returns, so
+    # a streamed log in two chunks must still add up to the file's size
+    session = out["session"]
+    assert session["rc"] == 0 and session["pulses"] == 70_000
+    assert session["log_bytes"] == session["log_size"] > 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmiplab import cli
+from cmiplab import cli, qkd42
 from cmiplab.qcore import state_from_json
 
 
@@ -53,6 +53,28 @@ def test_sweep_spec():
         cli.parse_sweep("0:pi", "beta")
     with pytest.raises(cli.UsageError):
         cli.parse_sweep("0:0:4", "beta")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cmip", "--alpha", "1/4pi", "--betas", "0:pi:100000000000000000000", "--shots", "0"),
+    ("cmip", "--alpha", "1/4pi", "--betas", "0:pi:9223372036854775807", "--shots", "0"),
+    ("entangle", "--e-in", "0.5", "--gamma1s", "0:0.5:1000000000000", "--gamma2", "0",
+     "--out", "fig"),
+], ids=["cmip_1e20", "cmip_int64_max", "entangle_1e12"])
+def test_huge_sweeps_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    # the step count is rejected before any grid exists
+    def no_grid(self):
+        raise AssertionError("grid built for an oversized sweep")
+
+    monkeypatch.setattr(cli.SweepSpec, "grid", no_grid)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(list(argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2^31" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+    assert cli.parse_sweep(f"0:pi:{cli.MAX_SWEEP_STEPS - 1}", "beta").steps \
+        == cli.MAX_SWEEP_STEPS - 1
 
 
 def test_seed_resolution(monkeypatch):
@@ -262,6 +284,27 @@ def test_qkd_json_and_log(tmp_path, monkeypatch):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    eve_out, plain_out = tmp_path / "eve.json", tmp_path / "plain.json"
+    assert run_cli("qkd", "--eve", "intercept", "--pulses", "5000", "--seed", "3",
+                   "--out", str(eve_out)) == 0
+    assert run_cli("qkd", "--pulses", "5000", "--seed", "3", "--out", str(plain_out)) == 0
+    want = qkd42.run_session(qkd42.QkdConfig(n_pulses=5000, seed=3))
+    assert plain_out.read_text() == want.to_json() + "\n"
+    assert json.loads(plain_out.read_text())["qber"] == 0.0
+    assert json.loads(eve_out.read_text())["qber"] > 0.0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_qkd_log_full_device_is_an_io_error(capsys):
+    # the log streams as the session runs; a failed write or flush is exit 2
+    assert run_cli("qkd", "--pulses", "200000", "--log", "/dev/full") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full") and err.count("\n") == 1
+
+
 def test_qkd_env_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_SEED, "1234")
     assert run_cli("qkd", "--pulses", "1000") == 0
@@ -282,6 +325,7 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli("cmip", "--alpha", "nope", "--betas", "0:pi:4") == 1
     assert run_cli("cmip", "--alpha", "1/4pi", "--betas", "0:pi:4",
                    "--shots", "0", "--out", "/nonexistent/dir/x.csv") == 2
+    assert run_cli("qkd", "--pulses", "100", "--log", "/nonexistent/dir/x.csv") == 2
     assert run_cli("frobnicate") == 1                       # unknown command
     capsys.readouterr()
 

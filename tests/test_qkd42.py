@@ -1,4 +1,6 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,28 +119,56 @@ def test_session_json_is_byte_deterministic():
 
 def test_pulse_log_agrees_with_stats():
     cfg = qkd42.config_for_theta(math.pi / 3, n_pulses=3000, seed=15)
-    stats, pulses = qkd42.run_session(cfg, log=True)
-    assert all(len(col) == cfg.n_pulses for col in pulses.values())
+    buf = io.StringIO()
+    stats = qkd42.run_session(cfg, log=buf)
     assert stats == qkd42.run_session(cfg)
-    monitor = pulses["monitor"]
-    kept = (pulses["bob_guess"] == pulses["alice_output"]) & ~monitor
-    assert kept.sum() == stats.sifted_key_length
-    assert abs(monitor.mean() - stats.monitor_click_rate) < 1e-12
-    errors = (pulses["bit"][kept] != pulses["alice_bit"][kept]).sum()
-    assert errors / kept.sum() == stats.qber
-    text = qkd42.pulse_log_csv(pulses, cfg.seed)
+    text = buf.getvalue()
     lines = text.splitlines()
     assert text.endswith("\n")
     assert lines[0] == "# seed=15"
     assert lines[1] == "pulse,alice_bit,alice_output,bob_guess,result,bit"
     assert len(lines) == cfg.n_pulses + 2
+    rows = [line.split(",") for line in lines[2:]]
+    assert all(len(row) == 6 for row in rows)
+    assert [row[0] for row in rows] == [str(i) for i in range(cfg.n_pulses)]
+    assert {row[4] for row in rows} == {"monitor", "conclusive"}
+    monitor = np.array([row[4] == "monitor" for row in rows])
+    kept = np.array([row[3] == row[2] for row in rows]) & ~monitor
+    assert kept.sum() == stats.sifted_key_length
+    assert abs(monitor.mean() - stats.monitor_click_rate) < 1e-12
+    errors = sum(row[5] != row[1] for row, k in zip(rows, kept) if k)
+    assert errors / kept.sum() == stats.qber
     # monitor rows leave the bit column empty; conclusive rows carry Bob's bit
-    first_monitor = int(np.argmax(monitor))
-    assert lines[2 + first_monitor].endswith(",monitor,")
-    first_conclusive = int(np.argmin(monitor))
-    row = lines[2 + first_conclusive].split(",")
-    assert row[0] == str(first_conclusive) and row[4] == "conclusive"
-    assert row[5] == str(pulses["bit"][first_conclusive])
+    assert all(row[5] == "" for row, m in zip(rows, monitor) if m)
+    assert all(row[5] in ("0", "1") for row, m in zip(rows, monitor) if not m)
+
+
+@pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8], ids=["no_eve", "hv", "pi8"])
+def test_chunk_size_does_not_change_the_session(eve, monkeypatch):
+    cfg = qkd42.config_for_theta(
+        math.pi / 3, n_pulses=1000, seed=31,
+        eve=None if eve is None else qkd42.InterceptResend(eve))
+
+    def session():
+        buf = io.StringIO()
+        return qkd42.run_session(cfg, log=buf), buf.getvalue()
+
+    whole = session()
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
+    assert session() == whole
+
+
+def test_session_memory_is_bounded():
+    # 1e6 pulses drawn at once peak near 88 MiB; chunks keep it a few MiB
+    cfg = qkd42.config_for_theta(math.pi / 2, n_pulses=1_000_000, seed=3,
+                                 eve=qkd42.InterceptResend(0.0))
+    tracemalloc.start()
+    try:
+        qkd42.run_session(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_streams_are_stable_and_separated():
