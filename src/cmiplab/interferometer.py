@@ -90,12 +90,12 @@ def solve_gamma1(alpha: float, beta: float) -> float:
     _check_angle("beta", beta)
     if beta < alpha:
         raise ValueError(f"wrong branch: expansion needs alpha <= beta, got ({alpha}, {beta})")
+    if alpha == beta:
+        return 0.0
     num = math.sin(alpha / 2) * math.cos(beta / 2)
     den = math.cos(alpha / 2) * math.sin(beta / 2)
-    if den < 1e-300:
-        # alpha = beta = 0 (or = pi): the device is the identity
-        return 0.0
-    return 0.5 * math.acos(min(1.0, num / den))
+    # den underflows only at beta = 5e-324, where tan(x/2) = x/2 exactly
+    return 0.5 * math.acos(min(1.0, num / den if den else alpha / beta))
 
 
 def solve_gamma2(alpha: float, beta: float) -> float:
@@ -113,7 +113,8 @@ def solve_gamma2(alpha: float, beta: float) -> float:
         return 0.0
     num = math.sin(beta / 2) * math.cos(alpha / 2)
     den = math.cos(beta / 2) * math.sin(alpha / 2)
-    return 0.5 * math.acos(min(1.0, num / den))
+    # den underflows only at alpha = 5e-324, where tan(x/2) = x/2 exactly
+    return 0.5 * math.acos(min(1.0, num / den if den else beta / alpha))
 
 
 def contract_hardware_angle(alpha: float, beta: float) -> float:
@@ -136,7 +137,9 @@ def closed_form_probability(alpha: float, beta: float) -> float:
     if alpha == beta:
         return 1.0
     if alpha < beta:
-        return math.sin(alpha / 2) ** 2 / math.sin(beta / 2) ** 2
+        den = math.sin(beta / 2) ** 2
+        # sin²(β/2) underflows below β ≈ 3e-162, where sin(x/2) = x/2 exactly
+        return math.sin(alpha / 2) ** 2 / den if den else (alpha / beta) ** 2
     return math.cos(alpha / 2) ** 2 / math.cos(beta / 2) ** 2
 
 

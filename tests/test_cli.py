@@ -153,6 +153,17 @@ def test_cmip_sweep_ending_at_alpha_samples_probability_one(tmp_path):
     assert last[0] == last[1] and float(last[3]) == 1.0
 
 
+@pytest.mark.parametrize("betas", ["1e-200:1e-170:2", "1e-305:1e-301:2"])
+def test_cmip_at_underflowing_angles(betas, tmp_path, capsys):
+    # sin²(β/2) is 0 in floating point for these β: no ZeroDivisionError,
+    # and below β ≈ 2e-300 the solver still diverts |H⟩, so P = 0 both ways
+    out = tmp_path / "tiny.csv"
+    assert run_cli("cmip", "--alpha", "0", "--betas", betas, "--out", str(out)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    for row in out.read_text().splitlines()[2:]:
+        assert row.split(",")[2:4] == ["0", "0"]  # closed form and state route
+
+
 # 2**63 - 1 is the largest count numpy's binomial and array sizes accept
 TOO_MANY = str(2 ** 63)
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmiplab import entanglement_lab as elab
@@ -51,6 +51,7 @@ def same_state(batch_row, p, single_row):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(plan_rows(), min_size=1, max_size=12), st.sampled_from((+1, -1)))
+@example([ifo.plan_for(0.0, 0.0), ifo.plan_for(5e-324, 0.0)], +1)  # γ2's 0/0
 def test_batched_device_rows_equal_single_runs(plans, sign):
     batch = ifo.run_plans(sign, plans)
     for i, plan in enumerate(plans):
@@ -60,6 +61,16 @@ def test_batched_device_rows_equal_single_runs(plans, sign):
         assert batch.p_failure[i] == one.p_failure[0]
         assert same_state(batch.success[i], one.p_success[0], one.success[0])
         assert same_state(batch.failure[i], one.p_failure[0], one.failure[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles, angles)
+@example(0.0, 1e-200)    # sin²(β/2) underflows to 0
+@example(5e-324, 0.0)    # the contraction solver's tan ratio is 0/0
+def test_closed_form_and_solvers_hold_at_subnormal_angles(alpha, beta):
+    assert 0.0 <= ifo.closed_form_probability(alpha, beta) <= 1.0
+    gamma = (ifo.solve_gamma1 if alpha <= beta else ifo.solve_gamma2)(alpha, beta)
+    assert 0.0 <= gamma <= math.pi / 4
 
 
 def same_entanglement(batch_e, single_e):
