@@ -8,7 +8,9 @@ starts with a "# seed=<n>" comment; the default seed comes from the
 CMIPLAB_SEED environment variable (42 when unset) and --seed overrides both.
 
 Exit codes: 0 success, 1 usage/parse error, 2 I/O error, 3 verification
-failure.
+failure.  `main` is the one error boundary: any ValueError (a UsageError, or
+an argument the model rejects) ends in one "error:" line and exit 1, an
+OutputError in one "error:" line and exit 2.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ EXIT_IO = 2
 EXIT_VERIFY = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags, angles, or state specs (exit code 1)."""
 
 
@@ -199,10 +201,7 @@ def parse_state_spec(text: str) -> StateVector:
     if name == "two_photon":
         if len(args) != 2:
             raise UsageError(f"two_photon takes (alpha, delta), got {len(args)} args")
-        try:
-            cfg = elab.TwoPhotonConfig(parse_angle(args[0]), parse_angle(args[1]))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        cfg = elab.TwoPhotonConfig(parse_angle(args[0]), parse_angle(args[1]))
         return elab.polarization_pair_state(cfg)
     raise UsageError(f"unknown state constructor {name!r}")
 
@@ -213,10 +212,7 @@ def cmd_cmip(args) -> int:
     shots = parse_shots(args.shots, allow_exact=False)
     seed = resolve_seed(args.seed)
     betas = sweep.grid()
-    try:
-        p_closed, p_mc = ifo.success_probability_sweep(alpha, betas, shots, seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    p_closed, p_mc = ifo.success_probability_sweep(alpha, betas, shots, seed)
     with _open_out(args.out) as out:
         out.write(f"# seed={seed}\n")
         out.write("alpha_rad,beta_rad,p_closed_form,p_monte_carlo,shots,seed\n")
@@ -245,10 +241,7 @@ def cmd_entangle(args) -> int:
     sweep = parse_sweep(args.gamma1s, "gamma1")
     seed = resolve_seed(args.seed)
     grid = sweep.grid()
-    try:
-        res = elab.concentration_sweep(alpha, grid, gamma2, delta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    res = elab.concentration_sweep(alpha, grid, gamma2, delta)
 
     with _open_out(f"{args.out}_n1.csv") as out:
         out.write(f"# seed={seed}\n")
@@ -271,11 +264,7 @@ def cmd_tomo(args) -> int:
     if shots == 0:
         raise UsageError("tomography needs shots >= 1 or 'exact'")
     seed = resolve_seed(args.seed)
-    try:
-        rho = DensityMatrix.from_state(target)
-        table = tomography.simulate_counts(rho, shots, seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    table = tomography.simulate_counts(DensityMatrix.from_state(target), shots, seed)
     if args.counts_out:
         with _open_out(args.counts_out) as out:
             out.write(table.to_csv())
@@ -304,17 +293,13 @@ def cmd_qkd(args) -> int:
     eve = _parse_eve(args.eve)
     common = dict(gamma0=parse_angle(args.gamma0), n_pulses=args.pulses,
                   seed=seed, eve=eve)
-    try:
-        if args.theta is not None:
-            if args.gamma1 is not None or args.gamma2 is not None:
-                raise UsageError("--theta replaces --gamma1/--gamma2")
-            cfg = qkd42.config_for_theta(parse_angle(args.theta), **common)
-        else:
-            cfg = qkd42.QkdConfig(
-                gamma1=parse_angle(args.gamma1 or "1/8pi"),
-                gamma2=parse_angle(args.gamma2 or "1/8pi"), **common)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.theta is not None:
+        if args.gamma1 is not None or args.gamma2 is not None:
+            raise UsageError("--theta replaces --gamma1/--gamma2")
+        cfg = qkd42.config_for_theta(parse_angle(args.theta), **common)
+    else:
+        cfg = qkd42.QkdConfig(gamma1=parse_angle(args.gamma1 or "1/8pi"),
+                              gamma2=parse_angle(args.gamma2 or "1/8pi"), **common)
     if args.log:
         # the log streams to its file chunk by chunk as the session runs
         with _open_out(args.log) as log:
@@ -413,7 +398,7 @@ def main(argv=None) -> int:
         if args.func is None:
             raise UsageError("a command is required (cmip, entangle, tomo, qkd, verify)")
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # a UsageError, or a value the model rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OutputError as exc:

@@ -146,19 +146,12 @@ def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> Entan
     return filter_pairs(state.amps[None], gamma1, gamma2).row(0)
 
 
-def output_entanglement(E_in: float, gamma1: float, gamma2: float, alpha: float):
-    """Closed-form branch concurrences (e1, e2).
-
-    E_in and alpha parameterize the same input state and must agree:
-    |E_in − |sin alpha|| ≤ 1e-9, otherwise the pair is rejected.  A branch
+def output_entanglement(alpha: float, gamma1: float, gamma2: float):
+    """Closed-form branch concurrences (e1, e2) of the pair with Schmidt
+    angle alpha, whose input concurrence is E_in = |sin alpha|.  A branch
     with vanishing probability has undefined entanglement (None).
     """
-    if not 0.0 <= E_in <= 1.0:
-        raise ValueError(f"E_in = {E_in} outside [0, 1]")
-    if abs(E_in - abs(math.sin(alpha))) > 1e-9:
-        raise ValueError(
-            f"inconsistent parameterization: E_in = {E_in} but |sin(alpha)| = "
-            f"{abs(math.sin(alpha))}")
+    E_in = abs(math.sin(alpha))
     n1, n2 = branch_probabilities(alpha, gamma1, gamma2)
     c1, c2 = math.cos(2 * gamma1), math.cos(2 * gamma2)
     s1, s2 = math.sin(2 * gamma1), math.sin(2 * gamma2)
@@ -209,11 +202,10 @@ def concentration_sweep(alpha: float, gamma1_grid, gamma2: float, delta: float =
     """
     gamma1_grid = np.asarray(gamma1_grid, dtype=float)
     state = prepare_two_photon(TwoPhotonConfig(alpha, delta))
-    e_in = abs(math.sin(alpha))
     cols = {k: np.empty(gamma1_grid.size) for k in ("n1_closed", "e1_closed")}
     for i, g1 in enumerate(gamma1_grid):
         cols["n1_closed"][i] = branch_probabilities(alpha, g1, gamma2)[0]
-        e1c, _ = output_entanglement(e_in, g1, gamma2, alpha)
+        e1c, _ = output_entanglement(alpha, g1, gamma2)
         cols["e1_closed"][i] = np.nan if e1c is None else e1c
     rows = np.repeat(state.amps[None], gamma1_grid.size, axis=0)
     branches = filter_pairs(rows, gamma1_grid, gamma2)

@@ -15,6 +15,7 @@ whole grids through it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,22 +81,25 @@ class CmipPlan:
         return 0.0, self.gamma2, self.phi_prime, 0.0
 
 
-def solve_gamma1(alpha: float, beta: float) -> float:
-    """Plate angle that expands the inner angle from alpha up to beta.
+def _plate_angle(lo: float, hi: float) -> float:
+    """The plate angle γ with cos 2γ = tan(lo/2)/tan(hi/2), for 0 ≤ lo ≤ hi ≤ π,
+    written with sin/cos factors so the hi = π limit needs no special casing."""
+    if lo == hi:
+        return 0.0
+    num = math.sin(lo / 2) * math.cos(hi / 2)
+    den = math.cos(lo / 2) * math.sin(hi / 2)
+    # den underflows only at hi = 5e-324, where tan(x/2) = x/2 exactly
+    return 0.5 * math.acos(min(1.0, num / den if den else lo / hi))
 
-    Solves cos(2*gamma1) = tan(alpha/2)/tan(beta/2), written with sin/cos
-    factors so the beta = pi limit needs no special casing.
-    """
+
+def solve_gamma1(alpha: float, beta: float) -> float:
+    """Plate angle that expands the inner angle from alpha up to beta:
+    cos(2*gamma1) = tan(alpha/2)/tan(beta/2)."""
     _check_angle("alpha", alpha)
     _check_angle("beta", beta)
     if beta < alpha:
         raise ValueError(f"wrong branch: expansion needs alpha <= beta, got ({alpha}, {beta})")
-    if alpha == beta:
-        return 0.0
-    num = math.sin(alpha / 2) * math.cos(beta / 2)
-    den = math.cos(alpha / 2) * math.sin(beta / 2)
-    # den underflows only at beta = 5e-324, where tan(x/2) = x/2 exactly
-    return 0.5 * math.acos(min(1.0, num / den if den else alpha / beta))
+    return _plate_angle(alpha, beta)
 
 
 def solve_gamma2(alpha: float, beta: float) -> float:
@@ -109,12 +113,7 @@ def solve_gamma2(alpha: float, beta: float) -> float:
     _check_angle("beta", beta)
     if alpha < beta:
         raise ValueError(f"wrong branch: contraction needs beta <= alpha, got ({alpha}, {beta})")
-    if alpha == beta:
-        return 0.0
-    num = math.sin(beta / 2) * math.cos(alpha / 2)
-    den = math.cos(beta / 2) * math.sin(alpha / 2)
-    # den underflows only at alpha = 5e-324, where tan(x/2) = x/2 exactly
-    return 0.5 * math.acos(min(1.0, num / den if den else beta / alpha))
+    return _plate_angle(beta, alpha)
 
 
 def contract_hardware_angle(alpha: float, beta: float) -> float:
@@ -137,9 +136,13 @@ def closed_form_probability(alpha: float, beta: float) -> float:
     if alpha == beta:
         return 1.0
     if alpha < beta:
-        den = math.sin(beta / 2) ** 2
-        # sin²(β/2) underflows below β ≈ 3e-162, where sin(x/2) = x/2 exactly
-        return math.sin(alpha / 2) ** 2 / den if den else (alpha / beta) ** 2
+        num = math.sin(alpha / 2) ** 2
+        if num >= sys.float_info.min:  # then sin²(β/2) ≥ num is normal too
+            return num / math.sin(beta / 2) ** 2
+        # α < 3e-154: sin²(α/2) is subnormal, so divide before squaring, with
+        # sin(α/2) = α/2; β stands in for 2 sin(β/2) where β/2 is subnormal
+        half = beta / 2
+        return (alpha / (2 * math.sin(half) if half >= sys.float_info.min else beta)) ** 2
     return math.cos(alpha / 2) ** 2 / math.cos(beta / 2) ** 2
 
 

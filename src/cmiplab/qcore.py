@@ -68,11 +68,12 @@ def normalize_rows(amps: np.ndarray) -> np.ndarray:
     """Repair nearly-normalized rows, reject the batch if any is further out.
 
     Rows whose norm is within NORM_REPAIR_TOL of 1 but not exactly 1 are
-    divided by their norm; one row outside raises ValueError.
+    divided by their norm; one row outside (or with a NaN norm) raises
+    ValueError.
     """
     norms = row_norms(amps)
     dev = np.abs(norms - 1.0)
-    bad = np.flatnonzero(dev > NORM_REPAIR_TOL)
+    bad = np.flatnonzero(~(dev <= NORM_REPAIR_TOL))
     if bad.size:
         i = bad[0]
         raise ValueError(f"state norm {float(norms[i])} deviates from 1 by {dev[i]:.3e}")
@@ -84,25 +85,26 @@ def normalize_rows(amps: np.ndarray) -> np.ndarray:
 
 
 def check_unitary_rows(mats: np.ndarray):
-    """Reject a stack of (n, d, d) matrices unless every one has ‖U†U−I‖∞ ≤ 1e-12."""
+    """Reject a stack of (n, d, d) matrices unless every one has ‖U†U−I‖∞ ≤ 1e-12
+    (a NaN entry fails)."""
     d = mats.shape[-1]
     err = np.max(np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(d)))
-    if err > 1e-12:
+    if not err <= 1e-12:
         raise ValueError(f"operator flagged unitary but ‖U†U−I‖∞ = {err:.3e}")
 
 
 def check_density_rows(mats: np.ndarray):
     """Reject a stack of (n, d, d) matrices unless every one is Hermitian,
-    of unit trace and positive semidefinite up to -1e-8."""
+    of unit trace and positive semidefinite up to -1e-8 (a NaN entry fails)."""
     herm = np.max(np.abs(mats - mats.conj().swapaxes(1, 2)))
-    if herm > 1e-10:
+    if not herm <= 1e-10:
         raise ValueError(f"not Hermitian: max |ρ − ρ†| = {herm:.3e}")
     tr = np.trace(mats, axis1=1, axis2=2).real
-    off = np.flatnonzero(np.abs(tr - 1.0) > 1e-10)
+    off = np.flatnonzero(~(np.abs(tr - 1.0) <= 1e-10))
     if off.size:
         raise ValueError(f"trace {float(tr[off[0]])} deviates from 1")
     lo = float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
-    if lo < -1e-8:
+    if not lo >= -1e-8:
         raise ValueError(f"negative eigenvalue {lo:.3e} beyond repair tolerance")
 
 

@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .qcore import (IDLER_POL, DensityMatrix, StateVector, concurrence,
-                    fidelity, polarization_basis)
+from .qcore import (IDLER_POL, DensityMatrix, ModeBasis, StateVector,
+                    concurrence, fidelity, polarization_basis)
 
 _SQ = 1.0 / math.sqrt(2.0)
 _KETS = {
@@ -40,24 +40,24 @@ _PAULIS = [np.eye(2, dtype=complex),
            np.array([[1, 0], [0, -1]], dtype=complex)]
 
 
-def _basis_for(n_qubits: int):
-    if n_qubits == 1:
-        return polarization_basis()
-    if n_qubits == 2:
-        return polarization_basis().combine(polarization_basis(IDLER_POL))
-    raise ValueError(f"n_qubits must be 1 or 2, got {n_qubits}")
-
-
 class Catalog(NamedTuple):
     """Measurement settings of n qubits and the arrays built from them."""
 
+    basis: ModeBasis         # signal polarization, then the idler's for a pair
     settings: tuple          # label tuples in catalog order: HH, HV, ..., LL
     projectors: np.ndarray   # rank-1 product projectors, (6^n, 2^n, 2^n)
     paulis: np.ndarray       # Pauli products spanning the operators, (4^n, 2^n, 2^n)
     design: np.ndarray       # Pauli coefficients to probabilities, tr(Π_i P_k)
 
+    def born(self, matrix: np.ndarray) -> np.ndarray:
+        """Born probabilities tr(ρ Π_i) of every setting, in catalog order."""
+        return np.trace(matrix @ self.projectors, axis1=1, axis2=2).real
+
 
 def _catalog(n_qubits: int) -> Catalog:
+    basis = polarization_basis()
+    if n_qubits == 2:
+        basis = basis.combine(polarization_basis(IDLER_POL))
     settings = tuple(itertools.product(LABELS, repeat=n_qubits))
     kets = [functools.reduce(np.kron, [_KETS[lab] for lab in labs]) for labs in settings]
     projectors = np.array([np.outer(ket, ket.conj()) for ket in kets])
@@ -67,7 +67,7 @@ def _catalog(n_qubits: int) -> Catalog:
     rank = np.linalg.matrix_rank(design, tol=1e-10)
     if rank < 4 ** n_qubits:
         raise RuntimeError(f"design matrix rank {rank} < {4 ** n_qubits}: catalog incomplete")
-    return Catalog(settings, projectors, paulis, design)
+    return Catalog(basis, settings, projectors, paulis, design)
 
 
 #: the six-projector catalog per qubit count, built and rank-checked once
@@ -150,16 +150,11 @@ def simulate_counts(rho: DensityMatrix, shots_per_setting: int | None,
     if shots_per_setting is not None and shots_per_setting < 1:
         raise ValueError(f"shots_per_setting must be >= 1, got {shots_per_setting}")
     catalog = CATALOG[n_qubits]
-    counts = {}
-    for i, (labs, P) in enumerate(zip(catalog.settings, catalog.projectors)):
-        p = float(np.trace(rho.matrix @ P).real)
-        p = min(1.0, max(0.0, p))
-        if shots_per_setting is None:
-            counts[labs] = p
-        else:
-            counts[labs] = int(
-                rng.stream(seed, "tomo", i).binomial(shots_per_setting, p))
-    return CountsTable(counts, shots_per_setting, seed)
+    probs = np.clip(catalog.born(rho.matrix), 0.0, 1.0).tolist()
+    counts = probs if shots_per_setting is None else [
+        int(rng.stream(seed, "tomo", i).binomial(shots_per_setting, p))
+        for i, p in enumerate(probs)]
+    return CountsTable(dict(zip(catalog.settings, counts)), shots_per_setting, seed)
 
 
 @dataclass(frozen=True)
@@ -190,12 +185,11 @@ def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoR
     between the repaired state's Born probabilities and the observed
     frequencies, which is how users can see when repair mattered.
     """
-    n_qubits = counts.n_qubits
-    basis = _basis_for(n_qubits)
-    catalog = CATALOG[n_qubits]
+    catalog = CATALOG[counts.n_qubits]
+    basis = catalog.basis
     f = counts.frequencies()
     c, *_ = np.linalg.lstsq(catalog.design, f, rcond=None)
-    raw = sum(ck * P for ck, P in zip(c, catalog.paulis))
+    raw = (c[:, None, None] * catalog.paulis).sum(axis=0)
     raw = 0.5 * (raw + raw.conj().T)
     w, V = np.linalg.eigh(raw)
     w = np.clip(w, 0.0, None)
@@ -203,9 +197,7 @@ def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoR
     if total < 1e-300:
         raise ValueError("reconstruction collapsed to the zero matrix")
     rho_hat = DensityMatrix(basis, (V * (w / total)) @ V.conj().T)
-    predicted = np.array([np.trace(rho_hat.matrix @ P).real
-                          for P in catalog.projectors])
-    residual = float(np.sqrt(np.mean((predicted - f) ** 2)))
+    residual = float(np.sqrt(np.mean((catalog.born(rho_hat.matrix) - f) ** 2)))
     fid = None
     if target is not None:
         fid = fidelity(rho_hat, StateVector(basis, target.amps))

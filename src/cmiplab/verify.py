@@ -204,7 +204,7 @@ def _check_entanglement_brute_force(gen):
                        for a in alphas], 100, axis=0)
     br = elab.filter_pairs(pairs, g1s, g2s)
     closed = np.array([elab.branch_probabilities(a, g1, g2)
-                       + elab.output_entanglement(abs(math.sin(a)), g1, g2, a)
+                       + elab.output_entanglement(a, g1, g2)
                        for a, g1, g2 in zip(np.repeat(alphas, 100), g1s, g2s)], dtype=float)
     brute = np.stack([br.n1, br.n2, br.e1, br.e2], axis=1)
     # an empty branch (NaN on either side) has nothing to compare
@@ -218,7 +218,7 @@ def _check_predicate_equivalence(gen):
         for g1 in np.linspace(0.0, math.pi / 4, 10):
             for g2 in np.linspace(0.0, math.pi / 4, 10):
                 pred = elab.concentration_predicate(float(alpha), float(g1), float(g2))
-                e1, _ = elab.output_entanglement(e_in, g1, g2, alpha)
+                e1, _ = elab.output_entanglement(alpha, g1, g2)
                 if e1 is None:
                     continue  # empty branch: nothing to compare
                 mismatches += e1 < e_in - 1e-12 if pred else e1 > e_in + 1e-12
@@ -229,7 +229,7 @@ def _check_tomography_round_trip(gen):
     worst = 0.0
     for _ in range(10):
         for n, dim in ((1, 2), (2, 4)):
-            basis = tomography._basis_for(n)
+            basis = tomography.CATALOG[n].basis
             rho = DensityMatrix(basis, _mixed_rows(gen.normal(size=(1, 2, dim, dim)))[0])
             table = tomography.simulate_counts(rho, None, 0)
             report = tomography.reconstruct(table)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmiplab import cli, qkd42
 from cmiplab.qcore import state_from_json
@@ -40,6 +42,12 @@ def test_angle_format_round_trip_is_stable():
         twice = cli.format_angle(cli.parse_angle(once))
         assert once == twice
         assert cli.parse_angle(once) == cli.parse_angle(text)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_angle_format_round_trip_keeps_every_finite_float(x):
+    y = cli.parse_angle(cli.format_angle(x))
+    assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
 
 
 def test_sweep_spec():
@@ -153,6 +161,15 @@ def test_cmip_sweep_ending_at_alpha_samples_probability_one(tmp_path):
     assert last[0] == last[1] and float(last[3]) == 1.0
 
 
+def test_cmip_closed_form_keeps_its_digits_at_underflowing_angles(tmp_path):
+    # sin²(β/2) is subnormal here; the true probabilities are (α/β)²
+    out = tmp_path / "tiny.csv"
+    assert run_cli("cmip", "--alpha", "1e-161", "--betas", "3e-161:3e-160:2",
+                   "--shots", "0", "--out", str(out)) == 0
+    closed = [row.split(",")[2] for row in out.read_text().splitlines()[2:]]
+    assert closed == ["0.111111111", "0.00111111111"]
+
+
 @pytest.mark.parametrize("betas", ["1e-200:1e-170:2", "1e-305:1e-301:2"])
 def test_cmip_at_underflowing_angles(betas, tmp_path, capsys):
     # sin²(β/2) is 0 in floating point for these β: no ZeroDivisionError,
@@ -256,6 +273,10 @@ _BAD_STATE_FILES = {
     "not_json": "{not json",
     "no_basis": json.dumps({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
     "no_amplitudes": json.dumps({"basis": _QUBIT_BASIS}),
+    "nan": json.dumps({"basis": _QUBIT_BASIS,
+                       "amplitudes": [[math.nan, 0.0], [0.0, 0.0]]}),
+    # an executable's header: not UTF-8 text
+    "not_utf8": b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100)),
 }
 
 
@@ -263,11 +284,21 @@ _BAD_STATE_FILES = {
     f"json:{name}" for name in _BAD_STATE_FILES)])
 def test_tomo_bad_state_is_a_usage_error(spec, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for name, text in _BAD_STATE_FILES.items():
-        (tmp_path / name).write_text(text)
+    for name, data in _BAD_STATE_FILES.items():
+        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
     assert run_cli("tomo", spec, "--shots", "100") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tomo_nan_state_in_exact_mode_is_a_usage_error(tmp_path, capsys):
+    # the exact Born probabilities of a NaN state would all be NaN
+    path = tmp_path / "nan.json"
+    path.write_text(_BAD_STATE_FILES["nan"])
+    assert run_cli("tomo", f"json:{path}") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_tomo_unreadable_state_file_is_an_io_error(tmp_path, capsys):

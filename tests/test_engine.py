@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmiplab import entanglement_lab as elab
@@ -71,6 +71,40 @@ def test_closed_form_and_solvers_hold_at_subnormal_angles(alpha, beta):
     assert 0.0 <= ifo.closed_form_probability(alpha, beta) <= 1.0
     gamma = (ifo.solve_gamma1 if alpha <= beta else ifo.solve_gamma2)(alpha, beta)
     assert 0.0 <= gamma <= math.pi / 4
+
+
+#: below this angle sin(x/2) = x/2 in floating point
+LINEAR = 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, LINEAR), st.one_of(angles, st.floats(0.0, LINEAR)))
+@example(3e-170, 1e-160)   # sin²(α/2) and sin²(β/2) are subnormal: 9e-20
+@example(1e-161, 3e-161)   # the cmip reproduction: 1/9
+@example(1e-161, 3e-160)   # and 1/900
+@example(1e-160, 1e-100)   # only sin²(α/2) is subnormal: 1e-120
+@example(1.5e-323, 1.0)    # α/2 rounds on the subnormal grid
+@example(0.0, 5e-324)      # β/2 underflows to 0
+def test_closed_form_keeps_its_digits_at_tiny_alpha(alpha, beta):
+    assume(alpha < beta)
+    p = ifo.closed_form_probability(alpha, beta)
+    if beta <= LINEAR:
+        want = (alpha / beta) ** 2
+    else:  # P ∝ α² here: scale α to [2^-41, 2^-40), where nothing underflows
+        m, e = math.frexp(alpha)
+        want = math.ldexp(ifo.closed_form_probability(math.ldexp(m, -40), beta),
+                          2 * (e + 40))
+    assert math.isclose(p, want, rel_tol=1e-14, abs_tol=1e-320)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(st.sampled_from((0.0, math.pi)), st.sampled_from((0.0, math.pi))),
+                 st.floats(0.0, math.pi).map(lambda a: (a, a))),
+       st.sampled_from((+1, -1)))
+def test_edge_plans_evolve_to_the_closed_form(angles_pair, sign):
+    alpha, beta = angles_pair
+    out = ifo.run_cmip(sign, ifo.plan_for(alpha, beta))
+    assert abs(out.p_success[0] - ifo.closed_form_probability(alpha, beta)) <= 1e-12
 
 
 def same_entanglement(batch_e, single_e):

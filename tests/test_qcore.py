@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmiplab.qcore import (DensityMatrix, ModeBasis, Operator, StateVector,
-                           apply_rows, concurrence, ensure_normalized, fidelity,
-                           partial_trace, path_basis, polarization_basis,
-                           postselect, state_from_json, state_to_json)
+from cmiplab.qcore import (IDLER_POL, DensityMatrix, ModeBasis, Operator,
+                           StateVector, apply_rows, check_density_rows,
+                           check_unitary_rows, concurrence, ensure_normalized,
+                           fidelity, normalize_rows, partial_trace, path_basis,
+                           polarization_basis, postselect, state_from_json,
+                           state_to_json)
 
 TWO_QUBIT = polarization_basis("a").combine(polarization_basis("b"))
 
@@ -63,6 +67,19 @@ def test_density_matrix_validation():
         DensityMatrix(basis, np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(basis, np.array([[1.1, 0.0], [0.0, -0.1]]))  # negative eigenvalue
+
+
+def test_checks_reject_a_nan_row():
+    # NaN compares false with every tolerance, so each check asks "within
+    # tolerance?" and rejects on no
+    eye = np.eye(2, dtype=complex)
+    nan = np.diag([np.nan, 1.0]).astype(complex)
+    with pytest.raises(ValueError):
+        normalize_rows(np.stack([eye[0], nan[0]]))
+    with pytest.raises(ValueError):
+        check_unitary_rows(np.stack([eye, nan]))
+    with pytest.raises(ValueError):
+        check_density_rows(np.stack([eye / 2, nan]))
 
 
 def test_tensor_and_postselect_inverse():
@@ -166,6 +183,22 @@ def test_state_json_round_trip():
     back = state_from_json(state_to_json(s))
     assert back.basis == s.basis
     assert np.max(np.abs(back.amps - s.amps)) < 1e-15
+
+
+_BASES = (polarization_basis(), polarization_basis().combine(path_basis()),
+          polarization_basis().combine(path_basis()).combine(polarization_basis(IDLER_POL)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_BASES).flatmap(lambda basis: st.tuples(
+    st.just(basis), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=2 * basis.dim, max_size=2 * basis.dim))))
+def test_state_json_round_trip_keeps_every_bit(case):
+    basis, parts = case
+    s = StateVector(basis, np.array(parts).view(complex))  # (re, im) pairs
+    back = state_from_json(state_to_json(s))
+    assert back.basis == s.basis
+    assert back.amps.tobytes() == s.amps.tobytes()  # signed zeros included
 
 
 def test_mode_basis_drop_and_keep():

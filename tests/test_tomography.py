@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmiplab import tomography
 from cmiplab.qcore import DensityMatrix, StateVector, polarization_basis
@@ -65,7 +67,7 @@ def test_counts_are_seeded_and_bounded():
 
 def test_counts_csv_round_trip():
     gen = np.random.default_rng(4)
-    basis = tomography._basis_for(2)
+    basis = tomography.CATALOG[2].basis
     rho = DensityMatrix.from_state(StateVector(basis, random_pure(gen, 4)))
     for shots in (None, 777):
         table = tomography.simulate_counts(rho, shots, 31)
@@ -82,12 +84,39 @@ def test_counts_csv_round_trip():
             assert back.counts == table.counts
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2)), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.none(), st.integers(1, 2 ** 63 - 1)), st.integers(0, 2 ** 64 - 1))
+def test_counts_csv_round_trip_is_exact(n_qubits, state_seed, shots, seed):
+    basis = tomography.CATALOG[n_qubits].basis
+    amps = random_pure(np.random.default_rng(state_seed), basis.dim)
+    table = tomography.simulate_counts(
+        DensityMatrix.from_state(StateVector(basis, amps)), shots, seed)
+    assert tomography.CountsTable.from_csv(table.to_csv()) == table
+
+
+def test_stacked_born_and_pauli_sums_equal_the_setting_loops():
+    # simulate_counts and reconstruct take all settings in one array call;
+    # the per-setting loops they replaced give the same bits
+    gen = np.random.default_rng(8)
+    for _ in range(50):
+        for n, catalog in tomography.CATALOG.items():
+            psi = random_pure(gen, 2 ** n)
+            rho = np.outer(psi, psi.conj())
+            born = catalog.born(rho)
+            loop = np.array([np.trace(rho @ P).real for P in catalog.projectors])
+            assert born.tobytes() == loop.tobytes()
+            c, *_ = np.linalg.lstsq(catalog.design, born, rcond=None)
+            stacked = (c[:, None, None] * catalog.paulis).sum(axis=0)
+            assert stacked.tobytes() == sum(ck * P for ck, P in zip(c, catalog.paulis)).tobytes()
+
+
 def test_exact_reconstruction_of_random_states():
     gen = np.random.default_rng(6)
     worst = 0.0
     for _ in range(20):
         for n, dim in ((1, 2), (2, 4)):
-            basis = tomography._basis_for(n)
+            basis = tomography.CATALOG[n].basis
             rho = DensityMatrix.from_state(StateVector(basis, random_pure(gen, dim)))
             report = tomography.reconstruct(
                 tomography.simulate_counts(rho, None, 0))
@@ -97,7 +126,7 @@ def test_exact_reconstruction_of_random_states():
 
 
 def test_reconstruction_reports_fidelity_and_concurrence():
-    basis = tomography._basis_for(2)
+    basis = tomography.CATALOG[2].basis
     triplet = StateVector(basis, np.array([1, 0, 0, 1]) / math.sqrt(2))
     report = tomography.reconstruct(
         tomography.simulate_counts(DensityMatrix.from_state(triplet), None, 0),
@@ -123,7 +152,7 @@ def test_repair_keeps_reconstruction_physical():
     # heavy shot noise forces the raw inversion outside the state set; the
     # repaired estimate must still be a density matrix with a real residual
     gen = np.random.default_rng(12)
-    basis = tomography._basis_for(2)
+    basis = tomography.CATALOG[2].basis
     rho = DensityMatrix.from_state(StateVector(basis, random_pure(gen, 4)))
     for seed in range(5):
         report = tomography.reconstruct(tomography.simulate_counts(rho, 40, seed))
@@ -185,7 +214,7 @@ def test_counts_csv_rejects_zero_shots_and_three_qubit_labels():
 
 
 def test_simulate_counts_input_validation():
-    basis = tomography._basis_for(1)
+    basis = tomography.CATALOG[1].basis
     rho = DensityMatrix(basis, np.eye(2) / 2)
     with pytest.raises(ValueError):
         tomography.simulate_counts(rho, 0, 1)
