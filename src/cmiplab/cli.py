@@ -21,7 +21,7 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +82,6 @@ def parse_angle(text: str) -> float:
     if not math.isfinite(value):
         raise UsageError(f"angle {text!r} is not finite")
     return sign * value
-
-
-def format_angle(value: float) -> str:
-    """Decimal-radian form accepted back by parse_angle."""
-    return repr(float(value))
 
 
 #: a sweep evolves its whole grid in one device stack; at 2^31 points the
@@ -166,14 +161,6 @@ def _open_out(path: str | None):
         raise OutputError(f"cannot write {path}: {exc}") from None
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise OutputError(f"cannot read {path}: {exc}") from None
-
-
 _STATE_CALL = re.compile(r"^(\w+)\s*\((.*)\)$")
 
 
@@ -183,9 +170,13 @@ def parse_state_spec(text: str) -> StateVector:
     s = text.strip()
     if s.startswith("json:"):
         path = s[len("json:"):]
-        text = _read_text(path)
         try:
-            return state_from_json(text)
+            with open(path, "r", encoding="utf-8") as fh:
+                return state_from_json(fh.read())
+        except OSError as exc:
+            raise OutputError(f"cannot read {path}: {exc}") from None
+        except UnicodeDecodeError as exc:  # its repr would quote every byte read
+            raise UsageError(f"cannot load a state from {path}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot load a state from {path}: {exc!r}") from None
     m = _STATE_CALL.match(s)
@@ -223,8 +214,6 @@ def cmd_cmip(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    if (args.e_in is None) == (args.alpha is None):
-        raise UsageError("give exactly one of --e-in or --alpha")
     if args.e_in is not None:
         try:
             e_in = float(args.e_in)
@@ -300,12 +289,9 @@ def cmd_qkd(args) -> int:
     else:
         cfg = qkd42.QkdConfig(gamma1=parse_angle(args.gamma1 or "1/8pi"),
                               gamma2=parse_angle(args.gamma2 or "1/8pi"), **common)
-    if args.log:
-        # the log streams to its file chunk by chunk as the session runs
-        with _open_out(args.log) as log:
-            stats = qkd42.run_session(cfg, log=log)
-    else:
-        stats = qkd42.run_session(cfg)
+    # the log streams to its file chunk by chunk as the session runs
+    with _open_out(args.log) if args.log else nullcontext() as log:
+        stats = qkd42.run_session(cfg, log=log)
     with _open_out(args.out) as out:
         out.write(stats.to_json() + "\n")
     return EXIT_OK
@@ -352,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cmip)
 
     p = sub.add_parser("entangle", help="concentration sweep over gamma1")
-    p.add_argument("--e-in", dest="e_in", help="input degree of entanglement in [0,1]")
-    p.add_argument("--alpha", help="input state angle (alternative to --e-in)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--e-in", dest="e_in", help="input degree of entanglement in [0,1]")
+    source.add_argument("--alpha", help="input state angle (alternative to --e-in)")
     p.add_argument("--gamma2", required=True)
     p.add_argument("--gamma1s", required=True, metavar="START:STOP:STEPS")
     p.add_argument("--delta", default="0", help="relative phase of the pair state")

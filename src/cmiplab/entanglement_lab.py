@@ -45,10 +45,6 @@ class TwoPhotonConfig:
         if not 0.0 <= self.alpha <= math.pi:
             raise ValueError(f"alpha = {self.alpha} outside [0, pi]")
 
-    @property
-    def entanglement(self) -> float:
-        return abs(math.sin(self.alpha))
-
 
 def prepare_two_photon(cfg: TwoPhotonConfig) -> StateVector:
     """cos(a/2)|H,1,H⟩ + e^{iδ} sin(a/2)|V,1,V⟩, signal in path 1."""
@@ -105,18 +101,6 @@ class PairBranches(NamedTuple):
     n2: np.ndarray
     e2: np.ndarray
 
-    def row(self, i: int) -> EntangledBranches:
-        """Row i as EntangledBranches, with None for an empty branch."""
-        out = []
-        for phi, n, e in ((self.phi1, self.n1, self.e1), (self.phi2, self.n2, self.e2)):
-            p = float(n[i])
-            if p < EMPTY_BRANCH_TOL:
-                out.append((None, p, None))
-            else:
-                out.append((StateVector(PAIR_BASIS, phi[i]), p, float(e[i])))
-        (phi1, n1, e1), (phi2, n2, e2) = out
-        return EntangledBranches(phi1, n1, e1, phi2, n2, e2)
-
 
 def filter_pairs(amps: np.ndarray, gamma1, gamma2) -> PairBranches:
     """Pass the signal photon of each pair through the device and split the
@@ -140,10 +124,19 @@ def filter_pairs(amps: np.ndarray, gamma1, gamma2) -> PairBranches:
 
 def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> EntangledBranches:
     """Pass the signal photon through the device and split the pair by its
-    exit path (`filter_pairs` with one pair)."""
+    exit path (`filter_pairs` with one pair); an empty branch has None for
+    its state and entanglement."""
     if state.basis != FULL_BASIS:
         raise ValueError("expected a two-photon state on the standard basis")
-    return filter_pairs(state.amps[None], gamma1, gamma2).row(0)
+    b = filter_pairs(state.amps[None], gamma1, gamma2)
+    out = []
+    for phi, n, e in ((b.phi1, b.n1, b.e1), (b.phi2, b.n2, b.e2)):
+        p = float(n[0])
+        if p < EMPTY_BRANCH_TOL:
+            out += [None, p, None]
+        else:
+            out += [StateVector(PAIR_BASIS, phi[0]), p, float(e[0])]
+    return EntangledBranches(*out)
 
 
 def output_entanglement(alpha: float, gamma1: float, gamma2: float):

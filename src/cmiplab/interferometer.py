@@ -106,20 +106,13 @@ def solve_gamma2(alpha: float, beta: float) -> float:
     """Plate angle that contracts the inner angle from alpha down to beta.
 
     Returns the device's internal (positive) parameter, the angle whose
-    cosine is c2 = tan(beta/2)/tan(alpha/2); see `contract_hardware_angle`
-    for the signed fast-axis-convention equivalent.
+    cosine is c2 = tan(beta/2)/tan(alpha/2).
     """
     _check_angle("alpha", alpha)
     _check_angle("beta", beta)
     if alpha < beta:
         raise ValueError(f"wrong branch: contraction needs beta <= alpha, got ({alpha}, {beta})")
     return _plate_angle(beta, alpha)
-
-
-def contract_hardware_angle(alpha: float, beta: float) -> float:
-    """Signed HWP2 angle, -arccos(-c2)/2, for the fast-axis-at-H mounting."""
-    c2 = math.cos(2 * solve_gamma2(alpha, beta))
-    return -0.5 * math.acos(max(-1.0, -c2))
 
 
 def plan_for(alpha: float, beta: float, phi: float = 0.0,

@@ -168,13 +168,6 @@ class ModeBasis:
         ax = self.axis(label)
         return ModeBasis(self.factors[:ax] + self.factors[ax + 1:])
 
-    def keep(self, labels) -> "ModeBasis":
-        keep_set = set(labels)
-        unknown = keep_set - set(self.labels)
-        if unknown:
-            raise ValueError(f"unknown factor labels {sorted(unknown)}")
-        return ModeBasis(tuple(f for f in self.factors if f[0] in keep_set))
-
 
 def polarization_basis(label: str = SIGNAL_POL) -> ModeBasis:
     return ModeBasis(((label, POL_SYMBOLS),))
@@ -219,19 +212,16 @@ def ensure_normalized(s: StateVector) -> StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Square matrix on a ModeBasis; unitary=True validates U†U = I."""
+    """Square matrix on a ModeBasis."""
 
     basis: ModeBasis
     matrix: np.ndarray = field(repr=False)
-    unitary: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         d = self.basis.dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
-        if self.unitary:
-            check_unitary_rows(m[None])
         object.__setattr__(self, "matrix", m)
 
 
@@ -313,22 +303,6 @@ def postselect(s: StateVector, factor: str, symbol: str):
     if prob < POSTSELECT_MIN:
         return None, prob
     return StateVector(s.basis.drop(factor), states[0]), prob
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every factor not named in `keep` (order preserved)."""
-    if isinstance(keep, str):
-        keep = [keep]
-    new_basis = rho.basis.keep(keep)
-    shape = rho.basis.shape
-    t = rho.matrix.reshape(shape + shape)
-    # contract traced (row, column) axis pairs from the highest row axis down
-    # so the positions of the remaining pairs stay aligned
-    traced_axes = [i for i, lab in enumerate(rho.basis.labels) if lab not in set(keep)]
-    for ax in reversed(traced_axes):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    d = new_basis.dim
-    return DensityMatrix(new_basis, t.reshape(d, d))
 
 
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:

@@ -75,10 +75,6 @@ class QkdConfig:
                     f"angle needs tan(theta/2) <= 1; require 0 < gamma1 <= "
                     f"gamma2 < pi/4")
 
-    @property
-    def thetas(self):
-        return theta_angles(self.gamma1, self.gamma2)
-
 
 def config_for_theta(theta: float, **kwargs) -> QkdConfig:
     """Config with theta1 = theta2 = theta: gamma1 = θ/4, gamma2 = π/4 − θ/4."""
@@ -147,7 +143,7 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     bob_bits = rng.stream(cfg.seed, "bob_bits")
     p_port1 = port_probability(cfg)
     table = _family_table(cfg)
-    thetas = cfg.thetas
+    thetas = theta_angles(cfg.gamma1, cfg.gamma2)
     cb = np.array([math.tan(thetas[0] / 2), math.tan(thetas[1] / 2)])
     if eve is not None:
         eta = cfg.eve.basis_angle

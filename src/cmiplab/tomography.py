@@ -144,12 +144,12 @@ def simulate_counts(rho: DensityMatrix, shots_per_setting: int | None,
     Setting i draws from the derived stream (seed, 'tomo', i), so settings are
     independent and the table is reproducible per seed.
     """
-    n_qubits = {2: 1, 4: 2}.get(rho.basis.dim)
-    if n_qubits is None:
-        raise ValueError(f"tomography handles 1 or 2 qubits, got dim {rho.basis.dim}")
+    catalog = next((c for c in CATALOG.values() if c.basis == rho.basis), None)
+    if catalog is None:
+        raise ValueError(f"tomography measures the H/V polarization of signal_pol or "
+                         f"(signal_pol, idler_pol), got {rho.basis.factors}")
     if shots_per_setting is not None and shots_per_setting < 1:
         raise ValueError(f"shots_per_setting must be >= 1, got {shots_per_setting}")
-    catalog = CATALOG[n_qubits]
     probs = np.clip(catalog.born(rho.matrix), 0.0, 1.0).tolist()
     counts = probs if shots_per_setting is None else [
         int(rng.stream(seed, "tomo", i).binomial(shots_per_setting, p))
@@ -198,8 +198,6 @@ def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoR
         raise ValueError("reconstruction collapsed to the zero matrix")
     rho_hat = DensityMatrix(basis, (V * (w / total)) @ V.conj().T)
     residual = float(np.sqrt(np.mean((catalog.born(rho_hat.matrix) - f) ** 2)))
-    fid = None
-    if target is not None:
-        fid = fidelity(rho_hat, StateVector(basis, target.amps))
+    fid = None if target is None else fidelity(rho_hat, target)
     conc = concurrence(rho_hat) if basis.dim == 4 else None
     return TomoReport(rho_hat, fid, conc, residual)

@@ -38,15 +38,15 @@ def test_angle_literal_rejects_garbage(bad):
 
 def test_angle_format_round_trip_is_stable():
     for text in ("1/2pi", "0.44pi", "-0.3", "arcsin 0.9"):
-        once = cli.format_angle(cli.parse_angle(text))
-        twice = cli.format_angle(cli.parse_angle(once))
+        once = repr(cli.parse_angle(text))
+        twice = repr(cli.parse_angle(once))
         assert once == twice
         assert cli.parse_angle(once) == cli.parse_angle(text)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_angle_format_round_trip_keeps_every_finite_float(x):
-    y = cli.parse_angle(cli.format_angle(x))
+    y = cli.parse_angle(repr(x))
     assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
 
 
@@ -230,10 +230,14 @@ def test_entangle_flag_exclusivity(tmp_path, capsys):
     code = run_cli("entangle", "--gamma2", "1/9pi", "--gamma1s", "0:1/4pi:5",
                    "--out", str(tmp_path / "x"))
     assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     code = run_cli("entangle", "--e-in", "0.5", "--alpha", "0.5",
                    "--gamma2", "1/9pi", "--gamma1s", "0:1/4pi:5",
                    "--out", str(tmp_path / "x"))
     assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_tomo_report_and_round_trip(tmp_path):
@@ -277,6 +281,14 @@ _BAD_STATE_FILES = {
                        "amplitudes": [[math.nan, 0.0], [0.0, 0.0]]}),
     # an executable's header: not UTF-8 text
     "not_utf8": b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100)),
+    # tomography measures polarization only: neither a path factor nor a
+    # lone idler may pass as the signal_pol catalog
+    "pol_and_path": json.dumps({
+        "basis": [{"factor": "signal_pol", "symbols": ["H", "V"]},
+                  {"factor": "signal_path", "symbols": ["1", "2"]}],
+        "amplitudes": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0.0]]}),
+    "idler_only": json.dumps({"basis": [{"factor": "idler_pol", "symbols": ["H", "V"]}],
+                              "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
 }
 
 
@@ -289,6 +301,9 @@ def test_tomo_bad_state_is_a_usage_error(spec, tmp_path, monkeypatch, capsys):
     assert run_cli("tomo", spec, "--shots", "100") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if spec == "json:not_utf8":
+        # names the file and gives the decoder's reason, not the bytes read
+        assert "not_utf8" in err and "invalid start byte" in err and len(err) < 200
 
 
 def test_tomo_nan_state_in_exact_mode_is_a_usage_error(tmp_path, capsys):

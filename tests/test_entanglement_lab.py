@@ -28,8 +28,6 @@ def test_config_validation_and_entanglement():
         elab.TwoPhotonConfig(-0.1)
     with pytest.raises(ValueError):
         elab.TwoPhotonConfig(3.2)
-    assert abs(elab.TwoPhotonConfig(math.pi / 2).entanglement - 1.0) < 1e-15
-    assert elab.TwoPhotonConfig(0.0).entanglement == 0.0
 
 
 def test_prepared_pair_amplitudes():

@@ -35,14 +35,6 @@ def test_solvers_reject_wrong_ordering():
         ifo.solve_gamma2(0.5, 0.8)  # contraction needs alpha >= beta
 
 
-def test_contract_hardware_angle_sign_and_magnitude():
-    a, b = math.pi / 2, math.pi / 4
-    hw = ifo.contract_hardware_angle(a, b)
-    assert hw < 0
-    # -acos(-c2)/2 is the solver angle shifted by a quarter turn
-    assert abs(hw - (ifo.solve_gamma2(a, b) - math.pi / 2)) < 1e-12
-
-
 def test_closed_form_probability_frozen_values():
     assert abs(ifo.closed_form_probability(math.pi / 4, math.pi / 2)
                - P_QUARTER_TO_HALF) < 1e-15

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmiplab.qcore import (IDLER_POL, DensityMatrix, ModeBasis, Operator,
+from cmiplab.qcore import (IDLER_POL, DensityMatrix, ModeBasis,
                            StateVector, apply_rows, check_density_rows,
                            check_unitary_rows, concurrence, ensure_normalized,
-                           fidelity, normalize_rows, partial_trace, path_basis,
+                           fidelity, normalize_rows, path_basis,
                            polarization_basis, postselect, state_from_json,
                            state_to_json)
 
@@ -50,13 +50,6 @@ def test_ensure_normalized_repairs_small_and_rejects_large():
     assert abs(repaired.norm - 1.0) < 1e-15
     with pytest.raises(ValueError):
         ensure_normalized(StateVector(basis, [1.01, 0.0]))
-
-
-def test_operator_unitarity_flag():
-    basis = polarization_basis()
-    Operator(basis, np.eye(2), unitary=True)
-    with pytest.raises(ValueError):
-        Operator(basis, np.array([[1.0, 0.0], [0.0, 2.0]]), unitary=True)
 
 
 def test_density_matrix_validation():
@@ -101,27 +94,6 @@ def test_postselect_probabilities_sum_to_one():
         for factor in ("a", "b"):
             total = sum(postselect(s, factor, sym)[1] for sym in ("H", "V"))
             assert abs(total - 1.0) < 1e-12
-
-
-def test_partial_trace_of_bell_state_is_maximally_mixed():
-    rho = DensityMatrix.from_state(bell_phi_plus())
-    red = partial_trace(rho, "a")
-    assert red.basis.labels == ("a",)
-    assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-14)
-
-
-def test_partial_trace_keeps_factor_order():
-    gen = np.random.default_rng(11)
-    basis = (polarization_basis("a").combine(polarization_basis("b"))
-             .combine(path_basis("c")))
-    v = gen.normal(size=8) + 1j * gen.normal(size=8)
-    rho = DensityMatrix.from_state(StateVector(basis, v / np.linalg.norm(v)))
-    red = partial_trace(rho, ["a", "c"])
-    assert red.basis.labels == ("a", "c")
-    assert abs(np.trace(red.matrix) - 1.0) < 1e-12
-    # tracing the remaining factors one at a time agrees
-    red2 = partial_trace(partial_trace(rho, ["a", "b", "c"]), ["a", "c"])
-    assert np.allclose(red.matrix, red2.matrix, atol=1e-14)
 
 
 def test_fidelity_pure_targets():
@@ -204,6 +176,5 @@ def test_state_json_round_trip_keeps_every_bit(case):
 def test_mode_basis_drop_and_keep():
     basis = TWO_QUBIT.combine(path_basis("c"))
     assert basis.drop("b").labels == ("a", "c")
-    assert basis.keep(["c", "a"]).labels == ("a", "c")  # original order wins
     with pytest.raises(ValueError):
         basis.drop("nope")

@@ -49,7 +49,7 @@ def test_config_validation():
 def test_config_for_theta_balances_the_ports():
     for theta in (math.pi / 3, 0.4 * math.pi, math.pi / 2):
         cfg = qkd42.config_for_theta(theta)
-        th1, th2 = cfg.thetas
+        th1, th2 = qkd42.theta_angles(cfg.gamma1, cfg.gamma2)
         assert abs(th1 - theta) < 1e-12 and abs(th2 - theta) < 1e-12
         assert abs(qkd42.port_probability(cfg) - 0.5) < 1e-12
 
@@ -57,7 +57,7 @@ def test_config_for_theta_balances_the_ports():
 def test_family_states_are_normalized_with_overlap_cos_theta():
     cfg = qkd42.QkdConfig(gamma1=0.2, gamma2=0.3)
     table = qkd42._family_table(cfg)
-    th1, th2 = cfg.thetas
+    th1, th2 = qkd42.theta_angles(cfg.gamma1, cfg.gamma2)
     for port, theta in ((1, th1), (2, th2)):
         s0, s1 = table[0, port - 1], table[1, port - 1]
         assert abs(np.dot(s0, s0) - 1.0) < 1e-12
