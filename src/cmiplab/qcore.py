@@ -124,6 +124,9 @@ class ModeBasis:
         labels = [lab for lab, _ in self.factors]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate factor labels in basis: {labels}")
+        for lab, syms in self.factors:
+            if len(set(syms)) != len(syms):
+                raise ValueError(f"duplicate symbols in factor {lab!r}: {list(syms)}")
 
     @property
     def labels(self) -> tuple[str, ...]:

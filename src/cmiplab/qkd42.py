@@ -87,12 +87,8 @@ def _family_table(cfg: QkdConfig) -> np.ndarray:
     s1, s2 = math.sin(2 * cfg.gamma1), math.sin(2 * cfg.gamma2)
     n1, n2 = math.hypot(c1, c2), math.hypot(s1, s2)
     enc = 1.0 if cfg.gamma0 > 0 else -1.0
-    table = np.empty((2, 2, 2))
-    for bit in (0, 1):
-        sign = enc * (1.0 if bit == 0 else -1.0)
-        table[bit, 0] = (c1 / n1, sign * c2 / n1)
-        table[bit, 1] = (s2 / n2, sign * s1 / n2)
-    return table
+    return np.array([[(c1 / n1, sign * c2 / n1), (s2 / n2, sign * s1 / n2)]
+                     for sign in (enc, -enc)])
 
 
 def port_probability(cfg: QkdConfig) -> float:
@@ -124,15 +120,18 @@ class SessionStats:
 def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     """Simulate a session in chunks of QKD_CHUNK pulses; returns SessionStats.
 
-    All randomness comes from streams derived from cfg.seed, one per role
-    (alice bits/ports, eve outcomes, bob guesses/paths/bits).  Each role's
-    generator lives across chunks, and a chunked draw equals one long draw,
-    so identical configs give identical statistics and logs whatever the
-    chunk size.  Sifting keeps matched-guess conclusive pulses; with no
-    eavesdropper those bits are always correct.  The statistics come from
-    integer tallies, so memory stays bounded however many pulses are asked
-    for.  When `log` is an open text stream, each chunk's rows of the pulse
-    log (see pulse_log_csv) are written to it as the chunk is produced.
+    Bob receives the sent state s = 2·bit + (port − 1), or Eve's outcome
+    s = 0 (e1) or 1 (e2), and guesses a family: outcome code
+    k = 2·s + (guess − 1).  Bob's path-1 and + chances are tables over k,
+    and Eve's e1 chance one over the sent state, built once per session;
+    each pulse compares its draws with table[k].  Draw order is output: the
+    streams derived from cfg.seed, one per role, draw the same kinds in the
+    same order in every chunk, and a chunked draw equals one long draw, so
+    a config gives the same statistics and log whatever the chunk size.
+    Sifting keeps matched-guess conclusive pulses, which without Eve are
+    always correct.  Integer tallies keep memory bounded.  When `log` is an
+    open text stream, each chunk's rows of the pulse log (see pulse_log_csv)
+    are written to it as they are made.
     """
     n = cfg.n_pulses
     alice_bits = rng.stream(cfg.seed, "alice_bits")
@@ -142,46 +141,44 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     bob_path = rng.stream(cfg.seed, "bob_path")
     bob_bits = rng.stream(cfg.seed, "bob_bits")
     p_port1 = port_probability(cfg)
-    table = _family_table(cfg)
-    thetas = theta_angles(cfg.gamma1, cfg.gamma2)
-    cb = np.array([math.tan(thetas[0] / 2), math.tan(thetas[1] / 2)])
+    states = _family_table(cfg).reshape(4, 2)  # row s = 2·bit + (port − 1)
     if eve is not None:
         eta = cfg.eve.basis_angle
         e1 = np.array([math.cos(eta), math.sin(eta)])
         e2 = np.array([-math.sin(eta), math.cos(eta)])
+        p_e1 = (states @ e1) ** 2
+        states = np.array([e1, e2])
+    cb = np.array([math.tan(th / 2) for th in theta_angles(cfg.gamma1, cfg.gamma2)])
+    cb_used = np.tile(cb, len(states))  # row k = 2·s + (guess − 1)
+    h, v = np.repeat(states, 2, axis=0).T
+    p_path1 = (cb_used * h) ** 2 + v ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_plus = np.where(p_path1 > 0, (cb_used * h + v) ** 2 / (2 * p_path1), 0.0)
+    # the public encoding sign tells Bob which ± outcome means bit 0
+    bit1_if = np.less if cfg.gamma0 < 0 else np.greater_equal
 
     matched = sifted = errors = monitor_clicks = 0
     for start in range(0, n, QKD_CHUNK):
         m = min(QKD_CHUNK, n - start)
         bits = alice_bits.integers(0, 2, m)
-        ports = np.where(alice_ports.random(m) < p_port1, 1, 2)
-        arriving = table[bits, ports - 1]  # (m, 2) real amplitudes
+        port2 = alice_ports.random(m) >= p_port1
+        s = 2 * bits + port2
         if eve is not None:
-            got_e1 = eve.random(m) < (arriving @ e1) ** 2
-            arriving = np.where(got_e1[:, None], e1, e2)
-
-        guesses = bob_guesses.integers(1, 3, m)
-        cb_used = cb[guesses - 1]
-        h, v = arriving[:, 0], arriving[:, 1]
-        p_path1 = (cb_used * h) ** 2 + v ** 2
-        monitor = bob_path.random(m) >= p_path1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_plus = np.where(p_path1 > 0, (cb_used * h + v) ** 2 / (2 * p_path1), 0.0)
-        bob = np.where(bob_bits.random(m) < p_plus, 0, 1)
-        if cfg.gamma0 < 0:
-            # the public encoding sign tells Bob which ± outcome means bit 0
-            bob = 1 - bob
-
-        match = guesses == ports
+            s = eve.random(m) >= p_e1[s]
+        guess2 = bob_guesses.integers(1, 3, m) == 2
+        k = 2 * s + guess2
+        monitor = bob_path.random(m) >= p_path1[k]
+        bob1 = bit1_if(bob_bits.random(m), p_plus[k])
+        match = guess2 == port2
         kept = match & ~monitor
-        matched += int(match.sum())
-        sifted += int(kept.sum())
-        errors += int((bob[kept] != bits[kept]).sum())
-        monitor_clicks += int(monitor.sum())
+        matched += int(np.count_nonzero(match))
+        sifted += int(np.count_nonzero(kept))
+        errors += int(np.count_nonzero(kept & (bob1 != bits)))
+        monitor_clicks += int(np.count_nonzero(monitor))
         if log is not None:
-            log.write(pulse_log_csv({"alice_bit": bits, "alice_output": ports,
-                                     "bob_guess": guesses, "monitor": monitor,
-                                     "bit": bob}, cfg.seed, start))
+            log.write(pulse_log_csv({"alice_bit": bits, "alice_output": port2 + 1,
+                                     "bob_guess": guess2 + 1, "monitor": monitor,
+                                     "bit": bob1.astype(int)}, cfg.seed, start))
 
     return SessionStats(
         n_pulses=n,

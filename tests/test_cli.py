@@ -289,6 +289,8 @@ _BAD_STATE_FILES = {
         "amplitudes": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0.0]]}),
     "idler_only": json.dumps({"basis": [{"factor": "idler_pol", "symbols": ["H", "V"]}],
                               "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
+    "duplicate_symbols": json.dumps({"basis": [{"factor": "signal_pol", "symbols": ["H", "H"]}],
+                                     "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
 }
 
 
@@ -304,6 +306,9 @@ def test_tomo_bad_state_is_a_usage_error(spec, tmp_path, monkeypatch, capsys):
     if spec == "json:not_utf8":
         # names the file and gives the decoder's reason, not the bytes read
         assert "not_utf8" in err and "invalid start byte" in err and len(err) < 200
+    if spec == "json:duplicate_symbols":
+        # the state loader rejects it, not tomography's basis match
+        assert "duplicate symbols in factor 'signal_pol'" in err
 
 
 def test_tomo_nan_state_in_exact_mode_is_a_usage_error(tmp_path, capsys):
@@ -360,6 +365,21 @@ def test_qkd_log_full_device_is_an_io_error(capsys):
     assert run_cli("qkd", "--pulses", "200000", "--log", "/dev/full") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write /dev/full") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd, opt, angle, rest", [
+    ("qkd", "--gamma0", "-1/8pi", ("--pulses", "500")),
+    ("cmip", "--alpha", "-pi", ("--betas", "0:pi:3", "--shots", "0")),
+], ids=["qkd_gamma0", "cmip_alpha"])
+def test_negative_angle_after_a_space(cmd, opt, angle, rest, monkeypatch, capsys):
+    # argparse would read "-1/8pi" as an option; the README allows a leading
+    # minus on every angle, so both spellings must mean the same
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    spaced = run_cli(cmd, opt, angle, *rest), capsys.readouterr()
+    joined = run_cli(cmd, f"{opt}={angle}", *rest), capsys.readouterr()
+    assert spaced == joined
+    if cmd == "qkd":
+        assert spaced[0] == 0 and json.loads(spaced[1].out)["n_pulses"] == 500
 
 
 def test_qkd_env_seed(tmp_path, monkeypatch, capsys):

@@ -158,6 +158,86 @@ def test_chunk_size_does_not_change_the_session(eve, monkeypatch):
     assert session() == whole
 
 
+def _reference_session(cfg, log):
+    """run_session's per-pulse chunk loop as it was before the outcome-code
+    tables: amplitudes and probabilities recomputed for every pulse."""
+    n = cfg.n_pulses
+    alice_bits = rng.stream(cfg.seed, "alice_bits")
+    alice_ports = rng.stream(cfg.seed, "alice_ports")
+    eve = rng.stream(cfg.seed, "eve") if cfg.eve is not None else None
+    bob_guesses = rng.stream(cfg.seed, "bob_guesses")
+    bob_path = rng.stream(cfg.seed, "bob_path")
+    bob_bits = rng.stream(cfg.seed, "bob_bits")
+    p_port1 = qkd42.port_probability(cfg)
+    table = qkd42._family_table(cfg)
+    thetas = qkd42.theta_angles(cfg.gamma1, cfg.gamma2)
+    cb = np.array([math.tan(thetas[0] / 2), math.tan(thetas[1] / 2)])
+    if eve is not None:
+        eta = cfg.eve.basis_angle
+        e1 = np.array([math.cos(eta), math.sin(eta)])
+        e2 = np.array([-math.sin(eta), math.cos(eta)])
+
+    matched = sifted = errors = monitor_clicks = 0
+    for start in range(0, n, qkd42.QKD_CHUNK):
+        m = min(qkd42.QKD_CHUNK, n - start)
+        bits = alice_bits.integers(0, 2, m)
+        ports = np.where(alice_ports.random(m) < p_port1, 1, 2)
+        arriving = table[bits, ports - 1]  # (m, 2) real amplitudes
+        if eve is not None:
+            got_e1 = eve.random(m) < (arriving @ e1) ** 2
+            arriving = np.where(got_e1[:, None], e1, e2)
+
+        guesses = bob_guesses.integers(1, 3, m)
+        cb_used = cb[guesses - 1]
+        h, v = arriving[:, 0], arriving[:, 1]
+        p_path1 = (cb_used * h) ** 2 + v ** 2
+        monitor = bob_path.random(m) >= p_path1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_plus = np.where(p_path1 > 0, (cb_used * h + v) ** 2 / (2 * p_path1), 0.0)
+        bob = np.where(bob_bits.random(m) < p_plus, 0, 1)
+        if cfg.gamma0 < 0:
+            # the public encoding sign tells Bob which ± outcome means bit 0
+            bob = 1 - bob
+
+        match = guesses == ports
+        kept = match & ~monitor
+        matched += int(match.sum())
+        sifted += int(kept.sum())
+        errors += int((bob[kept] != bits[kept]).sum())
+        monitor_clicks += int(monitor.sum())
+        if log is not None:
+            log.write(qkd42.pulse_log_csv({"alice_bit": bits, "alice_output": ports,
+                                           "bob_guess": guesses, "monitor": monitor,
+                                           "bit": bob}, cfg.seed, start))
+
+    return qkd42.SessionStats(
+        n_pulses=n,
+        sifted_key_length=sifted,
+        conclusive_rate=sifted / matched if matched else 0.0,
+        qber=errors / sifted if sifted > 0 else None,
+        monitor_click_rate=monitor_clicks / n,
+        seed=cfg.seed,
+    )
+
+
+# one basis angle drawn at random, fixed here so tier 1 stays reproducible
+ETA_RANDOM = float(np.random.default_rng(2026).uniform(-math.pi, math.pi))
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 1000])
+@pytest.mark.parametrize("gamma0", [math.pi / 8, -math.pi / 8], ids=["enc+", "enc-"])
+@pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8, ETA_RANDOM],
+                         ids=["no_eve", "hv", "pi8", "eta_random"])
+def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch):
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)  # chunk boundaries inside n
+    cfg = qkd42.QkdConfig(gamma1=0.2, gamma2=0.3, gamma0=gamma0, n_pulses=n,
+                          seed=n * 7919 + 13,
+                          eve=None if eve is None else qkd42.InterceptResend(eve))
+    got_log, ref_log = io.StringIO(), io.StringIO()
+    assert qkd42.run_session(cfg, got_log) == _reference_session(cfg, ref_log)
+    assert got_log.getvalue() == ref_log.getvalue()
+
+
 def test_session_memory_is_bounded():
     # 1e6 pulses drawn at once peak near 88 MiB; chunks keep it a few MiB
     cfg = qkd42.config_for_theta(math.pi / 2, n_pulses=1_000_000, seed=3,
