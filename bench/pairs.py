@@ -1,13 +1,13 @@
 """Benchmark the parent commit against the change, in alternating pairs.
 
-    python3 bench/pairs.py <n> [--pairs 10] [--seed 1]
+    python3 bench/pairs.py <n>
 
 Run from anywhere inside a git checkout.  The parent is HEAD~, checked out
 with `git worktree` into a temporary directory that is removed afterwards;
 the change is the working tree this script sits in.  For every workload in
-BENCHMARK.json, pair i runs `perfbench/run.py --trace 0 --seed <seed + i>`
-once on each side, the parent first in even pairs and the change first in
-odd ones, each for the benchmark's run_seconds.
+BENCHMARK.json, pair i of PAIRS runs `perfbench/run.py --trace 0 --seed
+<FIRST_SEED + i>` once on each side, the parent first in even pairs and the
+change first in odd ones, each for the benchmark's run_seconds.
 
 Writes BENCH_<n>.json at the root of the checkout.  Per workload it holds
 every run's result line and, for each side and end-to-end metric, the median
@@ -32,6 +32,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+#: a gain is read from its median and the parent's quartiles, and from the
+#: pairs it wins, so every trajectory file has at least ten pairs
+PAIRS = 10
+FIRST_SEED = 1
 
 
 def git(*args: str) -> str:
@@ -59,16 +63,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("n", type=int, help="the file written is BENCH_<n>.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("quartiles need --pairs >= 2")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seeds = [FIRST_SEED + i for i in range(PAIRS)]
     doc = {
         "parent": git("rev-parse", "HEAD~"),
         "change": git("rev-parse", "HEAD"),

@@ -314,12 +314,6 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-#: options whose value is an angle or a sweep of angles; argparse reads a
-#: value such as "-1/8pi" as an option, so main joins it to its option
-_ANGLE_OPTIONS = frozenset({"--alpha", "--betas", "--delta", "--gamma0",
-                            "--gamma1", "--gamma1s", "--gamma2", "--theta"})
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; the contract wants 1."""
 
@@ -387,9 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
+    # every option but --help takes one value, and argparse reads a value such
+    # as "-1/8pi" as an option unless it is joined on: --gamma0=-1/8pi
     for i in range(len(argv) - 1, 0, -1):  # from the right: a join moves no unseen token
         opt, value = argv[i - 1], argv[i]
-        if opt in _ANGLE_OPTIONS and value.startswith("-") and not value.startswith("--"):
+        if (opt.startswith("--") and "=" not in opt and not "--help".startswith(opt)
+                and value.startswith("-") and not value.startswith("--") and value != "-h"):
             argv[i - 1:i + 1] = [f"{opt}={value}"]
     try:
         args = parser.parse_args(argv)

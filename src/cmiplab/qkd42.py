@@ -87,8 +87,12 @@ def _family_table(cfg: QkdConfig) -> np.ndarray:
     s1, s2 = math.sin(2 * cfg.gamma1), math.sin(2 * cfg.gamma2)
     n1, n2 = math.hypot(c1, c2), math.hypot(s1, s2)
     enc = 1.0 if cfg.gamma0 > 0 else -1.0
-    return np.array([[(c1 / n1, sign * c2 / n1), (s2 / n2, sign * s1 / n2)]
-                     for sign in (enc, -enc)])
+    table = np.empty((2, 2, 2))
+    for bit in (0, 1):
+        sign = enc * (1.0 if bit == 0 else -1.0)
+        table[bit, 0] = (c1 / n1, sign * c2 / n1)
+        table[bit, 1] = (s2 / n2, sign * s1 / n2)
+    return table
 
 
 def port_probability(cfg: QkdConfig) -> float:
@@ -122,16 +126,15 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
 
     Bob receives the sent state s = 2·bit + (port − 1), or Eve's outcome
     s = 0 (e1) or 1 (e2), and guesses a family: outcome code
-    k = 2·s + (guess − 1).  Bob's path-1 and + chances are tables over k,
-    and Eve's e1 chance one over the sent state, built once per session;
-    each pulse compares its draws with table[k].  Draw order is output: the
-    streams derived from cfg.seed, one per role, draw the same kinds in the
-    same order in every chunk, and a chunked draw equals one long draw, so
-    a config gives the same statistics and log whatever the chunk size.
-    Sifting keeps matched-guess conclusive pulses, which without Eve are
-    always correct.  Integer tallies keep memory bounded.  When `log` is an
-    open text stream, each chunk's rows of the pulse log (see pulse_log_csv)
-    are written to it as they are made.
+    k = 2·s + (guess − 1).  Bob's path-1 and + chances are 8-entry tables
+    over k, and Eve's e1 chance a 4-entry one over the sent state, built once
+    per session; each pulse compares its draws with table[k].  Draw order is
+    output: each role draws from its own stream of cfg.seed, in the same
+    order in every chunk, and a chunked draw equals one long draw, so the
+    statistics and log do not depend on the chunk size.  Sifting keeps
+    matched-guess conclusive pulses, always correct without Eve.  Integer
+    tallies keep memory bounded.  When `log` is an open text stream, each
+    chunk's rows of the pulse log (see pulse_log_csv) are written to it.
     """
     n = cfg.n_pulses
     alice_bits = rng.stream(cfg.seed, "alice_bits")

@@ -1,6 +1,6 @@
 """Every committed BENCH_<n>.json, the perf trajectory written by
-bench/pairs.py, holds each workload's end-to-end medians and quartiles for
-both the parent and the change."""
+bench/pairs.py, holds at least ten alternating parent/change pairs and each
+workload's end-to-end medians and quartiles for both sides."""
 
 import json
 import math
@@ -21,7 +21,12 @@ def test_a_trajectory_file_is_committed():
 def test_bench_file_holds_every_workload_and_metric(path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert set(doc["workloads"]) == {w["name"] for w in SPEC["workloads"]}
+    assert len(doc["seeds"]) >= 10
     for name, entry in doc["workloads"].items():
+        # pairs alternate which side runs first, so drift favours neither
+        assert entry["first"] == [("parent", "change")[i % 2]
+                                  for i in range(len(doc["seeds"]))], name
+        assert len(entry["runs"]["parent"]) == len(entry["runs"]["change"]) == len(doc["seeds"])
         for side in ("parent", "change"):
             for metric in SPEC["end_to_end"]:
                 summary = entry[side][metric["name"]]

@@ -370,16 +370,25 @@ def test_qkd_log_full_device_is_an_io_error(capsys):
 @pytest.mark.parametrize("cmd, opt, angle, rest", [
     ("qkd", "--gamma0", "-1/8pi", ("--pulses", "500")),
     ("cmip", "--alpha", "-pi", ("--betas", "0:pi:3", "--shots", "0")),
-], ids=["qkd_gamma0", "cmip_alpha"])
-def test_negative_angle_after_a_space(cmd, opt, angle, rest, monkeypatch, capsys):
+    ("entangle", "--del", "-1/4pi",
+     ("--e-in", "0.5", "--gamma2", "0", "--gamma1s", "0:0.5:3", "--out", "x")),
+], ids=["qkd_gamma0", "cmip_alpha", "entangle_del_abbreviated"])
+def test_negative_angle_after_a_space(cmd, opt, angle, rest, tmp_path, monkeypatch, capsys):
     # argparse would read "-1/8pi" as an option; the README allows a leading
-    # minus on every angle, so both spellings must mean the same
+    # minus on every angle, so both spellings must mean the same, also for an
+    # option given by a prefix, as argparse allows
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
-    spaced = run_cli(cmd, opt, angle, *rest), capsys.readouterr()
-    joined = run_cli(cmd, f"{opt}={angle}", *rest), capsys.readouterr()
-    assert spaced == joined
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for spelling in ((opt, angle), (f"{opt}={angle}",)):
+        code = run_cli(cmd, *spelling, *rest)
+        files = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        runs.append((code, capsys.readouterr(), files))
+    assert runs[0] == runs[1]
     if cmd == "qkd":
-        assert spaced[0] == 0 and json.loads(spaced[1].out)["n_pulses"] == 500
+        assert runs[0][0] == 0 and json.loads(runs[0][1].out)["n_pulses"] == 500
+    if cmd == "entangle":
+        assert runs[0][0] == 0 and set(runs[0][2]) == {"x_n1.csv", "x_e1.csv"}
 
 
 def test_qkd_env_seed(tmp_path, monkeypatch, capsys):
