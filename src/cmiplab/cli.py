@@ -22,7 +22,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,34 +50,34 @@ _MULTIPLE = re.compile(r"^(\d+\.?\d*|\.\d+)?pi$")
 
 
 def parse_angle(text: str) -> float:
-    """Parse an angle literal to radians."""
+    """Parse an angle literal to radians.  A literal that names no finite
+    float (nan, inf, or a number past the float range) is a UsageError."""
     s = text.strip()
     sign = 1.0
     if s.startswith("-"):
         sign, s = -1.0, s[1:].strip()
-    if s.startswith("arcsin"):
-        try:
-            x = float(s[len("arcsin"):].strip())
-        except ValueError:
-            raise UsageError(f"cannot parse angle {text!r}") from None
-        if not -1.0 <= x <= 1.0:
-            raise UsageError(f"arcsin argument {x} outside [-1, 1]")
-        return sign * math.asin(x)
     compact = s.replace(" ", "")
-    m = _FRACTION.match(compact)
-    if m:
-        p, q = int(m.group(1)), int(m.group(2))
-        if q == 0:
-            raise UsageError(f"zero denominator in angle {text!r}")
-        return sign * p * math.pi / q
-    m = _MULTIPLE.match(compact)
-    if m:
-        k = float(m.group(1)) if m.group(1) else 1.0
-        return sign * k * math.pi
+    fraction, multiple = _FRACTION.match(compact), _MULTIPLE.match(compact)
+    arcsin = s.startswith("arcsin")
     try:
-        value = float(s)
-    except ValueError:
+        if arcsin:
+            value = float(s[len("arcsin"):].strip())
+        elif fraction:
+            value = int(fraction.group(1)) * math.pi / int(fraction.group(2))
+        elif multiple:
+            value = float(multiple.group(1) or 1.0) * math.pi
+        else:
+            value = float(s)
+    except ValueError:  # not a number, or an integer past int()'s digit limit
         raise UsageError(f"cannot parse angle {text!r}") from None
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in angle {text!r}") from None
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if arcsin:
+        if not -1.0 <= value <= 1.0:
+            raise UsageError(f"arcsin argument {value} outside [-1, 1]")
+        value = math.asin(value)
     if not math.isfinite(value):
         raise UsageError(f"angle {text!r} is not finite")
     return sign * value
@@ -89,26 +88,9 @@ def parse_angle(text: str) -> float:
 MAX_SWEEP_STEPS = 2 ** 31
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    name: str
-    start: float
-    stop: float
-    steps: int
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise UsageError(f"{self.name} sweep needs >= 2 steps, got {self.steps}")
-        if self.steps >= MAX_SWEEP_STEPS:
-            raise UsageError(f"{self.name} sweep needs < 2^31 steps, got {self.steps}")
-        if self.start == self.stop:
-            raise UsageError(f"{self.name} sweep endpoints coincide")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
-
-
-def parse_sweep(text: str, name: str) -> SweepSpec:
+def parse_sweep(text: str, name: str) -> np.ndarray:
+    """The inclusive grid of a "start:stop:steps" sweep, checked before it
+    is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(
@@ -117,7 +99,14 @@ def parse_sweep(text: str, name: str) -> SweepSpec:
         steps = int(parts[2])
     except ValueError:
         raise UsageError(f"sweep step count {parts[2]!r} is not an integer") from None
-    return SweepSpec(name, parse_angle(parts[0]), parse_angle(parts[1]), steps)
+    start, stop = parse_angle(parts[0]), parse_angle(parts[1])
+    if steps < 2:
+        raise UsageError(f"{name} sweep needs >= 2 steps, got {steps}")
+    if steps >= MAX_SWEEP_STEPS:
+        raise UsageError(f"{name} sweep needs < 2^31 steps, got {steps}")
+    if start == stop:
+        raise UsageError(f"{name} sweep endpoints coincide")
+    return np.linspace(start, stop, steps)
 
 
 def resolve_seed(flag_value: str | None) -> int:
@@ -199,10 +188,9 @@ def parse_state_spec(text: str) -> StateVector:
 
 def cmd_cmip(args) -> int:
     alpha = parse_angle(args.alpha)
-    sweep = parse_sweep(args.betas, "beta")
+    betas = parse_sweep(args.betas, "beta")
     shots = parse_shots(args.shots, allow_exact=False)
     seed = resolve_seed(args.seed)
-    betas = sweep.grid()
     p_closed, p_mc = ifo.success_probability_sweep(alpha, betas, shots, seed)
     with _open_out(args.out) as out:
         out.write(f"# seed={seed}\n")
@@ -227,9 +215,8 @@ def cmd_entangle(args) -> int:
         e_in = abs(math.sin(alpha))
     gamma2 = parse_angle(args.gamma2)
     delta = parse_angle(args.delta)
-    sweep = parse_sweep(args.gamma1s, "gamma1")
+    grid = parse_sweep(args.gamma1s, "gamma1")
     seed = resolve_seed(args.seed)
-    grid = sweep.grid()
     res = elab.concentration_sweep(alpha, grid, gamma2, delta)
 
     with _open_out(f"{args.out}_n1.csv") as out:

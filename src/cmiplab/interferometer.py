@@ -8,8 +8,8 @@ the heralded failures and carry no which-sign information.  `device_unitary`
 and `evolve` are the one device model, and they are array-shaped: a grid of
 plate settings and input states is evolved in one call, and every call
 returns its branches as `Branches` arrays, one row per pass.  `run_cmip` is
-the one-row call; the sweeps, the two-photon layer and the verify suite pass
-whole grids through it.
+the one-row call; whole grids go through `run_plans` (the β sweep), `evolve`
+(verify's grid checks) and the two-photon layer's `filter_pairs`.
 """
 
 from __future__ import annotations

@@ -18,11 +18,6 @@ import numpy as np
 
 from . import rng
 
-#: result labels of the pulse log; the path-1 ± measurement always clicks,
-#: so every pulse is one or the other
-RESULT_CONCLUSIVE = "conclusive"
-RESULT_MONITOR = "monitor"
-
 #: pulses simulated per pass of run_session; bounds its memory
 QKD_CHUNK = 65_536
 
@@ -165,9 +160,9 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
         m = min(QKD_CHUNK, n - start)
         bits = alice_bits.integers(0, 2, m)
         port2 = alice_ports.random(m) >= p_port1
-        s = 2 * bits + port2
+        s = sent = 2 * bits + port2
         if eve is not None:
-            s = eve.random(m) >= p_e1[s]
+            s = eve.random(m) >= p_e1[sent]
         guess2 = bob_guesses.integers(1, 3, m) == 2
         k = 2 * s + guess2
         monitor = bob_path.random(m) >= p_path1[k]
@@ -179,9 +174,8 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
         errors += int(np.count_nonzero(kept & (bob1 != bits)))
         monitor_clicks += int(np.count_nonzero(monitor))
         if log is not None:
-            log.write(pulse_log_csv({"alice_bit": bits, "alice_output": port2 + 1,
-                                     "bob_guess": guess2 + 1, "monitor": monitor,
-                                     "bit": bob1.astype(int)}, cfg.seed, start))
+            log.write(pulse_log_csv(8 * sent + 4 * guess2 + 2 * monitor + bob1,
+                                    cfg.seed, start))
 
     return SessionStats(
         n_pulses=n,
@@ -194,25 +188,23 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
 
 
 #: the pulse log's row after the pulse number, indexed by the 5-bit code
-#: alice_bit·16 + (port−1)·8 + (guess−1)·4 + monitor·2 + bit
+#: 8·sent + 4·(guess − 1) + 2·monitor + bit, sent = 2·alice_bit + (port − 1);
+#: the path-1 ± measurement always clicks, so a pulse not on the monitor is
+#: conclusive
 _ROW_SUFFIX = tuple(
-    f",{a},{o},{g},{RESULT_MONITOR},\n" if m else
-    f",{a},{o},{g},{RESULT_CONCLUSIVE},{b}\n"
+    f",{a},{o},{g},monitor,\n" if m else f",{a},{o},{g},conclusive,{b}\n"
     for a in (0, 1) for o in (1, 2) for g in (1, 2) for m in (0, 1) for b in (0, 1))
 
 
-def pulse_log_csv(pulses, seed: int, start: int) -> str:
+def pulse_log_csv(codes: np.ndarray, seed: int, start: int) -> str:
     """CSV rows of a run of pulses numbered from `start`, led by the
     "# seed=" and column header lines when start == 0.
 
-    `pulses` holds per-pulse arrays: alice_bit, alice_output, bob_guess,
-    monitor (bool) and bit (Bob's bit, meaningless on monitor pulses, whose
-    rows leave the bit empty).  run_session writes one call's text per chunk.
+    `codes` holds each pulse's 5-bit row code (see _ROW_SUFFIX); Bob's bit
+    is meaningless on monitor pulses, whose rows leave it empty.  run_session
+    writes one call's text per chunk.
     """
-    codes = (pulses["alice_bit"] * 16 + (pulses["alice_output"] - 1) * 8
-             + (pulses["bob_guess"] - 1) * 4 + pulses["monitor"] * 2
-             + pulses["bit"]).tolist()
     head = (f"# seed={seed}\npulse,alice_bit,alice_output,bob_guess,result,bit\n"
             if start == 0 else "")
     return head + "".join([str(i) + _ROW_SUFFIX[c]
-                           for i, c in enumerate(codes, start)])
+                           for i, c in enumerate(codes.tolist(), start)])

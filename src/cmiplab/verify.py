@@ -24,9 +24,8 @@ import numpy as np
 from . import entanglement_lab as elab
 from . import interferometer as ifo
 from . import qkd42, tomography
-from .qcore import (POSTSELECT_MIN, DensityMatrix, StateVector, apply_rows,
-                    concurrences, ensure_normalized, normalize_rows,
-                    polarization_basis, postselect_rows, row_norms)
+from .qcore import (POSTSELECT_MIN, DensityMatrix, apply_rows, concurrences,
+                    normalize_rows, postselect_rows, row_norms)
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,10 @@ def _check_unitarity(gen):
 
 
 def _check_normalization(gen):
-    s = StateVector(polarization_basis(), [1.0 + 3e-10, 0.0])
-    violations = int(not abs(ensure_normalized(s).norm - 1.0) < 1e-15)
+    repaired = normalize_rows(np.array([[1.0 + 3e-10, 0.0]], dtype=complex))
+    violations = int(not abs(row_norms(repaired)[0] - 1.0) < 1e-15)
     try:
-        ensure_normalized(StateVector(polarization_basis(), [1.01, 0.0]))
+        normalize_rows(np.array([[1.01, 0.0]], dtype=complex))
         violations += 1
     except ValueError:
         pass

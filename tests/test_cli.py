@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmiplab import cli, qkd42
@@ -50,8 +50,45 @@ def test_angle_format_round_trip_keeps_every_finite_float(x):
     assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
 
 
+#: a decimal literal past the float range
+HUGE = "1" * 400
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.from_regex(r"-?(\d{1,400}/\d{1,400}|\d{0,400}\.?\d{0,3})pi"
+                                 r"|-?arcsin ?\d{0,400}\.?\d*|-?\d{1,400}(\.\d*)?",
+                                 fullmatch=True))
+@example(f"{HUGE}/1pi")
+@example(f"1/{HUGE}pi")
+@example(f"{HUGE}pi")
+@example(f"-{HUGE}")
+@example(f"{'1' * 5000}/1pi")  # past int()'s digit limit
+def test_angle_literal_is_a_finite_float_or_a_usage_error(text):
+    try:
+        value = cli.parse_angle(text)
+    except cli.UsageError:
+        return
+    assert isinstance(value, float) and math.isfinite(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cmip", f"--alpha={HUGE}/1pi", "--betas", "0.9:1/2pi:4", "--shots", "0"),
+    ("cmip", f"--alpha=1/{HUGE}pi", "--betas", "0.9:1/2pi:4", "--shots", "0"),
+    ("entangle", "--e-in", "0.5", "--gamma2", "0", "--gamma1s", "0:0.5:3",
+     f"--delta={HUGE}pi", "--out", "x"),
+    ("tomo", f"two_photon(0.5, {HUGE}pi)"),
+    ("qkd", f"--theta={HUGE}", "--pulses", "100"),
+], ids=["cmip_numerator", "cmip_denominator", "entangle_delta", "tomo_delta", "qkd_theta"])
+def test_angles_past_the_float_range_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_sweep_spec():
-    grid = cli.parse_sweep("0:pi:5", "beta").grid()
+    grid = cli.parse_sweep("0:pi:5", "beta")
     assert grid.shape == (5,)
     assert grid[0] == 0.0 and grid[-1] == math.pi
     assert np.all(np.diff(grid) > 0)
@@ -71,17 +108,21 @@ def test_sweep_spec():
 ], ids=["cmip_1e20", "cmip_int64_max", "entangle_1e12"])
 def test_huge_sweeps_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     # the step count is rejected before any grid exists
-    def no_grid(self):
-        raise AssertionError("grid built for an oversized sweep")
+    grids = []
 
-    monkeypatch.setattr(cli.SweepSpec, "grid", no_grid)
+    def linspace(start, stop, num):
+        grids.append(num)
+        return num
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
     monkeypatch.chdir(tmp_path)
     assert cli.main(list(argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "2^31" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
-    assert cli.parse_sweep(f"0:pi:{cli.MAX_SWEEP_STEPS - 1}", "beta").steps \
+    assert grids == []
+    assert cli.parse_sweep(f"0:pi:{cli.MAX_SWEEP_STEPS - 1}", "beta") \
         == cli.MAX_SWEEP_STEPS - 1
 
 
@@ -291,6 +332,9 @@ _BAD_STATE_FILES = {
                               "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
     "duplicate_symbols": json.dumps({"basis": [{"factor": "signal_pol", "symbols": ["H", "H"]}],
                                      "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
+    # its squared norm is past the float range
+    "overflow": json.dumps({"basis": _QUBIT_BASIS,
+                            "amplitudes": [[1e200, 0.0], [0.0, 0.0]]}),
 }
 
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from cmiplab.qcore import (IDLER_POL, DensityMatrix, ModeBasis,
                            StateVector, apply_rows, check_density_rows,
-                           check_unitary_rows, concurrence, ensure_normalized,
-                           fidelity, normalize_rows, path_basis,
-                           polarization_basis, postselect, state_from_json,
+                           check_unitary_rows, concurrence, fidelity,
+                           normalize_rows, path_basis, polarization_basis,
+                           postselect, row_norms, state_from_json,
                            state_to_json)
 
 TWO_QUBIT = polarization_basis("a").combine(polarization_basis("b"))
@@ -44,12 +44,17 @@ def test_state_keeps_raw_amplitudes_until_normalized():
     assert abs(n.amps[h] - 0.6) < 1e-15 and abs(n.norm - 1.0) < 1e-15
 
 
-def test_ensure_normalized_repairs_small_and_rejects_large():
-    basis = polarization_basis()
-    repaired = ensure_normalized(StateVector(basis, [1.0 + 3e-10, 0.0]))
-    assert abs(repaired.norm - 1.0) < 1e-15
+def test_normalize_rows_repairs_small_and_rejects_large():
+    repaired = normalize_rows(np.array([[1.0 + 3e-10, 0.0]], dtype=complex))
+    assert abs(row_norms(repaired)[0] - 1.0) < 1e-15
     with pytest.raises(ValueError):
-        ensure_normalized(StateVector(basis, [1.01, 0.0]))
+        normalize_rows(np.array([[1.01, 0.0]], dtype=complex))
+    # fidelity repairs its target the same way
+    basis = polarization_basis()
+    rho = DensityMatrix(basis, np.diag([1.0, 0.0]))
+    assert fidelity(rho, StateVector(basis, [1.0 + 3e-10, 0.0])) == 1.0
+    with pytest.raises(ValueError):
+        fidelity(rho, StateVector(basis, [1.01, 0.0]))
 
 
 def test_density_matrix_validation():

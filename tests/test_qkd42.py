@@ -160,7 +160,8 @@ def test_chunk_size_does_not_change_the_session(eve, monkeypatch):
 
 def _reference_session(cfg, log):
     """run_session's per-pulse chunk loop as it was before the outcome-code
-    tables: amplitudes and probabilities recomputed for every pulse."""
+    tables: amplitudes and probabilities recomputed for every pulse, and the
+    log rows written one by one rather than through pulse_log_csv."""
     n = cfg.n_pulses
     alice_bits = rng.stream(cfg.seed, "alice_bits")
     alice_ports = rng.stream(cfg.seed, "alice_ports")
@@ -206,9 +207,12 @@ def _reference_session(cfg, log):
         errors += int((bob[kept] != bits[kept]).sum())
         monitor_clicks += int(monitor.sum())
         if log is not None:
-            log.write(qkd42.pulse_log_csv({"alice_bit": bits, "alice_output": ports,
-                                           "bob_guess": guesses, "monitor": monitor,
-                                           "bit": bob}, cfg.seed, start))
+            if start == 0:
+                log.write(f"# seed={cfg.seed}\n"
+                          "pulse,alice_bit,alice_output,bob_guess,result,bit\n")
+            for i in range(m):
+                result = "monitor," if monitor[i] else f"conclusive,{bob[i]}"
+                log.write(f"{start + i},{bits[i]},{ports[i]},{guesses[i]},{result}\n")
 
     return qkd42.SessionStats(
         n_pulses=n,
