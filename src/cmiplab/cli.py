@@ -106,6 +106,8 @@ def parse_sweep(text: str, name: str) -> np.ndarray:
         raise UsageError(f"{name} sweep needs < 2^31 steps, got {steps}")
     if start == stop:
         raise UsageError(f"{name} sweep endpoints coincide")
+    if not math.isfinite(stop - start):
+        raise UsageError(f"{name} sweep span {parts[0]}:{parts[1]} is past the float range")
     return np.linspace(start, stop, steps)
 
 

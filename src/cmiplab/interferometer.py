@@ -9,7 +9,8 @@ and `evolve` are the one device model, and they are array-shaped: a grid of
 plate settings and input states is evolved in one call, and every call
 returns its branches as `Branches` arrays, one row per pass.  `run_cmip` is
 the one-row call; whole grids go through `run_plans` (the β sweep), `evolve`
-(verify's grid checks) and the two-photon layer's `filter_pairs`.
+(verify's grid checks), the two-photon layer's `filter_pairs` and the key
+session's tables in `qkd42.run_session`.
 """
 
 from __future__ import annotations
@@ -64,21 +65,13 @@ class CmipPlan:
     def branch(self) -> str:
         return EXPAND if self.alpha <= self.beta else CONTRACT
 
-    @property
-    def gamma1(self) -> float:
-        return solve_gamma1(self.alpha, self.beta) if self.branch == EXPAND else 0.0
-
-    @property
-    def gamma2(self) -> float:
-        return solve_gamma2(self.alpha, self.beta) if self.branch == CONTRACT else 0.0
-
     def plates(self) -> tuple[float, float, float, float]:
         """The `device_unitary` arguments (γ1, γ2, φH, φV) of this setting,
         solving the active plate once; the phase plate of the active branch
         (φ′ on H when contracting, φ on V when expanding) is applied."""
         if self.branch == EXPAND:
-            return self.gamma1, 0.0, 0.0, self.phi
-        return 0.0, self.gamma2, self.phi_prime, 0.0
+            return solve_gamma1(self.alpha, self.beta), 0.0, 0.0, self.phi
+        return 0.0, solve_gamma2(self.alpha, self.beta), self.phi_prime, 0.0
 
 
 def _plate_angle(lo: float, hi: float) -> float:
@@ -117,8 +110,8 @@ def solve_gamma2(alpha: float, beta: float) -> float:
 
 def plan_for(alpha: float, beta: float, phi: float = 0.0,
              phi_prime: float = 0.0) -> CmipPlan:
-    """The setting that takes inner angle alpha to beta; its branch and
-    plate angles are derived from (alpha, beta) when read."""
+    """The setting that takes inner angle alpha to beta; its branch is
+    derived from (alpha, beta) when read, its plate angles by `plates()`."""
     return CmipPlan(alpha, beta, phi, phi_prime)
 
 

@@ -5,7 +5,9 @@ whichever output port fired, giving two families of two non-orthogonal
 states with inner angles θ1, θ2.  Bob guesses the family, expands the pair
 to orthogonal (θ → π/2) with the heralded device, and reads the ± basis on
 path 1; path-2 clicks are the monitor channel.  Sifting keeps pulses where
-the guess matched the sent port and the click was conclusive.
+the guess matched the sent port and the click was conclusive.  Both device
+passes run through the interferometer engine; `theta_angles` is the only
+closed form here.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import interferometer as ifo
 from . import rng
 
 #: pulses simulated per pass of run_session; bounds its memory
@@ -76,26 +79,6 @@ def config_for_theta(theta: float, **kwargs) -> QkdConfig:
     return QkdConfig(gamma1=theta / 4, gamma2=math.pi / 4 - theta / 4, **kwargs)
 
 
-def _family_table(cfg: QkdConfig) -> np.ndarray:
-    """Sent states indexed [bit, port-1] as rows of (H, V) amplitudes."""
-    c1, c2 = math.cos(2 * cfg.gamma1), math.cos(2 * cfg.gamma2)
-    s1, s2 = math.sin(2 * cfg.gamma1), math.sin(2 * cfg.gamma2)
-    n1, n2 = math.hypot(c1, c2), math.hypot(s1, s2)
-    enc = 1.0 if cfg.gamma0 > 0 else -1.0
-    table = np.empty((2, 2, 2))
-    for bit in (0, 1):
-        sign = enc * (1.0 if bit == 0 else -1.0)
-        table[bit, 0] = (c1 / n1, sign * c2 / n1)
-        table[bit, 1] = (s2 / n2, sign * s1 / n2)
-    return table
-
-
-def port_probability(cfg: QkdConfig) -> float:
-    """Amplitude-derived chance that a pulse exits port 1."""
-    c1, c2 = math.cos(2 * cfg.gamma1), math.cos(2 * cfg.gamma2)
-    return (c1 ** 2 + c2 ** 2) / 2.0
-
-
 @dataclass(frozen=True)
 class SessionStats:
     n_pulses: int
@@ -123,10 +106,12 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     s = 0 (e1) or 1 (e2), and guesses a family: outcome code
     k = 2·s + (guess − 1).  Bob's path-1 and + chances are 8-entry tables
     over k, and Eve's e1 chance a 4-entry one over the sent state, built once
-    per session; each pulse compares its draws with table[k].  Draw order is
-    output: each role draws from its own stream of cfg.seed, in the same
-    order in every chunk, and a chunked draw equals one long draw, so the
-    statistics and log do not depend on the chunk size.  Sifting keeps
+    per session by the device engine: Alice's inputs, then the arriving
+    states under Bob's `plan_for(θ_guess, π/2)` plates, are evolved through
+    one `device_unitary` stack.  Each pulse compares its draws with table[k].
+    Draw order is output: each role draws from its own stream of cfg.seed, in
+    the same order in every chunk, and a chunked draw equals one long draw,
+    so the statistics and log do not depend on the chunk size.  Sifting keeps
     matched-guess conclusive pulses, always correct without Eve.  Integer
     tallies keep memory bounded.  When `log` is an open text stream, each
     chunk's rows of the pulse log (see pulse_log_csv) are written to it.
@@ -138,20 +123,25 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     bob_guesses = rng.stream(cfg.seed, "bob_guesses")
     bob_path = rng.stream(cfg.seed, "bob_path")
     bob_bits = rng.stream(cfg.seed, "bob_bits")
-    p_port1 = port_probability(cfg)
-    states = _family_table(cfg).reshape(4, 2)  # row s = 2·bit + (port − 1)
+    # rows: Alice's bits 0 and 1, then Bob's k = 2·s + (guess − 1)
+    bob_plates = [ifo.plan_for(th, math.pi / 2).plates()
+                  for th in theta_angles(cfg.gamma1, cfg.gamma2)]
+    plates = [(cfg.gamma1, cfg.gamma2, 0.0, 0.0)] * 2 + bob_plates * (4 if eve is None else 2)
+    U = ifo.device_unitary(*zip(*plates))
+    enc = 1.0 if cfg.gamma0 > 0 else -1.0
+    alice = ifo.evolve(U[:2], np.kron([[1, enc], [1, -enc]], [[1, 0]]) / math.sqrt(2),
+                       ifo.BASIS)
+    p_port1 = alice.p_success[0]
+    states = np.stack([alice.success, alice.failure], axis=1).reshape(4, 2)
     if eve is not None:
         eta = cfg.eve.basis_angle
         e1 = np.array([math.cos(eta), math.sin(eta)])
         e2 = np.array([-math.sin(eta), math.cos(eta)])
-        p_e1 = (states @ e1) ** 2
+        p_e1 = np.abs(states @ e1) ** 2  # port-2 rows carry a global phase
         states = np.array([e1, e2])
-    cb = np.array([math.tan(th / 2) for th in theta_angles(cfg.gamma1, cfg.gamma2)])
-    cb_used = np.tile(cb, len(states))  # row k = 2·s + (guess − 1)
-    h, v = np.repeat(states, 2, axis=0).T
-    p_path1 = (cb_used * h) ** 2 + v ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_plus = np.where(p_path1 > 0, (cb_used * h + v) ** 2 / (2 * p_path1), 0.0)
+    bob = ifo.evolve(U[2:], np.repeat(np.kron(states, [[1, 0]]), 2, axis=0), ifo.BASIS)
+    p_path1 = bob.p_success
+    p_plus = np.abs(bob.success.sum(axis=1)) ** 2 / 2
     # the public encoding sign tells Bob which ± outcome means bit 0
     bit1_if = np.less if cfg.gamma0 < 0 else np.greater_equal
 

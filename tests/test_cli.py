@@ -78,7 +78,10 @@ def test_angle_literal_is_a_finite_float_or_a_usage_error(text):
      f"--delta={HUGE}pi", "--out", "x"),
     ("tomo", f"two_photon(0.5, {HUGE}pi)"),
     ("qkd", f"--theta={HUGE}", "--pulses", "100"),
-], ids=["cmip_numerator", "cmip_denominator", "entangle_delta", "tomo_delta", "qkd_theta"])
+    ("cmip", "--alpha", "1/4pi", "--betas", "-1e308:1e308:3", "--shots", "0"),
+    ("entangle", "--alpha", "1", "--gamma2", "0", "--gamma1s", "-1e308:1e308:3", "--out", "x"),
+], ids=["cmip_numerator", "cmip_denominator", "entangle_delta", "tomo_delta", "qkd_theta",
+        "cmip_sweep_span", "entangle_sweep_span"])
 def test_angles_past_the_float_range_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(list(argv)) == 1
@@ -98,6 +101,8 @@ def test_sweep_spec():
         cli.parse_sweep("0:pi", "beta")
     with pytest.raises(cli.UsageError):
         cli.parse_sweep("0:0:4", "beta")
+    with pytest.raises(cli.UsageError, match="float range"):
+        cli.parse_sweep("1e308:-1e308:3", "beta")  # the span overflows
 
 
 @pytest.mark.parametrize("argv", [

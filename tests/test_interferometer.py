@@ -54,8 +54,7 @@ def test_unambiguous_discrimination_limit():
 def test_plan_for_picks_branch_by_ordering():
     assert ifo.plan_for(0.4, 1.0).branch == ifo.EXPAND
     assert ifo.plan_for(1.0, 0.4).branch == ifo.CONTRACT
-    plan = ifo.plan_for(0.7, 0.7)
-    assert plan.gamma1 == 0.0 and plan.gamma2 == 0.0
+    assert ifo.plan_for(0.7, 0.7).plates() == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_device_unitary_is_unitary_at_zero_phase():
@@ -67,10 +66,10 @@ def test_device_unitary_is_unitary_at_zero_phase():
 def test_plan_unitary_places_the_phase_plates():
     # phi acts on the V input when expanding, phi' on the H input when contracting
     expand = ifo.plan_for(0.5, 1.3, phi=0.8, phi_prime=0.4)
-    want = ifo.device_unitary(expand.gamma1, expand.gamma2, 0.0, 0.8)[0]
+    want = ifo.device_unitary(ifo.solve_gamma1(0.5, 1.3), 0.0, 0.0, 0.8)[0]
     assert np.array_equal(ifo.device_unitary(*expand.plates())[0], want)
     contract = ifo.plan_for(1.3, 0.5, phi=0.8, phi_prime=0.4)
-    want = ifo.device_unitary(contract.gamma1, contract.gamma2, 0.4, 0.0)[0]
+    want = ifo.device_unitary(0.0, ifo.solve_gamma2(1.3, 0.5), 0.4, 0.0)[0]
     assert np.array_equal(ifo.device_unitary(*contract.plates())[0], want)
 
 

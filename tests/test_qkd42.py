@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cmiplab import entanglement_lab as elab
 from cmiplab import interferometer as ifo
 from cmiplab import qkd42, rng
 
@@ -51,17 +52,23 @@ def test_config_for_theta_balances_the_ports():
         cfg = qkd42.config_for_theta(theta)
         th1, th2 = qkd42.theta_angles(cfg.gamma1, cfg.gamma2)
         assert abs(th1 - theta) < 1e-12 and abs(th2 - theta) < 1e-12
-        assert abs(qkd42.port_probability(cfg) - 0.5) < 1e-12
+        p_port1 = elab.branch_probabilities(math.pi / 2, cfg.gamma1, cfg.gamma2)[0]
+        assert abs(p_port1 - 0.5) < 1e-12
 
 
 def test_family_states_are_normalized_with_overlap_cos_theta():
-    cfg = qkd42.QkdConfig(gamma1=0.2, gamma2=0.3)
-    table = qkd42._family_table(cfg)
-    th1, th2 = qkd42.theta_angles(cfg.gamma1, cfg.gamma2)
-    for port, theta in ((1, th1), (2, th2)):
-        s0, s1 = table[0, port - 1], table[1, port - 1]
-        assert abs(np.dot(s0, s0) - 1.0) < 1e-12
-        assert abs(np.dot(s0, s1) - math.cos(theta)) < 1e-12
+    # the engine's both-plates pass of (|H> ± |V>)/sqrt2, split by output port
+    amps = np.array([[1, 0, 1, 0], [1, 0, -1, 0]]) / math.sqrt(2)
+    for cfg in (qkd42.QkdConfig(gamma1=0.2, gamma2=0.3),
+                *(qkd42.config_for_theta(theta)
+                  for theta in (math.pi / 3, 0.4 * math.pi, math.pi / 2))):
+        U = ifo.device_unitary([cfg.gamma1] * 2, [cfg.gamma2] * 2)
+        out = ifo.evolve(U, amps, ifo.BASIS)
+        for (plus, minus), theta in zip((out.success, out.failure),
+                                        qkd42.theta_angles(cfg.gamma1, cfg.gamma2)):
+            assert abs(np.vdot(plus, plus) - 1.0) < 1e-12
+            assert abs(np.vdot(minus, minus) - 1.0) < 1e-12
+            assert abs(abs(np.vdot(plus, minus)) - math.cos(theta)) < 1e-12
 
 
 def test_session_without_eve_is_error_free():
@@ -158,10 +165,31 @@ def test_chunk_size_does_not_change_the_session(eve, monkeypatch):
     assert session() == whole
 
 
+def _closed_form_port1(cfg):
+    """Chance that a pulse exits Alice's port 1, from the plate amplitudes."""
+    c1, c2 = math.cos(2 * cfg.gamma1), math.cos(2 * cfg.gamma2)
+    return (c1 ** 2 + c2 ** 2) / 2.0
+
+
+def _closed_form_families(cfg):
+    """Sent states indexed [bit, port-1] as rows of real (H, V) amplitudes."""
+    c1, c2 = math.cos(2 * cfg.gamma1), math.cos(2 * cfg.gamma2)
+    s1, s2 = math.sin(2 * cfg.gamma1), math.sin(2 * cfg.gamma2)
+    n1, n2 = math.hypot(c1, c2), math.hypot(s1, s2)
+    enc = 1.0 if cfg.gamma0 > 0 else -1.0
+    table = np.empty((2, 2, 2))
+    for bit in (0, 1):
+        sign = enc * (1.0 if bit == 0 else -1.0)
+        table[bit, 0] = (c1 / n1, sign * c2 / n1)
+        table[bit, 1] = (s2 / n2, sign * s1 / n2)
+    return table
+
+
 def _reference_session(cfg, log):
-    """run_session's per-pulse chunk loop as it was before the outcome-code
-    tables: amplitudes and probabilities recomputed for every pulse, and the
-    log rows written one by one rather than through pulse_log_csv."""
+    """run_session's per-pulse chunk loop on closed forms rather than the
+    device engine: amplitudes and probabilities recomputed for every pulse
+    from the plate formulas, and the log rows written one by one rather than
+    through pulse_log_csv."""
     n = cfg.n_pulses
     alice_bits = rng.stream(cfg.seed, "alice_bits")
     alice_ports = rng.stream(cfg.seed, "alice_ports")
@@ -169,8 +197,8 @@ def _reference_session(cfg, log):
     bob_guesses = rng.stream(cfg.seed, "bob_guesses")
     bob_path = rng.stream(cfg.seed, "bob_path")
     bob_bits = rng.stream(cfg.seed, "bob_bits")
-    p_port1 = qkd42.port_probability(cfg)
-    table = qkd42._family_table(cfg)
+    p_port1 = _closed_form_port1(cfg)
+    table = _closed_form_families(cfg)
     thetas = qkd42.theta_angles(cfg.gamma1, cfg.gamma2)
     cb = np.array([math.tan(thetas[0] / 2), math.tan(thetas[1] / 2)])
     if eve is not None:
