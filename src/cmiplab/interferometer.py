@@ -194,9 +194,9 @@ def target_state(beta: float, sign: int) -> StateVector:
 class Branches(NamedTuple):
     """Path-split result of n device passes, one row per pass.
 
-    `success`/`failure` hold the renormalized branch states on `basis` (the
-    input basis without the signal path); a branch whose probability is
-    below 1e-15 has no state and an all-zero row.
+    `success`/`failure` hold the renormalized path-1/path-2 states on `basis`
+    (the input basis without the signal path: for pairs, both polarizations);
+    a branch whose probability is below 1e-15 has no state and an all-zero row.
     """
 
     basis: ModeBasis

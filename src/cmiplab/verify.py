@@ -119,7 +119,9 @@ def _check_delta_independence(gen):
                       for a in alphas for d in deltas])
     pol, _ = postselect_rows(normalize_rows(pairs), elab.FULL_BASIS, "signal_path", "1")
     br = elab.filter_pairs(pairs, 0.3, 0.2)
-    vals = np.stack([concurrences(pol), br.n1, br.e1, br.e2], axis=1).reshape(7, 9, 4)
+    e1 = elab.branch_concurrences(br.success, br.p_success)
+    e2 = elab.branch_concurrences(br.failure, br.p_failure)
+    vals = np.stack([concurrences(pol), br.p_success, e1, e2], axis=1).reshape(7, 9, 4)
     return np.max(np.abs(vals[:, 1:] - vals[:, :1]))
 
 
@@ -205,7 +207,9 @@ def _check_entanglement_brute_force(gen):
     closed = np.array([elab.branch_probabilities(a, g1, g2)
                        + elab.output_entanglement(a, g1, g2)
                        for a, g1, g2 in zip(np.repeat(alphas, 100), g1s, g2s)], dtype=float)
-    brute = np.stack([br.n1, br.n2, br.e1, br.e2], axis=1)
+    e1 = elab.branch_concurrences(br.success, br.p_success)
+    e2 = elab.branch_concurrences(br.failure, br.p_failure)
+    brute = np.stack([br.p_success, br.p_failure, e1, e2], axis=1)
     # an empty branch (NaN on either side) has nothing to compare
     return np.nanmax(np.abs(closed - brute))
 

@@ -1,13 +1,15 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmiplab import cli, qkd42
@@ -110,7 +112,11 @@ def test_sweep_spec():
     ("cmip", "--alpha", "1/4pi", "--betas", "0:pi:9223372036854775807", "--shots", "0"),
     ("entangle", "--e-in", "0.5", "--gamma1s", "0:0.5:1000000000000", "--gamma2", "0",
      "--out", "fig"),
-], ids=["cmip_1e20", "cmip_int64_max", "entangle_1e12"])
+    # the cap: a sweep of 2^19 - 1 points peaks near 0.5 GiB
+    ("cmip", "--alpha", "1/4pi", "--betas", f"0:pi:{2 ** 19}", "--shots", "10"),
+    ("entangle", "--e-in", "0.5", "--gamma1s", f"0:0.5:{2 ** 19}", "--gamma2", "0",
+     "--out", "fig"),
+], ids=["cmip_1e20", "cmip_int64_max", "entangle_1e12", "cmip_2^19", "entangle_2^19"])
 def test_huge_sweeps_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     # the step count is rejected before any grid exists
     grids = []
@@ -124,7 +130,7 @@ def test_huge_sweeps_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert cli.main(list(argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "2^31" in err and "Traceback" not in err
+    assert f"< {cli.MAX_SWEEP_STEPS} steps" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
     assert grids == []
     assert cli.parse_sweep(f"0:pi:{cli.MAX_SWEEP_STEPS - 1}", "beta") \
@@ -491,3 +497,134 @@ def test_console_entry_point_subprocess(tmp_path):
                          capture_output=True, text=True, env=env)
     assert bad.returncode == 1
     assert "error:" in bad.stderr
+
+
+# --- a grammar fuzzer for the whole CLI boundary ---
+
+def _mostly(valid, edge):
+    """Values from `valid` three times in four, else from `edge`."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else edge)
+
+
+#: angle literals: the valid forms, then edge values and malformed ones
+_angles = _mostly(
+    st.one_of(st.floats(0.0, math.pi).map(repr),
+              st.builds("{}/8pi".format, st.integers(0, 8)),
+              st.sampled_from(("pi", "0.44pi", "arcsin 0.51", "-1/8pi", "1 / 9 pi"))),
+    st.one_of(st.floats(-4.0, 4.0).map(repr),
+              st.sampled_from(("-0", "-pi", "-arcsin 1", "arcsin 2", "1/0pi", "nan", "inf",
+                               "-inf", "5e-324", "-5e-324", "2.2e-308", "1e-170",
+                               str(2 ** 31), str(2 ** 63), "1e308", "-1e308", f"{HUGE}pi",
+                               "", "x", "pip"))))
+#: every step count, pulse count and shot count a run accepts is small;
+#: oversize values come only from the range the CLI rejects
+_OVERSIZE = (str(2 ** 63), str(2 ** 64), "1" * 30)
+_steps = _mostly(st.integers(2, 64).map(str),
+                 st.sampled_from(("-2", "0", "1", str(2 ** 19), str(2 ** 31), *_OVERSIZE,
+                                  "x", "1.5", "")))
+_sweeps = _mostly(st.builds("{}:{}:{}".format, _angles, _angles, _steps),
+                  st.sampled_from(("0:pi", "0:1:2:3", "::", "0:pi:3:")))
+_BAD_COUNTS = ("-1", *_OVERSIZE, "1e3", "x", "")
+_shots = _mostly(st.one_of(st.integers(0, 10 ** 4).map(str), st.just("exact")),
+                 st.sampled_from((str(2 ** 63 - 1), *_BAD_COUNTS)))
+_pulses = _mostly(st.integers(1, 10 ** 4).map(str), st.sampled_from(("0", *_BAD_COUNTS)))
+_seeds = _mostly(st.integers(0, 2 ** 64 - 1).map(str),
+                 st.sampled_from(("-1", str(2 ** 64), "x", "")))
+_outs = _mostly(st.sampled_from(("out.txt", "-")), st.sampled_from((".", "nodir/out.txt")))
+_state_files = {**_BAD_STATE_FILES,
+                "qubit": json.dumps({"basis": _QUBIT_BASIS,
+                                     "amplitudes": [[0.6, 0.0], [0.0, 0.8]]})}
+_states = _mostly(
+    st.one_of(st.builds("{}({})".format, st.sampled_from(
+                  ("psi_plus", "psi_minus", "phi_plus", "phi_minus")), _angles),
+              st.builds("two_photon({}, {})".format, _angles, _angles),
+              st.just("json:../in/qubit")),
+    st.sampled_from((*(f"json:../in/{name}" for name in _BAD_STATE_FILES), "json:../in/absent",
+                     "bell()", "psi_plus(1, 2)", "two_photon(1)", "json:", "psi_plus")))
+
+#: the strategy for each option's value
+_VALUES = {
+    "--alpha": _angles, "--betas": _sweeps, "--shots": _shots, "--seed": _seeds,
+    "--out": _outs, "--gamma2": _angles, "--gamma1s": _sweeps, "--delta": _angles,
+    "--e-in": _mostly(st.floats(0.0, 1.0).map(repr), st.sampled_from(("1.5", "-0.1", "nan", "x"))),
+    "--counts-out": _outs, "--emit-target": _outs, "--theta": _angles, "--gamma1": _angles,
+    "--gamma0": _angles, "--pulses": _pulses, "--log": _outs,
+    "--eve": _mostly(st.sampled_from(("intercept", "intercept:1/8pi")),
+                     st.one_of(st.just("teleport"), _angles.map("intercept:{}".format))),
+    "--mutate": _mostly(st.just("gamma1"), st.just("gamma2")),
+}
+#: per subcommand, the options a run needs (a tuple: one of them), each
+#: given nine times in ten, and the optional ones, each given half the time
+_COMMANDS = {
+    "cmip": (("--alpha", "--betas"), ("--shots", "--seed", "--out")),
+    "entangle": ((("--e-in", "--alpha"), "--gamma2", "--gamma1s", "--out"),
+                 ("--delta", "--seed")),
+    "tomo": ((), ("--shots", "--seed", "--out", "--counts-out", "--emit-target")),
+    "qkd": ((), ("--theta", "--gamma1", "--gamma2", "--gamma0", "--pulses", "--seed", "--eve",
+                 "--log", "--out")),
+    "verify": ((), ("--mutate",)),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(_mostly(st.sampled_from(list(_COMMANDS)),
+                           st.sampled_from(("frobnicate", ""))))
+    argv = [command] if command else []
+    if command == "tomo":
+        argv.append(draw(_states))
+    needed, optional = _COMMANDS.get(command, ((), ()))
+    chosen = [draw(st.sampled_from(o)) if isinstance(o, tuple) else o
+              for o in needed if draw(st.integers(0, 9))]
+    chosen += [o for o in optional if draw(st.booleans())]
+    for opt in draw(st.permutations(chosen)):
+        value = draw(_VALUES[opt])
+        if draw(st.integers(0, 3)) == 0:  # argparse takes a unique prefix
+            cut = draw(st.integers(3, len(opt)))
+            opt = opt if "--help".startswith(opt[:cut]) else opt[:cut]
+        argv += [f"{opt}={value}"] if draw(st.booleans()) else [opt, value]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("--bogus", "extra"))))
+    return argv
+
+
+def _run_in(where, argv):
+    """cli.main on argv in a fresh directory: the exit code, stdout, stderr
+    and the bytes of every file it wrote."""
+    where.mkdir()
+    cwd = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        os.chdir(where)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    files = {str(p.relative_to(where)): p.read_bytes()
+             for p in sorted(where.rglob("*")) if p.is_file()}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+@example(argv=["entangle", "--gamma1s", "0:1e308:2", "--gamma2", "0", "--e-in", "0",
+               "--out", "fig"])  # 2·γ1 overflowed in a numpy scalar: a warning line
+def test_cli_grammar_fuzz(argv, tmp_path, monkeypatch):
+    # any argv the grammar builds ends in a documented exit code, with no
+    # escaping exception and at most one "error:" line; a run that succeeds
+    # writes the same bytes again
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    inputs = tmp_path / "in"
+    if not inputs.exists():
+        inputs.mkdir()
+        for name, data in _state_files.items():
+            (inputs / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+    runs = len(list(tmp_path.iterdir()))
+    first = _run_in(tmp_path / f"run{runs}", argv)
+    code, _, err, _ = first
+    assert code in (0, 1, 2, 3)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                         and err.endswith("\n")), err
+    if code == 0:
+        assert _run_in(tmp_path / f"run{runs + 1}", argv) == first

@@ -118,18 +118,22 @@ def test_batched_pair_rows_equal_single_filters(rows):
     g1s = np.array([r[2] for r in rows])
     g2s = np.array([r[3] for r in rows])
     batch = elab.filter_pairs(np.array([s.amps for s in states]), g1s, g2s)
+    assert batch.basis == elab.PAIR_BASIS
+    e1 = elab.branch_concurrences(batch.success, batch.p_success)
+    e2 = elab.branch_concurrences(batch.failure, batch.p_failure)
     for i, state in enumerate(states):
         one = elab.apply_cmip_signal(state, float(g1s[i]), float(g2s[i]))
-        assert batch.n1[i] == one.n1 and batch.n2[i] == one.n2
-        assert same_entanglement(batch.e1[i], one.e1)
-        assert same_entanglement(batch.e2[i], one.e2)
-        for phi, n, single in ((batch.phi1, one.n1, one.phi1), (batch.phi2, one.n2, one.phi2)):
+        assert batch.p_success[i] == one.n1 and batch.p_failure[i] == one.n2
+        assert same_entanglement(e1[i], one.e1)
+        assert same_entanglement(e2[i], one.e2)
+        for phi, n, single in ((batch.success, one.n1, one.phi1),
+                               (batch.failure, one.n2, one.phi2)):
             if n >= elab.EMPTY_BRANCH_TOL:
                 assert np.array_equal(phi[i], single.amps)
             else:
                 assert single is None
     if not (g1s.any() or g2s.any()):
-        assert np.all(batch.n2 == 0.0) and np.all(np.isnan(batch.e2))
+        assert np.all(batch.p_failure == 0.0) and np.all(np.isnan(e2))
 
 
 @settings(max_examples=40, deadline=None)

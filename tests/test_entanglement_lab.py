@@ -5,7 +5,7 @@ import pytest
 
 from cmiplab import entanglement_lab as elab
 from cmiplab import interferometer as ifo
-from cmiplab.qcore import apply_rows
+from cmiplab.qcore import apply_rows, concurrences
 
 # frozen solutions for gamma2 = pi/9 and the three input entanglement values
 # used in the concentration curves (alpha = arcsin E, full precision)
@@ -184,6 +184,20 @@ def test_concentration_sweep_columns():
     assert np.max(np.abs(cols["e1_closed"][good] - cols["e1_state"][good])) < 1e-9
     assert abs(cols["n1_closed"][0]
                - elab.branch_probabilities(math.asin(0.51), 0.0, math.pi / 4)[0]) < 1e-15
+
+
+def test_concentration_sweep_runs_wootters_on_path_1_only(monkeypatch):
+    # entangle prints only the path-1 concurrence; with gamma2 = 0 every
+    # path-2 branch but the first is live, so a path-2 pass would show
+    rows = []
+
+    def counting(states):
+        rows.append(len(states))
+        return concurrences(states)
+
+    monkeypatch.setattr(elab, "concurrences", counting)
+    elab.concentration_sweep(math.asin(0.51), np.linspace(0.0, math.pi / 4, 100), 0.0)
+    assert sum(rows) == 100
 
 
 def test_n1_at_closed_first_plate():
