@@ -4,8 +4,7 @@ concentration of photon pairs, state tomography, and a 4+2 key-distribution
 session model."""
 
 from .interferometer import (Branches, CmipPlan, closed_form_probability,
-                             plan_for, run_cmip, sample_runs, solve_gamma1,
-                             solve_gamma2)
+                             plan_for, run_cmip, solve_gamma1, solve_gamma2)
 from .qcore import (DensityMatrix, StateVector, concurrence, fidelity,
                     postselect)
 from .qkd42 import QkdConfig, config_for_theta, run_session
@@ -17,6 +16,5 @@ __all__ = [
     "Branches", "CmipPlan", "DensityMatrix", "QkdConfig", "StateVector",
     "closed_form_probability", "concurrence", "config_for_theta", "fidelity",
     "plan_for", "postselect", "reconstruct", "run_cmip", "run_session",
-    "sample_runs", "simulate_counts", "solve_gamma1", "solve_gamma2",
-    "__version__",
+    "simulate_counts", "solve_gamma1", "solve_gamma2", "__version__",
 ]

@@ -243,10 +243,10 @@ def cmd_tomo(args) -> int:
         raise UsageError("tomography needs shots >= 1 or 'exact'")
     seed = resolve_seed(args.seed)
     table = tomography.simulate_counts(DensityMatrix.from_state(target), shots, seed)
-    if args.counts_out:
+    if args.counts_out is not None:
         with _open_out(args.counts_out) as out:
             out.write(table.to_csv())
-    if args.emit_target:
+    if args.emit_target is not None:
         with _open_out(args.emit_target) as out:
             out.write(state_to_json(target) + "\n")
     report = tomography.reconstruct(table, target=target)
@@ -255,31 +255,31 @@ def cmd_tomo(args) -> int:
     return EXIT_OK
 
 
-def _parse_eve(text: str | None):
+def _parse_eve(text: str | None) -> float | None:
     if text is None:
         return None
     if text == "intercept":
-        return qkd42.InterceptResend(0.0)
+        return 0.0
     if text.startswith("intercept:"):
-        return qkd42.InterceptResend(parse_angle(text[len("intercept:"):]))
+        return parse_angle(text[len("intercept:"):])
     raise UsageError(f"unknown eavesdropper policy {text!r} "
                      f"(use intercept or intercept:<angle>)")
 
 
 def cmd_qkd(args) -> int:
     seed = resolve_seed(args.seed)
-    eve = _parse_eve(args.eve)
     common = dict(gamma0=parse_angle(args.gamma0), n_pulses=args.pulses,
-                  seed=seed, eve=eve)
+                  seed=seed, eve_basis=_parse_eve(args.eve))
     if args.theta is not None:
         if args.gamma1 is not None or args.gamma2 is not None:
             raise UsageError("--theta replaces --gamma1/--gamma2")
         cfg = qkd42.config_for_theta(parse_angle(args.theta), **common)
     else:
-        cfg = qkd42.QkdConfig(gamma1=parse_angle(args.gamma1 or "1/8pi"),
-                              gamma2=parse_angle(args.gamma2 or "1/8pi"), **common)
+        cfg = qkd42.QkdConfig(
+            gamma1=parse_angle("1/8pi" if args.gamma1 is None else args.gamma1),
+            gamma2=parse_angle("1/8pi" if args.gamma2 is None else args.gamma2), **common)
     # the log streams to its file chunk by chunk as the session runs
-    with _open_out(args.log) if args.log else nullcontext() as log:
+    with nullcontext() if args.log is None else _open_out(args.log) as log:
         stats = qkd42.run_session(cfg, log=log)
     with _open_out(args.out) as out:
         out.write(stats.to_json() + "\n")

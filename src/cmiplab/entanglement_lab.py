@@ -138,11 +138,15 @@ def output_entanglement(alpha: float, gamma1: float, gamma2: float):
     return e1, e2
 
 
+def _check_plate(name: str, gamma: float):
+    if not 0.0 <= gamma <= math.pi / 4:
+        raise ValueError(f"{name} = {gamma} outside [0, pi/4]")
+
+
 def concentration_predicate(alpha: float, gamma1: float, gamma2: float) -> bool:
     """True when the path-1 branch is at least as entangled as the input."""
-    for name, g in (("gamma1", gamma1), ("gamma2", gamma2)):
-        if not 0.0 <= g <= math.pi / 4:
-            raise ValueError(f"{name} = {g} outside [0, pi/4]")
+    _check_plate("gamma1", gamma1)
+    _check_plate("gamma2", gamma2)
     c1, c2 = math.cos(2 * gamma1), math.cos(2 * gamma2)
     lhs = (c1 - c2) ** 2 - math.cos(alpha) * (c2 ** 2 - c1 ** 2)
     return lhs <= 0.0
@@ -180,8 +184,10 @@ def concentration_sweep(alpha: float, gamma1_grid, gamma2: float, delta: float =
     """
     gamma1_grid = np.asarray(gamma1_grid, dtype=float)
     state = prepare_two_photon(TwoPhotonConfig(alpha, delta))
+    _check_plate("gamma2", gamma2)
     cols = {k: np.empty(gamma1_grid.size) for k in ("n1_closed", "e1_closed")}
-    for i, g1 in enumerate(gamma1_grid.tolist()):  # floats: 2γ1 overflows without a warning
+    for i, g1 in enumerate(gamma1_grid.tolist()):
+        _check_plate("gamma1", g1)
         cols["n1_closed"][i] = branch_probabilities(alpha, g1, gamma2)[0]
         e1c, _ = output_entanglement(alpha, g1, gamma2)
         cols["e1_closed"][i] = np.nan if e1c is None else e1c

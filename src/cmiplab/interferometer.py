@@ -194,12 +194,12 @@ def target_state(beta: float, sign: int) -> StateVector:
 class Branches(NamedTuple):
     """Path-split result of n device passes, one row per pass.
 
-    `success`/`failure` hold the renormalized path-1/path-2 states on `basis`
-    (the input basis without the signal path: for pairs, both polarizations);
-    a branch whose probability is below 1e-15 has no state and an all-zero row.
+    `success`/`failure` hold the renormalized path-1/path-2 states on the
+    input basis without the signal path: the signal polarization for the
+    device alone, both polarizations (`PAIR_BASIS`) for pairs.  A branch
+    whose probability is below 1e-15 has no state and an all-zero row.
     """
 
-    basis: ModeBasis
     success: np.ndarray
     p_success: np.ndarray
     failure: np.ndarray
@@ -221,7 +221,7 @@ def evolve(U: np.ndarray, amps: np.ndarray, basis: ModeBasis) -> Branches:
         return (*postselect_rows(out, basis, "signal_path", "1"),
                 *postselect_rows(out, basis, "signal_path", "2"))
 
-    return Branches(basis.drop("signal_path"), *in_chunks(chunk, U, amps))
+    return Branches(*in_chunks(chunk, U, amps))
 
 
 def run_plans(input_sign: int, plans) -> Branches:
@@ -237,34 +237,25 @@ def run_cmip(input_sign: int, plan: CmipPlan) -> Branches:
     return run_plans(input_sign, [plan])
 
 
-def sample_runs(input_sign: int, plans, shots: int, seeds) -> list[int]:
-    """Heralded successes out of `shots` for each plan, one binomial draw from
-    the stream (seed, 'sample_runs') per plan; identical (plans, shots,
-    seeds) give identical counts.
-
-    The probability comes from the evolved state (run_plans), not from the
-    closed form, so statistical comparisons against the closed form remain a
-    two-route check.  It can exceed 1 by rounding (1 + 4e-16 at beta =
-    alpha), within the norm repair bound, so it is clipped into [0, 1] here.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = np.clip(run_plans(input_sign, plans).p_success, 0.0, 1.0)
-    return [int(rng.stream(seed, "sample_runs").binomial(shots, p))
-            for p, seed in zip(probs, seeds)]
-
-
 def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
     """Closed-form and Monte Carlo success probabilities over a beta grid.
 
     Returns (p_closed, p_mc) arrays; p_mc is None when shots == 0 (closed
-    form only).  The whole grid is evolved in one call; point i draws from
-    the derived seed (seed, 'cmip_sweep', i).
+    form only).  The whole grid is evolved in one call, and point i draws its
+    successes from the stream (derive(seed, 'cmip_sweep', i), 'sample_runs').
+    p_mc comes from the evolved state, not the closed form, so comparing the
+    columns is a two-route check; rounding can lift a probability to 1 + 4e-16
+    (at beta = alpha, within the norm repair bound), so it is clipped into
+    [0, 1] before the draw.
     """
     betas = np.asarray(betas, dtype=float)
     p_closed = np.array([closed_form_probability(alpha, b) for b in betas])
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     if shots == 0:
         return p_closed, None
     plans = [plan_for(alpha, float(b)) for b in betas]
-    seeds = [rng.derive(seed, "cmip_sweep", i) for i in range(betas.size)]
-    return p_closed, np.array(sample_runs(+1, plans, shots, seeds)) / shots
+    probs = np.clip(run_plans(+1, plans).p_success, 0.0, 1.0)
+    counts = [rng.stream(rng.derive(seed, "cmip_sweep", i), "sample_runs").binomial(shots, p)
+              for i, p in enumerate(probs)]
+    return p_closed, np.array(counts) / shots

@@ -6,9 +6,9 @@ every operation returns a new value, so concurrent use needs no locking.
 
 The arithmetic is array-shaped: the `*_rows` functions and `concurrences`
 act on a stack of n states or matrices at once and validate each stack with
-one vectorised check.  `StateVector.norm`, the `DensityMatrix` check,
-`postselect`, `fidelity` and `concurrence` are the n = 1 calls into them, so
-a row of a batch and the scalar call give the same bits.
+one vectorised check.  The `DensityMatrix` check, `postselect`, `fidelity`
+and `concurrence` are the n = 1 calls into them, so a row of a batch and the
+scalar call give the same bits.
 """
 
 from __future__ import annotations
@@ -199,10 +199,6 @@ class StateVector:
             raise ValueError(
                 f"amplitude length {a.size} != basis dimension {self.basis.dim}")
         object.__setattr__(self, "amps", a)
-
-    @property
-    def norm(self) -> float:
-        return float(row_norms(self.amps[None])[0])
 
 
 @dataclass(frozen=True)

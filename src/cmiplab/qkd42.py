@@ -40,24 +40,18 @@ def theta_angles(gamma1: float, gamma2: float):
 
 
 @dataclass(frozen=True)
-class InterceptResend:
-    """Single projective basis per pulse: {(cos η, sin η), (−sin η, cos η)}.
-
-    basis_angle = 0 is the H/V policy; π/8 is the intermediate basis halfway
-    between H/V and the ±45° signal states.
-    """
-
-    basis_angle: float = 0.0
-
-
-@dataclass(frozen=True)
 class QkdConfig:
+    """`eve_basis` is the angle η of an intercept-resend eavesdropper, who
+    measures each pulse in the basis {(cos η, sin η), (−sin η, cos η)}, or
+    None for none: η = 0 is the H/V policy, π/8 the intermediate basis
+    halfway between H/V and the ±45° signal states."""
+
     gamma1: float = math.pi / 8
     gamma2: float = math.pi / 8
     gamma0: float = math.pi / 8
     n_pulses: int = 10_000
     seed: int = 42
-    eve: InterceptResend | None = None
+    eve_basis: float | None = None
 
     def __post_init__(self):
         if abs(abs(self.gamma0) - math.pi / 8) > 1e-12:
@@ -119,7 +113,7 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     n = cfg.n_pulses
     alice_bits = rng.stream(cfg.seed, "alice_bits")
     alice_ports = rng.stream(cfg.seed, "alice_ports")
-    eve = rng.stream(cfg.seed, "eve") if cfg.eve is not None else None
+    eve = rng.stream(cfg.seed, "eve") if cfg.eve_basis is not None else None
     bob_guesses = rng.stream(cfg.seed, "bob_guesses")
     bob_path = rng.stream(cfg.seed, "bob_path")
     bob_bits = rng.stream(cfg.seed, "bob_bits")
@@ -134,7 +128,7 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     p_port1 = alice.p_success[0]
     states = np.stack([alice.success, alice.failure], axis=1).reshape(4, 2)
     if eve is not None:
-        eta = cfg.eve.basis_angle
+        eta = cfg.eve_basis
         e1 = np.array([math.cos(eta), math.sin(eta)])
         e2 = np.array([-math.sin(eta), math.cos(eta)])
         p_e1 = np.abs(states @ e1) ** 2  # port-2 rows carry a global phase

@@ -247,11 +247,10 @@ def _check_qkd_no_eve(gen):
 
 
 def _check_determinism(gen):
-    plan = ifo.plan_for(0.7, 1.9)
-    a = ifo.sample_runs(+1, [plan], 5000, [42])
-    b = ifo.sample_runs(+1, [plan], 5000, [42])
+    _, a = ifo.success_probability_sweep(0.7, [1.9], 5000, 42)
+    _, b = ifo.success_probability_sweep(0.7, [1.9], 5000, 42)
     cfg = qkd42.QkdConfig(n_pulses=5000, seed=42)
-    return (a != b) + (qkd42.run_session(cfg) != qkd42.run_session(cfg))
+    return (not np.array_equal(a, b)) + (qkd42.run_session(cfg) != qkd42.run_session(cfg))
 
 
 def run_all(gamma1_solver=None, seed: int = 20260824) -> list[CheckResult]:

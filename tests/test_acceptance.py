@@ -200,7 +200,7 @@ def test_criterion_8_qkd_session(acceptance):
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / (0.45 * n))
             assert abs(st.conclusive_rate - p) <= 4 * sigma + 1e-9
         eve = qkd42.run_session(qkd42.config_for_theta(
-            math.pi / 2, n_pulses=n, seed=SEED, eve=qkd42.InterceptResend(0.0)))
+            math.pi / 2, n_pulses=n, seed=SEED, eve_basis=0.0))
         sigma = math.sqrt(0.25 / eve.sifted_key_length)
         assert abs(eve.qber - 0.5) <= 4 * sigma
         assert time.perf_counter() - start < 30.0
@@ -211,7 +211,7 @@ def test_criterion_8_qkd_session(acceptance):
     "1/4 is what the pi/8 intermediate basis gives"))
 def test_criterion_8_intercept_qber_quoted_literal():
     eve = qkd42.run_session(qkd42.config_for_theta(
-        math.pi / 2, n_pulses=100_000, seed=SEED, eve=qkd42.InterceptResend(0.0)))
+        math.pi / 2, n_pulses=100_000, seed=SEED, eve_basis=0.0))
     sigma = math.sqrt(0.25 * 0.75 / eve.sifted_key_length)
     assert abs(eve.qber - 0.25) <= 4 * sigma
 

@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CHILD = """
 import json, sys
 from pathlib import Path
+import numpy as np
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracer import Tracer
 tracer = Tracer()
@@ -37,7 +38,7 @@ from cmiplab.qcore import state_from_json
 pair = state_from_json(Path("pair.json").read_text(encoding="utf-8"))
 print(json.dumps({"metrics": sorted(tracer.layer_metrics(1, [], 0)),
                   "pair_labels": list(pair.basis.labels),
-                  "pair_norm": pair.norm, "session": session}))
+                  "pair_norm": float(np.linalg.norm(pair.amps)), "session": session}))
 """
 
 

@@ -92,6 +92,35 @@ def test_angles_past_the_float_range_are_usage_errors(argv, tmp_path, monkeypatc
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("opt, value, name", [("--gamma2", "1e308", "gamma2"),
+                                              ("--gamma1s", "0:1e308:2", "gamma1")],
+                         ids=["gamma2", "gamma1s"])
+def test_entangle_plate_angles_outside_their_range_are_usage_errors(
+        opt, value, name, tmp_path, monkeypatch, capsys):
+    # the one error line names the plate and its range
+    monkeypatch.chdir(tmp_path)
+    args = {"--e-in": "0", "--gamma2": "0", "--gamma1s": "0:1/4pi:2", "--out": "fig", opt: value}
+    assert run_cli("entangle", *(x for item in args.items() for x in item)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err == f"error: {name} = 1e+308 outside [0, pi/4]\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("qkd", "--gamma1=", "--pulses", "100"), 1, "error: cannot parse angle ''"),
+    (("qkd", "--gamma2=", "--pulses", "100"), 1, "error: cannot parse angle ''"),
+    (("tomo", "psi_plus(1/4pi)", "--counts-out="), 2, "error: cannot write : "),
+    (("tomo", "psi_plus(1/4pi)", "--emit-target="), 2, "error: cannot write : "),
+    (("qkd", "--log=", "--pulses", "100"), 2, "error: cannot write : "),
+], ids=["qkd_gamma1", "qkd_gamma2", "tomo_counts_out", "tomo_emit_target", "qkd_log"])
+def test_an_empty_option_value_is_not_an_absent_option(argv, code, err, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1
+
+
 def test_sweep_spec():
     grid = cli.parse_sweep("0:pi:5", "beta")
     assert grid.shape == (5,)
@@ -524,6 +553,15 @@ _steps = _mostly(st.integers(2, 64).map(str),
                                   "x", "1.5", "")))
 _sweeps = _mostly(st.builds("{}:{}:{}".format, _angles, _angles, _steps),
                   st.sampled_from(("0:pi", "0:1:2:3", "::", "0:pi:3:")))
+#: entangle's plate angles: valid ones in [0, pi/4], edge ones outside it;
+#: a plate sweep's edge values are the general sweep's
+_valid_plates = st.one_of(st.floats(0.0, math.pi / 4).map(repr),
+                          st.builds("{}/16pi".format, st.integers(0, 4)))
+_plates = _mostly(_valid_plates,
+                  st.one_of(st.floats(math.pi / 4, 4.0, exclude_min=True).map(repr),
+                            st.sampled_from(("-5e-324", "-1/8pi", "1/2pi", "1e308", "nan", "x"))))
+_plate_sweeps = _mostly(st.builds("{}:{}:{}".format, _valid_plates, _valid_plates, _steps),
+                        _sweeps)
 _BAD_COUNTS = ("-1", *_OVERSIZE, "1e3", "x", "")
 _shots = _mostly(st.one_of(st.integers(0, 10 ** 4).map(str), st.just("exact")),
                  st.sampled_from((str(2 ** 63 - 1), *_BAD_COUNTS)))
@@ -545,7 +583,7 @@ _states = _mostly(
 #: the strategy for each option's value
 _VALUES = {
     "--alpha": _angles, "--betas": _sweeps, "--shots": _shots, "--seed": _seeds,
-    "--out": _outs, "--gamma2": _angles, "--gamma1s": _sweeps, "--delta": _angles,
+    "--out": _outs, "--gamma2": _plates, "--gamma1s": _plate_sweeps, "--delta": _angles,
     "--e-in": _mostly(st.floats(0.0, 1.0).map(repr), st.sampled_from(("1.5", "-0.1", "nan", "x"))),
     "--counts-out": _outs, "--emit-target": _outs, "--theta": _angles, "--gamma1": _angles,
     "--gamma0": _angles, "--pulses": _pulses, "--log": _outs,
@@ -610,6 +648,8 @@ def _run_in(where, argv):
 @given(argv=cli_argv())
 @example(argv=["entangle", "--gamma1s", "0:1e308:2", "--gamma2", "0", "--e-in", "0",
                "--out", "fig"])  # 2·γ1 overflowed in a numpy scalar: a warning line
+@example(argv=["entangle", "--e-in", "0", "--gamma2", "1e308", "--gamma1s", "0:1:2",
+               "--out", "fig"])  # cos(2·γ2) of an infinite angle: "math domain error"
 def test_cli_grammar_fuzz(argv, tmp_path, monkeypatch):
     # any argv the grammar builds ends in a documented exit code, with no
     # escaping exception and at most one "error:" line; a run that succeeds

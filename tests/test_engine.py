@@ -56,7 +56,7 @@ def test_batched_device_rows_equal_single_runs(plans, sign):
     batch = ifo.run_plans(sign, plans)
     for i, plan in enumerate(plans):
         one = ifo.run_cmip(sign, plan)
-        assert one.basis == batch.basis and len(one.p_success) == 1
+        assert len(one.p_success) == 1
         assert batch.p_success[i] == one.p_success[0]
         assert batch.p_failure[i] == one.p_failure[0]
         assert same_state(batch.success[i], one.p_success[0], one.success[0])
@@ -118,7 +118,7 @@ def test_batched_pair_rows_equal_single_filters(rows):
     g1s = np.array([r[2] for r in rows])
     g2s = np.array([r[3] for r in rows])
     batch = elab.filter_pairs(np.array([s.amps for s in states]), g1s, g2s)
-    assert batch.basis == elab.PAIR_BASIS
+    assert batch.success.shape == (len(rows), elab.PAIR_BASIS.dim)
     e1 = elab.branch_concurrences(batch.success, batch.p_success)
     e2 = elab.branch_concurrences(batch.failure, batch.p_failure)
     for i, state in enumerate(states):

@@ -37,7 +37,7 @@ def test_prepared_pair_amplitudes():
     assert abs(s.amps[b.index("H", "1", "H")] - math.cos(0.4)) < 1e-15
     expected_vv = math.sin(0.4) * np.exp(0.3j)
     assert abs(s.amps[b.index("V", "1", "V")] - expected_vv) < 1e-15
-    assert abs(s.norm - 1.0) < 1e-15
+    assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-15
     pair = elab.polarization_pair_state(cfg)
     assert pair.basis.dim == 4
     assert abs(pair.amps[0] - math.cos(0.4)) < 1e-15

@@ -132,14 +132,19 @@ def test_phase_plate_carries_through_to_the_output():
 
 
 def test_sampling_is_deterministic_and_unbiased():
-    plan = ifo.plan_for(math.pi / 4, math.pi / 2)
     shots = 100_000
-    [success] = ifo.sample_runs(+1, [plan], shots, [13])
-    assert ifo.sample_runs(+1, [plan], shots, [13]) == [success]
-    assert 0 <= success <= shots
+    _, [p_mc] = ifo.success_probability_sweep(math.pi / 4, [math.pi / 2], shots, 13)
+    _, again = ifo.success_probability_sweep(math.pi / 4, [math.pi / 2], shots, 13)
+    assert np.array_equal(again, [p_mc])
+    assert 0 <= p_mc <= 1
     p = P_QUARTER_TO_HALF
     sigma = math.sqrt(p * (1 - p) / shots)
-    assert abs(success / shots - p) < 4 * sigma
+    assert abs(p_mc - p) < 4 * sigma
+
+
+def test_sweep_rejects_negative_shots():
+    with pytest.raises(ValueError, match="shots"):
+        ifo.success_probability_sweep(math.pi / 4, [math.pi / 2], -1, 13)
 
 
 def test_sweep_shapes_and_closed_form_only_mode():

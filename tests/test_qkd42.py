@@ -92,9 +92,9 @@ def test_monitor_rate_tracks_the_channel():
     n = 200_000
     base = qkd42.run_session(qkd42.config_for_theta(math.pi / 3, n_pulses=n, seed=8))
     hv = qkd42.run_session(qkd42.config_for_theta(
-        math.pi / 3, n_pulses=n, seed=8, eve=qkd42.InterceptResend(0.0)))
+        math.pi / 3, n_pulses=n, seed=8, eve_basis=0.0))
     tilted = qkd42.run_session(qkd42.config_for_theta(
-        math.pi / 3, n_pulses=n, seed=8, eve=qkd42.InterceptResend(math.pi / 8)))
+        math.pi / 3, n_pulses=n, seed=8, eve_basis=math.pi / 8))
     sigma = math.sqrt(0.25 / n)
     # an H/V intercept leaves the monitor statistics untouched ...
     assert abs(base.monitor_click_rate - math.cos(math.pi / 3)) < 4 * sigma
@@ -108,7 +108,7 @@ def test_intercept_resend_error_rates():
     n = 100_000
     for eta, expect in ((0.0, QBER_HV), (math.pi / 8, QBER_PI8)):
         cfg = qkd42.config_for_theta(math.pi / 2, n_pulses=n, seed=21,
-                                     eve=qkd42.InterceptResend(eta))
+                                     eve_basis=eta)
         stats = qkd42.run_session(cfg)
         sigma = math.sqrt(expect * (1 - expect) / stats.sifted_key_length)
         assert abs(stats.qber - expect) < 4 * sigma
@@ -152,9 +152,7 @@ def test_pulse_log_agrees_with_stats():
 
 @pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8], ids=["no_eve", "hv", "pi8"])
 def test_chunk_size_does_not_change_the_session(eve, monkeypatch):
-    cfg = qkd42.config_for_theta(
-        math.pi / 3, n_pulses=1000, seed=31,
-        eve=None if eve is None else qkd42.InterceptResend(eve))
+    cfg = qkd42.config_for_theta(math.pi / 3, n_pulses=1000, seed=31, eve_basis=eve)
 
     def session():
         buf = io.StringIO()
@@ -193,7 +191,7 @@ def _reference_session(cfg, log):
     n = cfg.n_pulses
     alice_bits = rng.stream(cfg.seed, "alice_bits")
     alice_ports = rng.stream(cfg.seed, "alice_ports")
-    eve = rng.stream(cfg.seed, "eve") if cfg.eve is not None else None
+    eve = rng.stream(cfg.seed, "eve") if cfg.eve_basis is not None else None
     bob_guesses = rng.stream(cfg.seed, "bob_guesses")
     bob_path = rng.stream(cfg.seed, "bob_path")
     bob_bits = rng.stream(cfg.seed, "bob_bits")
@@ -202,7 +200,7 @@ def _reference_session(cfg, log):
     thetas = qkd42.theta_angles(cfg.gamma1, cfg.gamma2)
     cb = np.array([math.tan(thetas[0] / 2), math.tan(thetas[1] / 2)])
     if eve is not None:
-        eta = cfg.eve.basis_angle
+        eta = cfg.eve_basis
         e1 = np.array([math.cos(eta), math.sin(eta)])
         e2 = np.array([-math.sin(eta), math.cos(eta)])
 
@@ -264,7 +262,7 @@ def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch):
     monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)  # chunk boundaries inside n
     cfg = qkd42.QkdConfig(gamma1=0.2, gamma2=0.3, gamma0=gamma0, n_pulses=n,
                           seed=n * 7919 + 13,
-                          eve=None if eve is None else qkd42.InterceptResend(eve))
+                          eve_basis=eve)
     got_log, ref_log = io.StringIO(), io.StringIO()
     assert qkd42.run_session(cfg, got_log) == _reference_session(cfg, ref_log)
     assert got_log.getvalue() == ref_log.getvalue()
@@ -273,7 +271,7 @@ def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch):
 def test_session_memory_is_bounded():
     # 1e6 pulses drawn at once peak near 88 MiB; chunks keep it a few MiB
     cfg = qkd42.config_for_theta(math.pi / 2, n_pulses=1_000_000, seed=3,
-                                 eve=qkd42.InterceptResend(0.0))
+                                 eve_basis=0.0)
     tracemalloc.start()
     try:
         qkd42.run_session(cfg)
