@@ -219,6 +219,8 @@ def cmd_entangle(args) -> int:
     delta = parse_angle(args.delta)
     grid = parse_sweep(args.gamma1s, "gamma1")
     seed = resolve_seed(args.seed)
+    if not args.out:  # the files would be "_n1.csv" and "_e1.csv" in the working directory
+        raise OutputError("cannot write : empty --out prefix")
     res = elab.concentration_sweep(alpha, grid, gamma2, delta)
 
     with _open_out(f"{args.out}_n1.csv") as out:

@@ -8,7 +8,9 @@ The arithmetic is array-shaped: the `*_rows` functions and `concurrences`
 act on a stack of n states or matrices at once and validate each stack with
 one vectorised check.  The `DensityMatrix` check, `postselect`, `fidelity`
 and `concurrence` are the n = 1 calls into them, so a row of a batch and the
-scalar call give the same bits.
+scalar call give the same bits, with one exception: `concurrences` reads
+pure (n, 4) rows as 2|ad − bc| of their amplitudes, so only its
+density-matrix rows share their bits with `concurrence`.
 """
 
 from __future__ import annotations
@@ -321,20 +323,24 @@ def _wootters(mats: np.ndarray) -> np.ndarray:
 
 
 def concurrences(rows: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of a stack of two-qubit states.
+    """Concurrence of a stack of two-qubit states.
 
-    `rows` is either (n, 4) pure-state amplitudes, which get the norm repair
-    of `normalize_rows`, or (n, 4, 4) density matrices.  The density-matrix
-    checks run once per chunk of rows.
+    `rows` is either (n, 4) pure-state amplitudes a|HH⟩ + b|HV⟩ + c|VH⟩ +
+    d|VV⟩, which get the norm repair of `normalize_rows` and then the exact
+    pure-state value 2|ad − bc| (Hill and Wootters), or (n, 4, 4) density
+    matrices, which get the density-matrix checks and `_wootters` once per
+    chunk of rows.
     """
     rows = np.asarray(rows, dtype=complex)
     if rows.shape[1:] not in ((4,), (4, 4)):
         raise ValueError(f"concurrence needs two-qubit states, got shape {rows.shape[1:]}")
     if not len(rows):
         return np.zeros(0)
+    if rows.ndim == 2:
+        v = normalize_rows(rows)
+        return 2 * np.abs(v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2])
 
-    def chunk(r):
-        mats = density_rows(r) if r.ndim == 2 else r
+    def chunk(mats):
         check_density_rows(mats)
         return _wootters(mats)
 

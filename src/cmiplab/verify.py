@@ -25,7 +25,7 @@ from . import entanglement_lab as elab
 from . import interferometer as ifo
 from . import qkd42, tomography
 from .qcore import (POSTSELECT_MIN, DensityMatrix, apply_rows, concurrences,
-                    normalize_rows, postselect_rows, row_norms)
+                    density_rows, normalize_rows, postselect_rows, row_norms)
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def _check_postselect_completeness(gen):
 
 def _check_concurrence_pure(gen):
     v = _unit_rows(gen.normal(size=(1000, 2, 4)))
-    c = concurrences(v)
+    c = concurrences(density_rows(v))  # Wootters: pure rows take the formula
     return np.max(np.abs(c - 2 * np.abs(v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2])))
 
 

@@ -112,13 +112,17 @@ def test_entangle_plate_angles_outside_their_range_are_usage_errors(
     (("tomo", "psi_plus(1/4pi)", "--counts-out="), 2, "error: cannot write : "),
     (("tomo", "psi_plus(1/4pi)", "--emit-target="), 2, "error: cannot write : "),
     (("qkd", "--log=", "--pulses", "100"), 2, "error: cannot write : "),
-], ids=["qkd_gamma1", "qkd_gamma2", "tomo_counts_out", "tomo_emit_target", "qkd_log"])
+    (("entangle", "--e-in", "0.5", "--gamma2", "0", "--gamma1s", "0:0.5:3", "--out="), 2,
+     "error: cannot write : "),
+], ids=["qkd_gamma1", "qkd_gamma2", "tomo_counts_out", "tomo_emit_target", "qkd_log",
+        "entangle_out"])
 def test_an_empty_option_value_is_not_an_absent_option(argv, code, err, tmp_path,
                                                        monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == code
     captured = capsys.readouterr()
     assert captured.err.startswith(err) and captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())  # an empty path is no file name
 
 
 def test_sweep_spec():

@@ -139,18 +139,41 @@ def test_batched_pair_rows_equal_single_filters(rows):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
 def test_batched_concurrence_rows_equal_single_calls(n, seed):
+    # density-matrix rows take Wootters, the route of the scalar call; pure
+    # rows take 2|ad − bc| of their norm-repaired amplitudes
     gen = np.random.default_rng(seed)
     g = gen.normal(size=(n, 4, 4)) + 1j * gen.normal(size=(n, 4, 4))
     mixed = g @ g.conj().swapaxes(1, 2)
     mixed /= np.trace(mixed, axis1=1, axis2=2).real[:, None, None]
     pure = gen.normal(size=(n, 4)) + 1j * gen.normal(size=(n, 4))
     pure /= np.sqrt(np.sum(np.abs(pure) ** 2, axis=1))[:, None]
+    pure *= 1.0 + gen.uniform(-1e-10, 1e-10, size=(n, 1))  # within the norm repair
     basis = elab.PAIR_BASIS
     c_mixed, c_pure = concurrences(mixed), concurrences(pure)
+    v = qcore.normalize_rows(pure)
+    assert np.array_equal(c_pure, 2 * np.abs(v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2]))
     for i in range(n):
         assert c_mixed[i] == concurrence(DensityMatrix(basis, mixed[i]))
         one = DensityMatrix.from_state(qcore.StateVector(basis, pure[i]))
-        assert c_pure[i] == concurrence(one)
+        assert abs(c_pure[i] - concurrence(one)) <= 1e-14
+
+
+def test_pure_rows_take_no_decomposition(monkeypatch):
+    # the pure-state formula needs no eigenvalues or singular values; the
+    # density-matrix route still does
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition on the pure-state route")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    gen = np.random.default_rng(3)
+    pure = gen.normal(size=(3 * qcore.CHUNK_ROWS, 4)) + 0j
+    pure /= qcore.row_norms(pure)[:, None]
+    assert concurrences(pure).shape == (3 * qcore.CHUNK_ROWS,)
+    res = elab.concentration_sweep(math.asin(0.51), np.linspace(0.0, math.pi / 4, 11), 0.2)
+    assert not np.isnan(res["e1_state"]).any()
+    with pytest.raises(AssertionError, match="decomposition"):
+        concurrences(qcore.density_rows(pure[:2]))
 
 
 def test_small_chunks_give_the_same_sweeps(monkeypatch):

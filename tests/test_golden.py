@@ -6,8 +6,10 @@ The stored files are the outputs of the code before the device and session
 refactor, so a refactor that changes any printed digit fails here.
 """
 
+import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cmiplab import cli
@@ -68,3 +70,13 @@ def test_cli_output_matches_golden(case, argv, code, tmp_path, monkeypatch, caps
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
         assert produced[name] == data, f"{case}/{name} differs from the golden copy"
+
+
+@pytest.mark.parametrize("case", ["entangle_gamma2_zero", "entangle_gamma2", "entangle_delta"])
+def test_entangle_state_route_is_within_1e15_of_the_closed_form(case):
+    # the state route reads each pure path-1 branch as 2|ad − bc|
+    with open(GOLDEN / case / "fig_e1.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    closed, state = (np.array([float(r[k]) for r in rows]) for k in ("e1_closed", "e1_from_state"))
+    assert len(rows) == 101 and not np.isnan(closed).any()
+    assert np.max(np.abs(state - closed)) <= 1e-15

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cmiplab import verify
+from cmiplab import qcore, verify
 from cmiplab.interferometer import solve_gamma1
 
 REQUIRED = {
@@ -84,13 +84,13 @@ PINNED_SEEDS = {
         ('worst probability-sum deviation 4.44e-16', 4.440892098500626e-16),
         ('worst |Wootters − 2|ad−bc|| = 1.78e-15', 1.7763568394002505e-15),
         ('worst local-unitary deviation 2.78e-15', 2.7755575615628914e-15),
-        ('worst delta dependence 1.33e-15', 1.3322676295501878e-15),
+        ('worst delta dependence 5.55e-16', 5.551115123125783e-16),
         ('worst ⟨φ+|φ−⟩ − cos β deviation 2.55e-15', 2.55351295663786e-15),
         ('worst amplitude-vs-closed-form gap 6.66e-16', 6.661338147750939e-16),
         ('worst |P(α,π/2) − (1−cos α)| = 3.33e-16', 3.3306690738754696e-16),
         ('P never increases as β moves away from α on either side', 0),
         ('worst stray failure amplitude 0.00e+00', 0.0),
-        ('worst closed-form-vs-state gap 5.77e-15', 5.773159728050814e-15),
+        ('worst closed-form-vs-state gap 6.00e-15', 5.995204332975845e-15),
         ('0 predicate mismatches', 0),
         ('worst exact-mode reconstruction error 7.02e-16', 7.017551473126622e-16),
         ('qber exactly 0 without an eavesdropper', 0),
@@ -102,13 +102,13 @@ PINNED_SEEDS = {
         ('worst probability-sum deviation 4.44e-16', 4.440892098500626e-16),
         ('worst |Wootters − 2|ad−bc|| = 2.22e-15', 2.220446049250313e-15),
         ('worst local-unitary deviation 3.22e-15', 3.219646771412954e-15),
-        ('worst delta dependence 1.33e-15', 1.3322676295501878e-15),
+        ('worst delta dependence 5.55e-16', 5.551115123125783e-16),
         ('worst ⟨φ+|φ−⟩ − cos β deviation 2.55e-15', 2.55351295663786e-15),
         ('worst amplitude-vs-closed-form gap 6.66e-16', 6.661338147750939e-16),
         ('worst |P(α,π/2) − (1−cos α)| = 3.33e-16', 3.3306690738754696e-16),
         ('P never increases as β moves away from α on either side', 0),
         ('worst stray failure amplitude 0.00e+00', 0.0),
-        ('worst closed-form-vs-state gap 5.77e-15', 5.773159728050814e-15),
+        ('worst closed-form-vs-state gap 6.00e-15', 5.995204332975845e-15),
         ('0 predicate mismatches', 0),
         ('worst exact-mode reconstruction error 1.11e-15', 1.1105699151271774e-15),
         ('qber exactly 0 without an eavesdropper', 0),
@@ -120,13 +120,13 @@ PINNED_SEEDS = {
         ('worst probability-sum deviation 4.44e-16', 4.440892098500626e-16),
         ('worst |Wootters − 2|ad−bc|| = 2.44e-15', 2.4424906541753444e-15),
         ('worst local-unitary deviation 2.78e-15', 2.7755575615628914e-15),
-        ('worst delta dependence 1.33e-15', 1.3322676295501878e-15),
+        ('worst delta dependence 5.55e-16', 5.551115123125783e-16),
         ('worst ⟨φ+|φ−⟩ − cos β deviation 2.55e-15', 2.55351295663786e-15),
         ('worst amplitude-vs-closed-form gap 6.66e-16', 6.661338147750939e-16),
         ('worst |P(α,π/2) − (1−cos α)| = 3.33e-16', 3.3306690738754696e-16),
         ('P never increases as β moves away from α on either side', 0),
         ('worst stray failure amplitude 0.00e+00', 0.0),
-        ('worst closed-form-vs-state gap 5.77e-15', 5.773159728050814e-15),
+        ('worst closed-form-vs-state gap 6.00e-15', 5.995204332975845e-15),
         ('0 predicate mismatches', 0),
         ('worst exact-mode reconstruction error 6.66e-16', 6.661338147750939e-16),
         ('qber exactly 0 without an eavesdropper', 0),
@@ -155,3 +155,12 @@ def test_each_check_runs_once_in_result_order(monkeypatch):
     results = verify.run_all()
     assert sorted(calls) == sorted(names) and len(names) == len(results)
     assert [r.worst for r in results] == list(range(len(results)))
+
+
+def test_a_broken_wootters_fails_the_pure_equivalence_check(monkeypatch):
+    # the pure-state check reads Wootters through density matrices, so it
+    # still compares two routes; no other check reads a pure row's Wootters
+    wootters = qcore._wootters
+    monkeypatch.setattr(qcore, "_wootters", lambda mats: wootters(mats) + 1e-6)
+    failed = [r.name for r in verify.run_all() if not r.passed]
+    assert failed == ["concurrence_pure_equivalence"]
