@@ -83,8 +83,9 @@ def parse_angle(text: str) -> float:
     return sign * value
 
 
-#: a sweep evolves its whole grid in one device stack: at 2^19 - 1 points
-#: the run peaks at 492 MiB RSS (cmip with shots) and 408 MiB (entangle)
+#: a sweep holds its whole grid's columns, though `evolve` builds the device
+#: unitaries one chunk at a time: at 2^19 - 1 points the run peaks at 336 MiB
+#: RSS (cmip with shots) and 265 MiB (entangle)
 MAX_SWEEP_STEPS = 2 ** 19
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import BASIS as DEVICE_BASIS
-from .interferometer import Branches, device_unitary, evolve
+from .interferometer import Branches, evolve
 from .qcore import (IDLER_POL, StateVector, concurrences, polarization_basis,
                     postselect)
 
@@ -96,15 +96,14 @@ def branch_concurrences(states: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 def filter_pairs(amps: np.ndarray, gamma1, gamma2) -> Branches:
     """Pass the signal photon of each pair through the device and split the
-    pairs by its exit path, in one batched call.
+    pairs by its exit path, in one batched `evolve` call.
 
-    `amps` is an (n, 8) stack of pair states on FULL_BASIS; gamma1 and gamma2
-    are scalars or length-n arrays.  The rows of the result are on
-    PAIR_BASIS: `success` is path 1 and `failure` path 2.
+    `amps` is an (n, 8) stack of pair states on FULL_BASIS, or one (8,) pair
+    sent through every setting; gamma1 and gamma2 are scalars or length-n
+    arrays.  The rows of the result are on PAIR_BASIS: `success` is path 1
+    and `failure` path 2.
     """
-    n = len(amps)
-    U = device_unitary(np.broadcast_to(gamma1, n), np.broadcast_to(gamma2, n))
-    return evolve(U, amps, FULL_BASIS)
+    return evolve(amps, FULL_BASIS, gamma1, gamma2)
 
 
 def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> EntangledBranches:
@@ -113,7 +112,7 @@ def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> Entan
     its state and entanglement."""
     if state.basis != FULL_BASIS:
         raise ValueError("expected a two-photon state on the standard basis")
-    b = filter_pairs(state.amps[None], gamma1, gamma2)
+    b = filter_pairs(state.amps, gamma1, gamma2)
     out = []
     for phi, p in ((b.success, b.p_success), (b.failure, b.p_failure)):
         e = branch_concurrences(phi, p)[0]
@@ -125,9 +124,10 @@ def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> Entan
 
 
 def output_entanglement(alpha: float, gamma1: float, gamma2: float):
-    """Closed-form branch concurrences (e1, e2) of the pair with Schmidt
-    angle alpha, whose input concurrence is E_in = |sin alpha|.  A branch
-    with vanishing probability has undefined entanglement (None).
+    """Closed-form branch probabilities and concurrences (n1, n2, e1, e2) of
+    the pair with Schmidt angle alpha, whose input concurrence is
+    E_in = |sin alpha|; a branch with vanishing probability has undefined
+    entanglement (None).
     """
     E_in = abs(math.sin(alpha))
     n1, n2 = branch_probabilities(alpha, gamma1, gamma2)
@@ -135,7 +135,7 @@ def output_entanglement(alpha: float, gamma1: float, gamma2: float):
     s1, s2 = math.sin(2 * gamma1), math.sin(2 * gamma2)
     e1 = E_in * abs(c1 * c2) / n1 if n1 >= EMPTY_BRANCH_TOL else None
     e2 = E_in * abs(s1 * s2) / n2 if n2 >= EMPTY_BRANCH_TOL else None
-    return e1, e2
+    return n1, n2, e1, e2
 
 
 def _check_plate(name: str, gamma: float):
@@ -188,11 +188,9 @@ def concentration_sweep(alpha: float, gamma1_grid, gamma2: float, delta: float =
     cols = {k: np.empty(gamma1_grid.size) for k in ("n1_closed", "e1_closed")}
     for i, g1 in enumerate(gamma1_grid.tolist()):
         _check_plate("gamma1", g1)
-        cols["n1_closed"][i] = branch_probabilities(alpha, g1, gamma2)[0]
-        e1c, _ = output_entanglement(alpha, g1, gamma2)
+        cols["n1_closed"][i], _, e1c, _ = output_entanglement(alpha, g1, gamma2)
         cols["e1_closed"][i] = np.nan if e1c is None else e1c
-    rows = np.repeat(state.amps[None], gamma1_grid.size, axis=0)
-    path1 = filter_pairs(rows, gamma1_grid, gamma2)
+    path1 = filter_pairs(state.amps, gamma1_grid, gamma2)
     cols["n1_state"] = path1.p_success
     cols["e1_state"] = branch_concurrences(path1.success, path1.p_success)
     return cols

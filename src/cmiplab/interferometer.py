@@ -4,13 +4,13 @@ Two non-orthogonal polarization states cos(a/2)|H⟩ ± sin(a/2)|V⟩ enter a
 two-path interferometer whose half-wave plates leak amplitude into path 2.
 Conditioning on the photon leaving in path 1 maps the pair onto
 cos(b/2)|H⟩ ± sin(b/2)|V⟩ for a chosen inner angle b; the path-2 events are
-the heralded failures and carry no which-sign information.  `device_unitary`
-and `evolve` are the one device model, and they are array-shaped: a grid of
-plate settings and input states is evolved in one call, and every call
-returns its branches as `Branches` arrays, one row per pass.  `run_cmip` is
-the one-row call; whole grids go through `run_plans` (the β sweep), `evolve`
-(verify's grid checks), the two-photon layer's `filter_pairs` and the key
-session's tables in `qkd42.run_session`.
+the heralded failures and carry no which-sign information.  `evolve` is the
+one device model, and it is array-shaped: a grid of plate angles and input
+states is evolved in one call, which builds each chunk's `device_unitary`
+stack and returns the branches as `Branches` arrays, one row per pass.
+`run_cmip` is the one-row call; whole grids go through `run_plans` (the β
+sweep), `evolve` (verify's grid checks), the two-photon layer's
+`filter_pairs` and the key session's tables in `qkd42.run_session`.
 """
 
 from __future__ import annotations
@@ -141,15 +141,10 @@ def device_unitary(gamma1, gamma2, phase_h=0.0, phase_v=0.0) -> np.ndarray:
     path-2 inputs.  The −i on the path-changing amplitudes is a global phase
     of the path-2 branch and unobservable after filtering.  The phases are
     the phase plates of a `CmipPlan`; the two-photon layer leaves them at 0.
-    One unitarity check (‖U†U−I‖∞ ≤ 1e-12) covers each chunk of rows.
+    One unitarity check (‖U†U−I‖∞ ≤ 1e-12) covers the stack.
     """
-    args = [np.atleast_1d(np.asarray(x, dtype=float))
-            for x in (gamma1, gamma2, phase_h, phase_v)]
-    shape = np.broadcast_shapes(*(a.shape for a in args))
-    return in_chunks(_device_unitary_rows, *(np.broadcast_to(a, shape) for a in args))
-
-
-def _device_unitary_rows(g1, g2, ph, pv):
+    g1, g2, ph, pv = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
+                                           for x in (gamma1, gamma2, phase_h, phase_v)))
     c1, s1 = np.cos(2 * g1), np.sin(2 * g1)
     c2, s2 = np.cos(2 * g2), np.sin(2 * g2)
     m = np.zeros((g1.size, 4, 4), dtype=complex)
@@ -206,29 +201,34 @@ class Branches(NamedTuple):
     p_failure: np.ndarray
 
 
-def evolve(U: np.ndarray, amps: np.ndarray, basis: ModeBasis) -> Branches:
+def evolve(amps: np.ndarray, basis: ModeBasis, gamma1, gamma2, phase_h=0.0,
+           phase_v=0.0) -> Branches:
     """Pass n states through n device settings and split each by exit path.
 
-    U is an (n, 4, 4) stack from `device_unitary`, amps an (n, d) stack of
-    normalized states on `basis`, whose leading factors are the signal
-    polarization and path; trailing factors (an idler photon) are untouched.
-    Each output row gets the norm repair of `qcore.normalize_rows` once, and
-    both paths are split from the repaired rows.  Rows are evolved in chunks
-    of `qcore.CHUNK_ROWS`.
+    amps is an (n, d) stack of normalized states on `basis`, or one (d,)
+    state for every setting; `basis` leads with the signal polarization and
+    path, and trailing factors (an idler photon) are untouched.  The plate
+    angles are `device_unitary`'s, broadcast with the rows.  Rows are evolved
+    in chunks of `qcore.CHUNK_ROWS`, each through its own `device_unitary`
+    stack.  Each output row gets the norm repair of `qcore.normalize_rows`
+    once, and both paths are split from the repaired rows.
     """
-    def chunk(U, amps):
-        out = normalize_rows(apply_rows(U, amps))
+    def chunk(amps, *plates):
+        out = normalize_rows(apply_rows(device_unitary(*plates), amps))
         return (*postselect_rows(out, basis, "signal_path", "1"),
                 *postselect_rows(out, basis, "signal_path", "2"))
 
-    return Branches(*in_chunks(chunk, U, amps))
+    plates = (gamma1, gamma2, phase_h, phase_v)
+    n = np.broadcast_shapes((1,), amps.shape[:-1], *map(np.shape, plates))
+    return Branches(*in_chunks(chunk, np.broadcast_to(amps, n + amps.shape[-1:]),
+                               *(np.broadcast_to(x, n) for x in plates)))
 
 
 def run_plans(input_sign: int, plans) -> Branches:
     """Evolve the input state of each plan through its device setting, in one
     batched call; each plan's active plate angle is solved once, here."""
-    U = device_unitary(*zip(*(p.plates() for p in plans)))
-    return evolve(U, input_amps([p.alpha for p in plans], input_sign), BASIS)
+    return evolve(input_amps([p.alpha for p in plans], input_sign), BASIS,
+                  *zip(*(p.plates() for p in plans)))
 
 
 def run_cmip(input_sign: int, plan: CmipPlan) -> Branches:

@@ -101,8 +101,8 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     k = 2·s + (guess − 1).  Bob's path-1 and + chances are 8-entry tables
     over k, and Eve's e1 chance a 4-entry one over the sent state, built once
     per session by the device engine: Alice's inputs, then the arriving
-    states under Bob's `plan_for(θ_guess, π/2)` plates, are evolved through
-    one `device_unitary` stack.  Each pulse compares its draws with table[k].
+    states under Bob's `plan_for(θ_guess, π/2)` plates, go through one
+    `evolve` call each.  Each pulse compares its draws with table[k].
     Draw order is output: each role draws from its own stream of cfg.seed, in
     the same order in every chunk, and a chunked draw equals one long draw,
     so the statistics and log do not depend on the chunk size.  Sifting keeps
@@ -117,14 +117,9 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     bob_guesses = rng.stream(cfg.seed, "bob_guesses")
     bob_path = rng.stream(cfg.seed, "bob_path")
     bob_bits = rng.stream(cfg.seed, "bob_bits")
-    # rows: Alice's bits 0 and 1, then Bob's k = 2·s + (guess − 1)
-    bob_plates = [ifo.plan_for(th, math.pi / 2).plates()
-                  for th in theta_angles(cfg.gamma1, cfg.gamma2)]
-    plates = [(cfg.gamma1, cfg.gamma2, 0.0, 0.0)] * 2 + bob_plates * (4 if eve is None else 2)
-    U = ifo.device_unitary(*zip(*plates))
     enc = 1.0 if cfg.gamma0 > 0 else -1.0
-    alice = ifo.evolve(U[:2], np.kron([[1, enc], [1, -enc]], [[1, 0]]) / math.sqrt(2),
-                       ifo.BASIS)
+    alice = ifo.evolve(np.kron([[1, enc], [1, -enc]], [[1, 0]]) / math.sqrt(2),  # bits 0, 1
+                       ifo.BASIS, cfg.gamma1, cfg.gamma2)
     p_port1 = alice.p_success[0]
     states = np.stack([alice.success, alice.failure], axis=1).reshape(4, 2)
     if eve is not None:
@@ -133,7 +128,11 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
         e2 = np.array([-math.sin(eta), math.cos(eta)])
         p_e1 = np.abs(states @ e1) ** 2  # port-2 rows carry a global phase
         states = np.array([e1, e2])
-    bob = ifo.evolve(U[2:], np.repeat(np.kron(states, [[1, 0]]), 2, axis=0), ifo.BASIS)
+    # rows: k = 2·s + (guess − 1), each under the plates of its guess
+    bob_plates = [ifo.plan_for(th, math.pi / 2).plates()
+                  for th in theta_angles(cfg.gamma1, cfg.gamma2)]
+    bob = ifo.evolve(np.repeat(np.kron(states, [[1, 0]]), 2, axis=0), ifo.BASIS,
+                     *zip(*bob_plates * len(states)))
     p_path1 = bob.p_success
     p_plus = np.abs(bob.success.sum(axis=1)) ** 2 / 2
     # the public encoding sign tells Bob which ± outcome means bit 0

@@ -137,7 +137,7 @@ def _grid_deviations(gamma1_solver, cache):
     Returns (⟨φ+|φ−⟩ vs cos β, success probability vs closed form, stray
     failure amplitude).  Each point's plate angles are solved here: γ1 by
     `gamma1_solver` where α ≤ β, γ2 by `solve_gamma2` otherwise; then the
-    whole grid is evolved in one call through `device_unitary` and `evolve`,
+    grid's + inputs and − inputs are evolved together in one `evolve` call,
     the engine run_cmip uses.  One pass per solver and run_all serves every
     check that reads it, and only the three numbers are kept in `cache`.
     """
@@ -152,22 +152,20 @@ def _grid_deviations(gamma1_solver, cache):
             else:
                 g2[i] = ifo.solve_gamma2(alpha, beta)
             p_closed[i] = ifo.closed_form_probability(alpha, beta)
-        U = ifo.device_unitary(g1, g2)
-        out = {sign: ifo.evolve(U, ifo.input_amps(alphas, sign), ifo.BASIS)
-               for sign in (+1, -1)}
-        ip = (out[+1].success.conj()[:, None, :] @ out[-1].success[:, :, None])[:, 0, 0]
+        # rows: the + inputs of the grid, then its − inputs
+        amps = np.concatenate([ifo.input_amps(alphas, sign) for sign in (+1, -1)])
+        out = ifo.evolve(amps, ifo.BASIS, np.tile(g1, 2), np.tile(g2, 2))
+        plus, minus = out.success.reshape(2, n, 2)
+        ip = (plus.conj()[:, None, :] @ minus[:, :, None])[:, 0, 0]
         worst_ip = float(max(np.max(np.abs(ip.real - np.cos(betas))),
                              np.max(np.abs(ip.imag))))
+        worst_p = float(np.max(np.abs(out.p_success - np.tile(p_closed, 2))))
         # the failure branch holds a single mode: V for expansion, H for
         # contraction; the stray amplitude is the other one
-        stray_mode = np.where(alphas <= betas, 0, 1)
-        worst_p = worst_stray = 0.0
-        for sign in (+1, -1):
-            worst_p = max(worst_p, float(np.max(np.abs(out[sign].p_success - p_closed))))
-            has_fail = out[sign].p_failure >= POSTSELECT_MIN
-            stray = np.abs(out[sign].failure[np.arange(n), stray_mode])[has_fail]
-            worst_stray = max(worst_stray, float(np.max(stray, initial=0.0)))
-        cache[gamma1_solver] = (worst_ip, worst_p, worst_stray)
+        stray_mode = np.tile(np.where(alphas <= betas, 0, 1), 2)
+        has_fail = out.p_failure >= POSTSELECT_MIN
+        stray = np.abs(out.failure[np.arange(2 * n), stray_mode])[has_fail]
+        cache[gamma1_solver] = (worst_ip, worst_p, float(np.max(stray, initial=0.0)))
     return cache[gamma1_solver]
 
 
@@ -204,8 +202,7 @@ def _check_entanglement_brute_force(gen):
     pairs = np.repeat([elab.prepare_two_photon(elab.TwoPhotonConfig(float(a), 0.4)).amps
                        for a in alphas], 100, axis=0)
     br = elab.filter_pairs(pairs, g1s, g2s)
-    closed = np.array([elab.branch_probabilities(a, g1, g2)
-                       + elab.output_entanglement(a, g1, g2)
+    closed = np.array([elab.output_entanglement(a, g1, g2)
                        for a, g1, g2 in zip(np.repeat(alphas, 100), g1s, g2s)], dtype=float)
     e1 = elab.branch_concurrences(br.success, br.p_success)
     e2 = elab.branch_concurrences(br.failure, br.p_failure)
@@ -221,7 +218,7 @@ def _check_predicate_equivalence(gen):
         for g1 in np.linspace(0.0, math.pi / 4, 10):
             for g2 in np.linspace(0.0, math.pi / 4, 10):
                 pred = elab.concentration_predicate(float(alpha), float(g1), float(g2))
-                e1, _ = elab.output_entanglement(alpha, g1, g2)
+                _, _, e1, _ = elab.output_entanglement(alpha, g1, g2)
                 if e1 is None:
                     continue  # empty branch: nothing to compare
                 mismatches += e1 < e_in - 1e-12 if pred else e1 > e_in + 1e-12

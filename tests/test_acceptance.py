@@ -93,18 +93,18 @@ def test_criterion_5_concentration_curve(acceptance):
         alpha = math.asin(e_in)
         state = elab.prepare_two_photon(elab.TwoPhotonConfig(alpha))
         for g1 in np.linspace(0.0, math.pi / 4, 61):
-            e1, _ = elab.output_entanglement(alpha, float(g1), g2)
+            _, _, e1, _ = elab.output_entanglement(alpha, float(g1), g2)
             n1, _ = elab.branch_probabilities(alpha, float(g1), g2)
             direct = e_in * abs(math.cos(2 * g1) * math.cos(2 * g2)) / n1
             assert abs(e1 - direct) < 1e-9
             br = elab.apply_cmip_signal(state, float(g1), g2)
             assert abs(e1 - br.e1) < 1e-9
         # window edges: crossing at gamma1 = gamma2 and the frozen upper root
-        e_at_g2, _ = elab.output_entanglement(alpha, g2, g2)
+        _, _, e_at_g2, _ = elab.output_entanglement(alpha, g2, g2)
         assert abs(e_at_g2 - e_in) < 1e-12
 
         def gap(g1):
-            return elab.output_entanglement(alpha, g1, g2)[0] - e_in
+            return elab.output_entanglement(alpha, g1, g2)[2] - e_in
 
         lo, hi = 0.7, 0.78
         for _ in range(60):
@@ -120,7 +120,7 @@ def test_criterion_5_concentration_curve(acceptance):
         g1max = elab.solve_max_entanglement(alpha, g2, branch=1)
         assert abs(g1max - PEAK_G1) < 1e-9
         assert abs(g1max / math.pi - 0.21633) < 1e-5
-        e_peak, _ = elab.output_entanglement(alpha, g1max, g2)
+        _, _, e_peak, _ = elab.output_entanglement(alpha, g1max, g2)
         assert abs(e_peak - 1.0) < 1e-9
         assert abs(elab.apply_cmip_signal(state, g1max, g2).e1 - 1.0) < 1e-9
         n1_peak, _ = elab.branch_probabilities(alpha, g1max, g2)
@@ -149,7 +149,7 @@ def test_criterion_6_predicate_equivalence(acceptance):
                 for g2 in np.linspace(0.0, math.pi / 4, 20):
                     pred = elab.concentration_predicate(
                         float(alpha), float(g1), float(g2))
-                    e1, _ = elab.output_entanglement(alpha, g1, g2)
+                    _, _, e1, _ = elab.output_entanglement(alpha, g1, g2)
                     if e1 is None:
                         continue  # empty branch: no state to compare
                     if pred and e1 < e_in - 1e-12:

@@ -6,6 +6,7 @@ must not change any result.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from cmiplab import entanglement_lab as elab
 from cmiplab import interferometer as ifo
-from cmiplab import qcore
+from cmiplab import qcore, qkd42
 from cmiplab.qcore import POSTSELECT_MIN, DensityMatrix, concurrence, concurrences
 
 EDGE_ANGLES = (0.0, math.pi, math.pi / 2)
@@ -179,17 +180,52 @@ def test_pure_rows_take_no_decomposition(monkeypatch):
 def test_small_chunks_give_the_same_sweeps(monkeypatch):
     grid = np.linspace(0.0, math.pi / 4, 101)
     betas = np.linspace(0.05, 0.8 * math.pi, 41)
+    # at 7 rows a chunk, Bob's 8-row pass of the session without Eve splits
+    sessions = [qkd42.QkdConfig(n_pulses=5000, seed=3, eve_basis=eve) for eve in (None, 0.0)]
 
     def sweeps():
         return (elab.concentration_sweep(math.asin(0.51), grid, math.pi / 9, 0.7),
-                ifo.success_probability_sweep(0.8 * math.pi, betas, 1000, 5))
+                ifo.success_probability_sweep(0.8 * math.pi, betas, 1000, 5),
+                [qkd42.run_session(cfg) for cfg in sessions])
 
-    conc, (p_closed, p_mc) = sweeps()
+    conc, (p_closed, p_mc), stats = sweeps()
     monkeypatch.setattr(qcore, "CHUNK_ROWS", 7)
-    conc7, (p_closed7, p_mc7) = sweeps()
+    conc7, (p_closed7, p_mc7), stats7 = sweeps()
     for key in conc:
         assert np.array_equal(conc[key], conc7[key], equal_nan=True), key
     assert np.array_equal(p_closed, p_closed7) and np.array_equal(p_mc, p_mc7)
+    assert stats == stats7
+
+
+def test_sweeps_evolve_one_chunk_of_unitaries_at_a_time(monkeypatch):
+    # evolve builds each chunk's unitaries inside its chunk loop; at 2^16
+    # points a whole-grid (n, 4, 4) stack would alone add 16 MiB, more than
+    # the room the peak limits below leave
+    build, sizes = ifo.device_unitary, []
+
+    def spy(*plates):
+        m = build(*plates)
+        sizes.append(len(m))
+        return m
+
+    monkeypatch.setattr(ifo, "device_unitary", spy)
+    ifo.success_probability_sweep(0.7, np.linspace(0.05, 3.0, 1000), 100, 1)
+    elab.concentration_sweep(math.asin(0.51), np.linspace(0.0, math.pi / 4, 1000), 0.3)
+    assert sum(sizes) == 2000 and max(sizes) <= qcore.CHUNK_ROWS
+    monkeypatch.undo()
+
+    n = 2 ** 16
+    grid, betas = np.linspace(0.0, math.pi / 4, n), np.linspace(0.05, 3.0, n)
+    for run, limit_mib in (
+            (lambda: elab.concentration_sweep(math.asin(0.51), grid, 0.3), 32),
+            (lambda: ifo.success_probability_sweep(math.pi / 4, betas, 1000, 7), 40)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2 ** 20
 
 
 def test_one_bad_row_fails_the_whole_batch():

@@ -85,7 +85,7 @@ def test_curves_intersect_at_equal_plate_angles():
         alpha = math.asin(e_in)
         n1, _ = elab.branch_probabilities(alpha, G2, G2)
         assert abs(n1 - COMMON_N1) < 1e-12
-        e1, _ = elab.output_entanglement(alpha, G2, G2)
+        _, _, e1, _ = elab.output_entanglement(alpha, G2, G2)
         assert abs(e1 - e_in) < 1e-12
 
 
@@ -94,7 +94,7 @@ def test_branch_one_peak_values():
         alpha = math.asin(e_in)
         g1 = elab.solve_max_entanglement(alpha, G2, branch=1)
         assert abs(g1 - ref["g1max"]) < 1e-12
-        e1, _ = elab.output_entanglement(alpha, g1, G2)
+        _, _, e1, _ = elab.output_entanglement(alpha, g1, G2)
         assert abs(e1 - 1.0) < 1e-9
         n1, _ = elab.branch_probabilities(alpha, g1, G2)
         assert abs(n1 - ref["n1max"]) < 1e-12
@@ -126,7 +126,7 @@ def test_solve_max_entanglement_out_of_reach():
 def test_concentration_window_for_e051():
     alpha = math.asin(0.51)
     crossing = PEAKS[0.51]["crossing"]
-    e_at_cross, _ = elab.output_entanglement(alpha, crossing, G2)
+    _, _, e_at_cross, _ = elab.output_entanglement(alpha, crossing, G2)
     assert abs(e_at_cross - 0.51) < 1e-9
     # predicate flips exactly at the window edges gamma2 and the upper crossing
     assert elab.concentration_predicate(alpha, G2, G2)
@@ -159,7 +159,7 @@ def test_product_input_stays_product():
     s = elab.prepare_two_photon(elab.TwoPhotonConfig(0.0))
     br = elab.apply_cmip_signal(s, 0.3, 0.1)
     assert br.e1 < 1e-9
-    e1, _ = elab.output_entanglement(0.0, 0.3, 0.1)
+    _, _, e1, _ = elab.output_entanglement(0.0, 0.3, 0.1)
     assert e1 == 0.0
 
 
@@ -169,7 +169,7 @@ def test_empty_branches_report_none():
     assert br.n1 < 1e-12 and br.phi1 is None and br.e1 is None
     br2 = elab.apply_cmip_signal(s, 0.0, 0.0)
     assert br2.n2 < 1e-12 and br2.e2 is None
-    e1, e2 = elab.output_entanglement(0.9, math.pi / 4, math.pi / 4)
+    _, _, e1, e2 = elab.output_entanglement(0.9, math.pi / 4, math.pi / 4)
     assert e1 is None and e2 is not None
 
 
