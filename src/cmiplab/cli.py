@@ -56,6 +56,8 @@ def parse_angle(text: str) -> float:
     sign = 1.0
     if s.startswith("-"):
         sign, s = -1.0, s[1:].strip()
+        if s.startswith(("-", "+")):  # float() would take a second sign
+            raise UsageError(f"cannot parse angle {text!r}")
     compact = s.replace(" ", "")
     fraction, multiple = _FRACTION.match(compact), _MULTIPLE.match(compact)
     arcsin = s.startswith("arcsin")
@@ -84,7 +86,7 @@ def parse_angle(text: str) -> float:
 
 
 #: a sweep holds its whole grid's columns, though `evolve` builds the device
-#: unitaries one chunk at a time: at 2^19 - 1 points the run peaks at 336 MiB
+#: unitaries one chunk at a time: at 2^19 - 1 points the run peaks at 150 MiB
 #: RSS (cmip with shots) and 265 MiB (entangle)
 MAX_SWEEP_STEPS = 2 ** 19
 

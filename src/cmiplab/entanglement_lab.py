@@ -4,12 +4,13 @@ The signal photon of cos(a/2)|HH⟩ + e^{iδ} sin(a/2)|VV⟩ passes the
 interferometer with both plates rotated; conditioning on its exit path
 splits the pair into two branches whose entanglement can exceed (path 1)
 or fall below the input value, with closed forms for both probability and
-concurrence checked against explicit state evolution.  `filter_pairs`
-evolves a whole grid of pairs and plate settings into one device `Branches`,
-and `branch_concurrences` gives the entanglement of the branches a caller
-reads.  `apply_cmip_signal` filters one pair and returns its branches as
-`StateVector`s (`EntangledBranches`), the form that `state_to_json` writes
-for the tomography of a concentrated pair.
+concurrence checked against explicit state evolution.  A grid of pairs and
+plate settings is one `evolve` call on FULL_BASIS, whose `Branches` rows are
+on PAIR_BASIS (path 1 `success`, path 2 `failure`); `branch_concurrences`
+gives the entanglement of the branches a caller reads.  `apply_cmip_signal`
+filters one pair and returns its branches as `StateVector`s
+(`EntangledBranches`), the form that `state_to_json` writes for the
+tomography of a concentrated pair.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import BASIS as DEVICE_BASIS
-from .interferometer import Branches, evolve
+from .interferometer import evolve
 from .qcore import (IDLER_POL, StateVector, concurrences, polarization_basis,
                     postselect)
 
@@ -94,25 +95,13 @@ def branch_concurrences(states: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return e
 
 
-def filter_pairs(amps: np.ndarray, gamma1, gamma2) -> Branches:
-    """Pass the signal photon of each pair through the device and split the
-    pairs by its exit path, in one batched `evolve` call.
-
-    `amps` is an (n, 8) stack of pair states on FULL_BASIS, or one (8,) pair
-    sent through every setting; gamma1 and gamma2 are scalars or length-n
-    arrays.  The rows of the result are on PAIR_BASIS: `success` is path 1
-    and `failure` path 2.
-    """
-    return evolve(amps, FULL_BASIS, gamma1, gamma2)
-
-
 def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> EntangledBranches:
     """Pass the signal photon through the device and split the pair by its
-    exit path (`filter_pairs` with one pair); an empty branch has None for
+    exit path (`evolve` with one pair); an empty branch has None for
     its state and entanglement."""
     if state.basis != FULL_BASIS:
         raise ValueError("expected a two-photon state on the standard basis")
-    b = filter_pairs(state.amps, gamma1, gamma2)
+    b = evolve(state.amps, FULL_BASIS, gamma1, gamma2)
     out = []
     for phi, p in ((b.success, b.p_success), (b.failure, b.p_failure)):
         e = branch_concurrences(phi, p)[0]
@@ -190,7 +179,7 @@ def concentration_sweep(alpha: float, gamma1_grid, gamma2: float, delta: float =
         _check_plate("gamma1", g1)
         cols["n1_closed"][i], _, e1c, _ = output_entanglement(alpha, g1, gamma2)
         cols["e1_closed"][i] = np.nan if e1c is None else e1c
-    path1 = filter_pairs(state.amps, gamma1_grid, gamma2)
+    path1 = evolve(state.amps, FULL_BASIS, gamma1_grid, gamma2)
     cols["n1_state"] = path1.p_success
     cols["e1_state"] = branch_concurrences(path1.success, path1.p_success)
     return cols

@@ -8,9 +8,8 @@ the heralded failures and carry no which-sign information.  `evolve` is the
 one device model, and it is array-shaped: a grid of plate angles and input
 states is evolved in one call, which builds each chunk's `device_unitary`
 stack and returns the branches as `Branches` arrays, one row per pass.
-`run_cmip` is the one-row call; whole grids go through `run_plans` (the β
-sweep), `evolve` (verify's grid checks), the two-photon layer's
-`filter_pairs` and the key session's tables in `qkd42.run_session`.
+`run_cmip` is the one-row call; every grid (the β sweep, verify's checks,
+the two-photon layer and the key session's tables) calls `evolve` itself.
 """
 
 from __future__ import annotations
@@ -224,25 +223,19 @@ def evolve(amps: np.ndarray, basis: ModeBasis, gamma1, gamma2, phase_h=0.0,
                                *(np.broadcast_to(x, n) for x in plates)))
 
 
-def run_plans(input_sign: int, plans) -> Branches:
-    """Evolve the input state of each plan through its device setting, in one
-    batched call; each plan's active plate angle is solved once, here."""
-    return evolve(input_amps([p.alpha for p in plans], input_sign), BASIS,
-                  *zip(*(p.plates() for p in plans)))
-
-
 def run_cmip(input_sign: int, plan: CmipPlan) -> Branches:
     """Evolve one input state through the device and split it by path: the
-    one-row `Branches` of `run_plans` with one plan."""
-    return run_plans(input_sign, [plan])
+    one-row `Branches` of `evolve` with one plan."""
+    return evolve(input_amps(plan.alpha, input_sign), BASIS, *plan.plates())
 
 
 def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
     """Closed-form and Monte Carlo success probabilities over a beta grid.
 
     Returns (p_closed, p_mc) arrays; p_mc is None when shots == 0 (closed
-    form only).  The whole grid is evolved in one call, and point i draws its
-    successes from the stream (derive(seed, 'cmip_sweep', i), 'sample_runs').
+    form only).  The one + input state is evolved through every point's
+    plates in one call, and point i draws its successes from the stream
+    (derive(seed, 'cmip_sweep', i), 'sample_runs').
     p_mc comes from the evolved state, not the closed form, so comparing the
     columns is a two-route check; rounding can lift a probability to 1 + 4e-16
     (at beta = alpha, within the norm repair bound), so it is clipped into
@@ -254,8 +247,10 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots == 0:
         return p_closed, None
-    plans = [plan_for(alpha, float(b)) for b in betas]
-    probs = np.clip(run_plans(+1, plans).p_success, 0.0, 1.0)
+    # (γ1, γ2, φH, φV) per point, filled without holding n plans or tuples
+    plates = np.fromiter((plan_for(alpha, b).plates() for b in betas.tolist()),
+                         np.dtype((float, 4)), betas.size)
+    probs = np.clip(evolve(input_amps(alpha, +1)[0], BASIS, *plates.T).p_success, 0.0, 1.0)
     counts = [rng.stream(rng.derive(seed, "cmip_sweep", i), "sample_runs").binomial(shots, p)
               for i, p in enumerate(probs)]
     return p_closed, np.array(counts) / shots

@@ -118,7 +118,7 @@ def _check_delta_independence(gen):
     pairs = np.array([elab.prepare_two_photon(elab.TwoPhotonConfig(float(a), float(d))).amps
                       for a in alphas for d in deltas])
     pol, _ = postselect_rows(normalize_rows(pairs), elab.FULL_BASIS, "signal_path", "1")
-    br = elab.filter_pairs(pairs, 0.3, 0.2)
+    br = ifo.evolve(pairs, elab.FULL_BASIS, 0.3, 0.2)
     e1 = elab.branch_concurrences(br.success, br.p_success)
     e2 = elab.branch_concurrences(br.failure, br.p_failure)
     vals = np.stack([concurrences(pol), br.p_success, e1, e2], axis=1).reshape(7, 9, 4)
@@ -201,7 +201,7 @@ def _check_entanglement_brute_force(gen):
     alphas = np.linspace(0.15, math.pi - 0.15, 10)
     pairs = np.repeat([elab.prepare_two_photon(elab.TwoPhotonConfig(float(a), 0.4)).amps
                        for a in alphas], 100, axis=0)
-    br = elab.filter_pairs(pairs, g1s, g2s)
+    br = ifo.evolve(pairs, elab.FULL_BASIS, g1s, g2s)
     closed = np.array([elab.output_entanglement(a, g1, g2)
                        for a, g1, g2 in zip(np.repeat(alphas, 100), g1s, g2s)], dtype=float)
     e1 = elab.branch_concurrences(br.success, br.p_success)

@@ -32,7 +32,7 @@ def test_angle_literals():
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1/0pi", "pip", "arcsin 2",
-                                 "arcsin", "inf", "1:2"])
+                                 "arcsin", "inf", "1:2", "--1", "- -1", "-+1"])
 def test_angle_literal_rejects_garbage(bad):
     with pytest.raises(cli.UsageError):
         cli.parse_angle(bad)

@@ -54,7 +54,8 @@ def same_state(batch_row, p, single_row):
 @given(st.lists(plan_rows(), min_size=1, max_size=12), st.sampled_from((+1, -1)))
 @example([ifo.plan_for(0.0, 0.0), ifo.plan_for(5e-324, 0.0)], +1)  # γ2's 0/0
 def test_batched_device_rows_equal_single_runs(plans, sign):
-    batch = ifo.run_plans(sign, plans)
+    batch = ifo.evolve(ifo.input_amps([p.alpha for p in plans], sign), ifo.BASIS,
+                       *np.array([p.plates() for p in plans]).T)
     for i, plan in enumerate(plans):
         one = ifo.run_cmip(sign, plan)
         assert len(one.p_success) == 1
@@ -118,7 +119,7 @@ def test_batched_pair_rows_equal_single_filters(rows):
     states = [elab.prepare_two_photon(elab.TwoPhotonConfig(a, d)) for a, d, _, _ in rows]
     g1s = np.array([r[2] for r in rows])
     g2s = np.array([r[3] for r in rows])
-    batch = elab.filter_pairs(np.array([s.amps for s in states]), g1s, g2s)
+    batch = ifo.evolve(np.array([s.amps for s in states]), elab.FULL_BASIS, g1s, g2s)
     assert batch.success.shape == (len(rows), elab.PAIR_BASIS.dim)
     e1 = elab.branch_concurrences(batch.success, batch.p_success)
     e2 = elab.branch_concurrences(batch.failure, batch.p_failure)
@@ -198,9 +199,10 @@ def test_small_chunks_give_the_same_sweeps(monkeypatch):
 
 
 def test_sweeps_evolve_one_chunk_of_unitaries_at_a_time(monkeypatch):
-    # evolve builds each chunk's unitaries inside its chunk loop; at 2^16
-    # points a whole-grid (n, 4, 4) stack would alone add 16 MiB, more than
-    # the room the peak limits below leave
+    # evolve builds each chunk's unitaries inside its chunk loop, and the β
+    # sweep sends its one input state through a (4, n) array of plate angles;
+    # at 2^16 points a whole-grid (n, 4, 4) stack would alone add 16 MiB, and
+    # n plan objects or an (n, 4) input stack would not fit the 20 MiB limit
     build, sizes = ifo.device_unitary, []
 
     def spy(*plates):
@@ -218,7 +220,7 @@ def test_sweeps_evolve_one_chunk_of_unitaries_at_a_time(monkeypatch):
     grid, betas = np.linspace(0.0, math.pi / 4, n), np.linspace(0.05, 3.0, n)
     for run, limit_mib in (
             (lambda: elab.concentration_sweep(math.asin(0.51), grid, 0.3), 32),
-            (lambda: ifo.success_probability_sweep(math.pi / 4, betas, 1000, 7), 40)):
+            (lambda: ifo.success_probability_sweep(math.pi / 4, betas, 1000, 7), 20)):
         tracemalloc.start()
         try:
             run()
