@@ -1,11 +1,11 @@
 """Command-line front end: figure sweeps, tomography demos, key-distribution
 sessions, and the invariant suite.
 
-Angles on the command line are decimal radians or rational multiples of pi
-("1/2pi", "0.44pi", "pi"), optionally "arcsin <x>", with an optional leading
-minus.  Sweeps are "start:stop:steps" with inclusive endpoints.  Every CSV
-starts with a "# seed=<n>" comment; the default seed comes from the
-CMIPLAB_SEED environment variable (42 when unset) and --seed overrides both.
+Angles are decimal radians, rational multiples of pi ("1/2pi", "0.44pi", "pi")
+or "arcsin <x>" (x may carry its own minus), with an optional leading minus.
+Sweeps are "start:stop:steps" with inclusive endpoints.  Every CSV starts with
+a "# seed=<n>" comment; the default seed comes from the CMIPLAB_SEED
+environment variable (42 when unset) and --seed overrides both.
 
 Exit codes: 0 success, 1 usage/parse error, 2 I/O error, 3 verification
 failure.  `main` is the one error boundary: any ValueError (a UsageError, or
@@ -53,23 +53,20 @@ def parse_angle(text: str) -> float:
     """Parse an angle literal to radians.  A literal that names no finite
     float (nan, inf, or a number past the float range) is a UsageError."""
     s = text.strip()
-    sign = 1.0
-    if s.startswith("-"):
-        sign, s = -1.0, s[1:].strip()
-        if s.startswith(("-", "+")):  # float() would take a second sign
-            raise UsageError(f"cannot parse angle {text!r}")
+    sign, s = (-1.0, s[1:].strip()) if s.startswith("-") else (1.0, s)
+    arcsin = s.startswith("arcsin")
+    x = s[len("arcsin"):].strip() if arcsin else s
+    if s.startswith(("-", "+")) or x.startswith("+"):  # float() would take these signs
+        raise UsageError(f"cannot parse angle {text!r}")
     compact = s.replace(" ", "")
     fraction, multiple = _FRACTION.match(compact), _MULTIPLE.match(compact)
-    arcsin = s.startswith("arcsin")
     try:
-        if arcsin:
-            value = float(s[len("arcsin"):].strip())
-        elif fraction:
+        if fraction:
             value = int(fraction.group(1)) * math.pi / int(fraction.group(2))
         elif multiple:
             value = float(multiple.group(1) or 1.0) * math.pi
-        else:
-            value = float(s)
+        else:  # a decimal, or the argument x of "arcsin x"
+            value = float(x)
     except ValueError:  # not a number, or an integer past int()'s digit limit
         raise UsageError(f"cannot parse angle {text!r}") from None
     except ZeroDivisionError:

@@ -233,9 +233,9 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
     """Closed-form and Monte Carlo success probabilities over a beta grid.
 
     Returns (p_closed, p_mc) arrays; p_mc is None when shots == 0 (closed
-    form only).  The one + input state is evolved through every point's
-    plates in one call, and point i draws its successes from the stream
-    (derive(seed, 'cmip_sweep', i), 'sample_runs').
+    form only).  The + input state is evolved through every point's plates
+    in one call; point i draws from the stream (derive(seed, 'cmip_sweep', i),
+    'sample_runs'), one generator reset per stream (same draws as fresh ones).
     p_mc comes from the evolved state, not the closed form, so comparing the
     columns is a two-route check; rounding can lift a probability to 1 + 4e-16
     (at beta = alpha, within the norm repair bound), so it is clipped into
@@ -251,6 +251,6 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
     plates = np.fromiter((plan_for(alpha, b).plates() for b in betas.tolist()),
                          np.dtype((float, 4)), betas.size)
     probs = np.clip(evolve(input_amps(alpha, +1)[0], BASIS, *plates.T).p_success, 0.0, 1.0)
-    counts = [rng.stream(rng.derive(seed, "cmip_sweep", i), "sample_runs").binomial(shots, p)
-              for i, p in enumerate(probs)]
+    keys = ((rng.derive(seed, "cmip_sweep", i), "sample_runs") for i in range(probs.size))
+    counts = [gen.binomial(shots, p) for gen, p in zip(rng.streams(keys), probs)]
     return p_closed, np.array(counts) / shots

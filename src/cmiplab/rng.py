@@ -3,9 +3,9 @@
 All sampling uses Philox-4x64, a counter-based generator with a 128-bit key.
 A stream is addressed by a base seed plus a path of labels/indices; the key
 is the 16-byte BLAKE2b digest of the decimal seed and the path elements
-joined by NUL bytes.  The same (seed, path) therefore yields bit-identical
-draws on every platform, and disjoint paths give independent streams, which
-is what lets sweeps and sessions shard work without sharing generator state.
+joined by NUL bytes, so the same (seed, path) yields bit-identical draws on
+every platform and disjoint paths give independent streams.  `streams` resets
+one generator to each stream's start, with the same draws as a fresh stream.
 """
 
 from __future__ import annotations
@@ -25,6 +25,19 @@ def stream_key(seed: int, *path) -> np.ndarray:
 def stream(seed: int, *path) -> np.random.Generator:
     """Independent deterministic generator for (seed, *path)."""
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
+
+
+def streams(keys):
+    """One generator, reset to the start of stream(*key) for each key in turn."""
+    gen = None
+    for seed, *path in keys:
+        if gen is None:
+            gen = stream(seed, *path)
+            fresh = gen.bit_generator.state  # counter 0, empty buffers
+        else:
+            fresh["state"]["key"] = stream_key(seed, *path)
+            gen.bit_generator.state = fresh
+        yield gen
 
 
 def derive(seed: int, *path) -> int:

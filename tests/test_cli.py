@@ -28,11 +28,13 @@ def test_angle_literals():
     assert cli.parse_angle("1.25") == 1.25
     assert cli.parse_angle("arcsin 0.51") == math.asin(0.51)
     assert cli.parse_angle("-arcsin 1") == -math.pi / 2
+    assert cli.parse_angle("arcsin -0.5") == math.asin(-0.5)
     assert cli.parse_angle(" 1 / 9 pi ") == pytest.approx(math.pi / 9, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1/0pi", "pip", "arcsin 2",
-                                 "arcsin", "inf", "1:2", "--1", "- -1", "-+1"])
+                                 "arcsin", "inf", "1:2", "--1", "- -1", "-+1",
+                                 "+1", "+0.5", "arcsin +0.5"])
 def test_angle_literal_rejects_garbage(bad):
     with pytest.raises(cli.UsageError):
         cli.parse_angle(bad)
