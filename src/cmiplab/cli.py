@@ -2,15 +2,16 @@
 sessions, and the invariant suite.
 
 Angles are decimal radians, rational multiples of pi ("1/2pi", "0.44pi", "pi")
-or "arcsin <x>" (x may carry its own minus), with an optional leading minus.
-Sweeps are "start:stop:steps" with inclusive endpoints.  Every CSV starts with
-a "# seed=<n>" comment; the default seed comes from the CMIPLAB_SEED
-environment variable (42 when unset) and --seed overrides both.
+or "arcsin <x>" (x may carry its own minus), with an optional leading minus,
+written in ASCII digits without "_".  Sweeps are "start:stop:steps" with
+inclusive endpoints.  Every CSV starts with a "# seed=<n>" comment; the
+default seed comes from the CMIPLAB_SEED environment variable (42 when unset)
+and --seed overrides both.
 
 Exit codes: 0 success, 1 usage/parse error, 2 I/O error, 3 verification
 failure.  `main` is the one error boundary: any ValueError (a UsageError, or
 an argument the model rejects) ends in one "error:" line and exit 1, an
-OutputError in one "error:" line and exit 2.
+OutputError (a file or stdout that cannot be written) in one and exit 2.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def parse_angle(text: str) -> float:
     sign, s = (-1.0, s[1:].strip()) if s.startswith("-") else (1.0, s)
     arcsin = s.startswith("arcsin")
     x = s[len("arcsin"):].strip() if arcsin else s
-    if s.startswith(("-", "+")) or x.startswith("+"):  # float() would take these signs
+    # float() would take these signs and "_", and float() and \d any script's digits
+    if s.startswith(("-", "+")) or x.startswith("+") or "_" in s or not s.isascii():
         raise UsageError(f"cannot parse angle {text!r}")
     compact = s.replace(" ", "")
     fraction, multiple = _FRACTION.match(compact), _MULTIPLE.match(compact)
@@ -141,15 +143,17 @@ def parse_shots(text: str, allow_exact: bool):
 @contextmanager
 def _open_out(path: str | None):
     """Text stream for `path`, or stdout for None and "-"; any OSError on
-    opening, writing or closing the file becomes an OutputError."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
+    opening, writing, flushing or closing it becomes an OutputError."""
+    stdout = path is None or path == "-"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with (nullcontext(sys.stdout) if stdout
+              else open(path, "w", encoding="utf-8", newline="\n")) as fh:
             yield fh
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from None
+            fh.flush()  # stdout's buffer would otherwise fail only at exit
+    except OSError as exc:  # for stdout: a full device, or a pipe closed early
+        if stdout:  # the interpreter flushes stdout again at exit: send that to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OutputError(f"cannot write {'stdout' if stdout else path}: {exc}") from None
 
 
 _STATE_CALL = re.compile(r"^(\w+)\s*\((.*)\)$")
@@ -296,12 +300,11 @@ def cmd_verify(args) -> int:
             # physics, not in an argument check
             return min(ifo.solve_gamma1(alpha, beta) + 1e-3, math.pi / 4)
     results = verify.run_all(gamma1_solver=solver)
-    failed = 0
-    for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        print(f"[{tag}] {r.name}: {r.detail}")
-        failed += not r.passed
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    failed = sum(not r.passed for r in results)
+    with _open_out(None) as out:
+        for r in results:
+            out.write(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n")
+        out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -384,12 +387,9 @@ def main(argv=None) -> int:
         if args.func is None:
             raise UsageError("a command is required (cmip, entangle, tomo, qkd, verify)")
         return args.func(args)
-    except ValueError as exc:  # a UsageError, or a value the model rejects
+    except (ValueError, OutputError) as exc:  # ValueError: a UsageError or a rejected value
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_IO if isinstance(exc, OutputError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

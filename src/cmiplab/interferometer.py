@@ -39,9 +39,9 @@ _V1 = BASIS.index("V", "1")
 _V2 = BASIS.index("V", "2")
 
 
-def _check_angle(name, value, lo=0.0, hi=math.pi):
-    if not (lo <= value <= hi):
-        raise ValueError(f"{name} = {value} outside [{lo}, {hi}]")
+def _check_angle(name, value):
+    if not (0.0 <= value <= math.pi):
+        raise ValueError(f"{name} = {value} outside [0.0, {math.pi}]")
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,15 @@ def device_unitary(gamma1, gamma2, phase_h=0.0, phase_v=0.0) -> np.ndarray:
     """
     g1, g2, ph, pv = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
                                            for x in (gamma1, gamma2, phase_h, phase_v)))
-    c1, s1 = np.cos(2 * g1), np.sin(2 * g1)
-    c2, s2 = np.cos(2 * g2), np.sin(2 * g2)
     m = np.zeros((g1.size, 4, 4), dtype=complex)
-    m[:, _H1, _H1], m[:, _V2, _H1] = c1, -1j * s1
-    m[:, _H1, _V2], m[:, _V2, _V2] = -1j * s1, c1
-    m[:, _V1, _V1], m[:, _H2, _V1] = c2, -1j * s2
-    m[:, _V1, _H2], m[:, _H2, _H2] = -1j * s2, c2
-    # each column takes the phase of its input's polarization: H1 and V2
-    # pair up under the first plate, V1 and H2 under the second
     phase = np.empty((g1.size, 1, 4), dtype=complex)
-    phase[:, 0, _H1] = phase[:, 0, _V2] = np.exp(1j * ph)
-    phase[:, 0, _V1] = phase[:, 0, _H2] = np.exp(1j * pv)
+    # each plate couples a path-1 polarization with the other polarization
+    # on path 2, and both columns of its block take that input's phase
+    for (a, b), g, p in (((_H1, _V2), g1, ph), ((_V1, _H2), g2, pv)):
+        c, s = np.cos(2 * g), np.sin(2 * g)
+        m[:, a, a] = m[:, b, b] = c
+        m[:, b, a] = m[:, a, b] = -1j * s
+        phase[:, 0, a] = phase[:, 0, b] = np.exp(1j * p)
     m *= phase
     check_unitary_rows(m)
     return m

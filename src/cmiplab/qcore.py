@@ -5,12 +5,14 @@ mode bases (polarization, path, idler polarization).  States are immutable;
 every operation returns a new value, so concurrent use needs no locking.
 
 The arithmetic is array-shaped: the `*_rows` functions and `concurrences`
-act on a stack of n states or matrices at once and validate each stack with
-one vectorised check.  The `DensityMatrix` check, `postselect`, `fidelity`
-and `concurrence` are the n = 1 calls into them, so a row of a batch and the
-scalar call give the same bits, with one exception: `concurrences` reads
-pure (n, 4) rows as 2|ad − bc| of their amplitudes, so only its
-density-matrix rows share their bits with `concurrence`.
+act on a whole stack of n states or matrices at once and validate it with
+one vectorised check.  The `DensityMatrix` check, `postselect` and
+`concurrence` (`concurrences` of one row) are the n = 1 calls into them, so
+a row of a batch and the scalar call give the same bits, with one exception:
+`concurrences` reads pure (n, 4) rows as 2|ad − bc| of their amplitudes, so
+only its density-matrix rows share their bits with `concurrence`.
+`fidelity` has no row form.  Only the device's `evolve` works in chunks of
+`CHUNK_ROWS` rows, through `in_chunks`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ NORM_REPAIR_TOL = 1e-9
 #: postselection outcomes less likely than this are impossible: no state
 POSTSELECT_MIN = 1e-15
 
-#: rows per pass of a batched call; bounds its temporaries for any batch size
+#: rows per pass of `evolve`; bounds its temporaries for any batch size
 CHUNK_ROWS = 256
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -45,14 +47,12 @@ _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 def in_chunks(fn, *rows):
     """fn applied to aligned chunks of at most CHUNK_ROWS rows of the arrays,
-    its outputs (an array or a tuple of arrays) stacked back together."""
+    its output tuples of arrays stacked back together."""
     n, step = len(rows[0]), CHUNK_ROWS
     if n <= step:
         return fn(*rows)
     parts = [fn(*(r[lo:lo + step] for r in rows)) for lo in range(0, n, step)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    return np.concatenate(parts)
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def row_norms(amps: np.ndarray) -> np.ndarray:
@@ -328,8 +328,8 @@ def concurrences(rows: np.ndarray) -> np.ndarray:
     `rows` is either (n, 4) pure-state amplitudes a|HH⟩ + b|HV⟩ + c|VH⟩ +
     d|VV⟩, which get the norm repair of `normalize_rows` and then the exact
     pure-state value 2|ad − bc| (Hill and Wootters), or (n, 4, 4) density
-    matrices, which get the density-matrix checks and `_wootters` once per
-    chunk of rows.
+    matrices, which get the density-matrix checks and `_wootters`, each once
+    for the whole stack.
     """
     rows = np.asarray(rows, dtype=complex)
     if rows.shape[1:] not in ((4,), (4, 4)):
@@ -339,19 +339,13 @@ def concurrences(rows: np.ndarray) -> np.ndarray:
     if rows.ndim == 2:
         v = normalize_rows(rows)
         return 2 * np.abs(v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2])
-
-    def chunk(mats):
-        check_density_rows(mats)
-        return _wootters(mats)
-
-    return in_chunks(chunk, rows)
+    check_density_rows(rows)
+    return _wootters(rows)
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit density matrix (see `_wootters`)."""
-    if rho.basis.dim != 4:
-        raise ValueError(f"concurrence needs a 4-dimensional state, got dim {rho.basis.dim}")
-    return float(_wootters(rho.matrix[None])[0])
+    """Wootters concurrence of a two-qubit density matrix: one-row `concurrences`."""
+    return float(concurrences(rho.matrix[None])[0])
 
 
 def state_to_json(s: StateVector) -> str:

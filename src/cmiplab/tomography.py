@@ -32,7 +32,7 @@ _KETS = {
     "R": np.array([_SQ, -1j * _SQ], dtype=complex),
     "L": np.array([_SQ, 1j * _SQ], dtype=complex),
 }
-LABELS = ("H", "V", "D", "A", "R", "L")
+LABELS = tuple(_KETS)
 
 _PAULIS = [np.eye(2, dtype=complex),
            np.array([[0, 1], [1, 0]], dtype=complex),

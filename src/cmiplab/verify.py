@@ -16,6 +16,7 @@ makes one batched engine call per stack; the closed forms stay on `math`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,50 +132,47 @@ def _ab_grid():
             yield float(alpha), float(beta)
 
 
-def _grid_deviations(gamma1_solver, cache):
+def _grid_deviations(gamma1_solver):
     """Worst deviations of the device over the (α, β) grid, for both signs.
 
     Returns (⟨φ+|φ−⟩ vs cos β, success probability vs closed form, stray
     failure amplitude).  Each point's plate angles are solved here: γ1 by
     `gamma1_solver` where α ≤ β, γ2 by `solve_gamma2` otherwise; then the
-    grid's + inputs and − inputs are evolved together in one `evolve` call,
-    the engine run_cmip uses.  One pass per solver and run_all serves every
-    check that reads it, and only the three numbers are kept in `cache`.
+    grid's + and − inputs are evolved together in one `evolve` call, the
+    engine run_cmip uses.  `run_all` memoises it per solver for one call.
     """
-    if gamma1_solver not in cache:
-        grid = list(_ab_grid())
-        n = len(grid)
-        alphas, betas = np.array(grid).T
-        g1, g2, p_closed = np.zeros((3, n))
-        for i, (alpha, beta) in enumerate(grid):
-            if alpha <= beta:
-                g1[i] = gamma1_solver(alpha, beta)
-            else:
-                g2[i] = ifo.solve_gamma2(alpha, beta)
-            p_closed[i] = ifo.closed_form_probability(alpha, beta)
-        # rows: the + inputs of the grid, then its − inputs
-        amps = np.concatenate([ifo.input_amps(alphas, sign) for sign in (+1, -1)])
-        out = ifo.evolve(amps, ifo.BASIS, np.tile(g1, 2), np.tile(g2, 2))
-        plus, minus = out.success.reshape(2, n, 2)
-        ip = (plus.conj()[:, None, :] @ minus[:, :, None])[:, 0, 0]
-        worst_ip = float(max(np.max(np.abs(ip.real - np.cos(betas))),
-                             np.max(np.abs(ip.imag))))
-        worst_p = float(np.max(np.abs(out.p_success - np.tile(p_closed, 2))))
-        # the failure branch holds a single mode: V for expansion, H for
-        # contraction; the stray amplitude is the other one
-        stray_mode = np.tile(np.where(alphas <= betas, 0, 1), 2)
-        has_fail = out.p_failure >= POSTSELECT_MIN
-        stray = np.abs(out.failure[np.arange(2 * n), stray_mode])[has_fail]
-        cache[gamma1_solver] = (worst_ip, worst_p, float(np.max(stray, initial=0.0)))
-    return cache[gamma1_solver]
+    grid = list(_ab_grid())
+    n = len(grid)
+    alphas, betas = np.array(grid).T
+    g1, g2, p_closed = np.zeros((3, n))
+    for i, (alpha, beta) in enumerate(grid):
+        if alpha <= beta:
+            g1[i] = gamma1_solver(alpha, beta)
+        else:
+            g2[i] = ifo.solve_gamma2(alpha, beta)
+        p_closed[i] = ifo.closed_form_probability(alpha, beta)
+    # rows: the + inputs of the grid, then its − inputs
+    amps = np.concatenate([ifo.input_amps(alphas, sign) for sign in (+1, -1)])
+    out = ifo.evolve(amps, ifo.BASIS, np.tile(g1, 2), np.tile(g2, 2))
+    plus, minus = out.success.reshape(2, n, 2)
+    ip = (plus.conj()[:, None, :] @ minus[:, :, None])[:, 0, 0]
+    worst_ip = float(max(np.max(np.abs(ip.real - np.cos(betas))),
+                         np.max(np.abs(ip.imag))))
+    worst_p = float(np.max(np.abs(out.p_success - np.tile(p_closed, 2))))
+    # the failure branch holds a single mode: V for expansion, H for
+    # contraction; the stray amplitude is the other one
+    stray_mode = np.tile(np.where(alphas <= betas, 0, 1), 2)
+    has_fail = out.p_failure >= POSTSELECT_MIN
+    stray = np.abs(out.failure[np.arange(2 * n), stray_mode])[has_fail]
+    return worst_ip, worst_p, float(np.max(stray, initial=0.0))
 
 
-def _check_inner_product(gen, gamma1_solver, cache):
-    return _grid_deviations(gamma1_solver, cache)[0]
+def _check_inner_product(gen, deviations, gamma1_solver):
+    return deviations(gamma1_solver)[0]
 
 
-def _check_probability_equivalence(gen, gamma1_solver, cache):
-    return _grid_deviations(gamma1_solver, cache)[1]
+def _check_probability_equivalence(gen, deviations, gamma1_solver):
+    return deviations(gamma1_solver)[1]
 
 
 def _check_usd_point(gen):
@@ -191,19 +189,23 @@ def _check_monotonicity(gen):
     return violations
 
 
-def _check_failure_purity(gen, cache):
-    return _grid_deviations(ifo.solve_gamma1, cache)[2]
+def _check_failure_purity(gen, deviations):
+    return deviations(ifo.solve_gamma1)[2]
+
+
+def _pair_grid():
+    """The two-photon checks' 1000 (α, γ1, γ2), α outermost, γ2 innermost."""
+    plates = np.linspace(0.0, math.pi / 4, 10)
+    return [g.ravel() for g in np.meshgrid(np.linspace(0.15, math.pi - 0.15, 10),
+                                           plates, plates, indexing="ij")]
 
 
 def _check_entanglement_brute_force(gen):
-    plates = np.linspace(0.0, math.pi / 4, 10)
-    g1s, g2s = (np.tile(g.ravel(), 10) for g in np.meshgrid(plates, plates, indexing="ij"))
-    alphas = np.linspace(0.15, math.pi - 0.15, 10)
+    alphas, g1s, g2s = _pair_grid()
     pairs = np.repeat([elab.prepare_two_photon(elab.TwoPhotonConfig(float(a), 0.4)).amps
-                       for a in alphas], 100, axis=0)
+                       for a in alphas[::100]], 100, axis=0)
     br = ifo.evolve(pairs, elab.FULL_BASIS, g1s, g2s)
-    closed = np.array([elab.output_entanglement(a, g1, g2)
-                       for a, g1, g2 in zip(np.repeat(alphas, 100), g1s, g2s)], dtype=float)
+    closed = np.array([elab.output_entanglement(*p) for p in zip(alphas, g1s, g2s)], dtype=float)
     e1 = elab.branch_concurrences(br.success, br.p_success)
     e2 = elab.branch_concurrences(br.failure, br.p_failure)
     brute = np.stack([br.p_success, br.p_failure, e1, e2], axis=1)
@@ -213,15 +215,13 @@ def _check_entanglement_brute_force(gen):
 
 def _check_predicate_equivalence(gen):
     mismatches = 0
-    for alpha in np.linspace(0.15, math.pi - 0.15, 10):
+    for alpha, g1, g2 in zip(*_pair_grid()):
+        pred = elab.concentration_predicate(float(alpha), float(g1), float(g2))
+        _, _, e1, _ = elab.output_entanglement(alpha, g1, g2)
+        if e1 is None:
+            continue  # empty branch: nothing to compare
         e_in = abs(math.sin(alpha))
-        for g1 in np.linspace(0.0, math.pi / 4, 10):
-            for g2 in np.linspace(0.0, math.pi / 4, 10):
-                pred = elab.concentration_predicate(float(alpha), float(g1), float(g2))
-                _, _, e1, _ = elab.output_entanglement(alpha, g1, g2)
-                if e1 is None:
-                    continue  # empty branch: nothing to compare
-                mismatches += e1 < e_in - 1e-12 if pred else e1 > e_in + 1e-12
+        mismatches += e1 < e_in - 1e-12 if pred else e1 > e_in + 1e-12
     return mismatches
 
 
@@ -254,7 +254,7 @@ def run_all(gamma1_solver=None, seed: int = 20260824) -> list[CheckResult]:
     """Run every invariant check; `gamma1_solver` overrides the device solver
     inside the interferometer contracts (mutation-testing hook)."""
     solver = gamma1_solver or ifo.solve_gamma1
-    grids = {}
+    deviations = functools.cache(_grid_deviations)  # lives for this call only
     # name, check, its extra arguments, tolerance, detail template for worst
     checks = [
         ("unitarity_preservation", _check_unitarity, (), 1e-12,
@@ -269,15 +269,15 @@ def run_all(gamma1_solver=None, seed: int = 20260824) -> list[CheckResult]:
          "worst local-unitary deviation {:.2e}"),
         ("delta_independence", _check_delta_independence, (), 1e-12,
          "worst delta dependence {:.2e}"),
-        ("inner_product_contract", _check_inner_product, (solver, grids), 1e-9,
+        ("inner_product_contract", _check_inner_product, (deviations, solver), 1e-9,
          "worst ⟨φ+|φ−⟩ − cos β deviation {:.2e}"),
-        ("probability_equivalence", _check_probability_equivalence, (solver, grids), 1e-12,
+        ("probability_equivalence", _check_probability_equivalence, (deviations, solver), 1e-12,
          "worst amplitude-vs-closed-form gap {:.2e}"),
         ("usd_idp_point", _check_usd_point, (), 1e-12,
          "worst |P(α,π/2) − (1−cos α)| = {:.2e}"),
         ("probability_monotonicity", _check_monotonicity, (), 0,
          "P never increases as β moves away from α on either side"),
-        ("failure_state_purity", _check_failure_purity, (grids,), 1e-9,
+        ("failure_state_purity", _check_failure_purity, (deviations,), 1e-9,
          "worst stray failure amplitude {:.2e}"),
         ("entanglement_closed_vs_brute", _check_entanglement_brute_force, (), 1e-9,
          "worst closed-form-vs-state gap {:.2e}"),

@@ -34,7 +34,8 @@ def test_angle_literals():
 
 @pytest.mark.parametrize("bad", ["", "x", "1/0pi", "pip", "arcsin 2",
                                  "arcsin", "inf", "1:2", "--1", "- -1", "-+1",
-                                 "+1", "+0.5", "arcsin +0.5"])
+                                 "+1", "+0.5", "arcsin +0.5", "1_0", "1e-1_0", "١",
+                                 "１/２pi", "٣pi", "arcsin 0.1_0"])
 def test_angle_literal_rejects_garbage(bad):
     with pytest.raises(cli.UsageError):
         cli.parse_angle(bad)
@@ -515,12 +516,17 @@ def test_verify_exit_codes_and_mutation(capsys):
     assert "[FAIL] inner_product_contract" in out
 
 
-def test_console_entry_point_subprocess(tmp_path):
-    # the real process must propagate exit codes and bytes; it imports the
-    # same cmiplab as this one, whether installed or on the test path
+def _child_env():
+    """The environment of a child `python -m cmiplab`: it imports the same
+    cmiplab as this process, whether installed or on the test path."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_console_entry_point_subprocess(tmp_path):
+    # the real process must propagate exit codes and bytes
+    env = _child_env()
     res = subprocess.run([sys.executable, "-m", "cmiplab", "qkd",
                           "--pulses", "500", "--seed", "1"],
                          capture_output=True, text=True, env=env)
@@ -532,6 +538,33 @@ def test_console_entry_point_subprocess(tmp_path):
                          capture_output=True, text=True, env=env)
     assert bad.returncode == 1
     assert "error:" in bad.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("qkd", "--pulses", "10"), ("verify",),
+                                  ("tomo", "psi_plus(1)")], ids=["qkd", "verify", "tomo"])
+def test_stdout_full_device_is_an_io_error(argv):
+    # stdout is block-buffered into a file, so the write fails on the flush;
+    # one error line and exit 2, and nothing more when the interpreter exits
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "cmiplab", *argv], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=_child_env())
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: cannot write stdout: ") and res.stderr.count("\n") == 1
+
+
+def test_stdout_pipe_closed_after_the_first_line_is_an_io_error():
+    # 200 000 rows fill the pipe long before the sweep ends, so the child is
+    # still writing when the reader goes away
+    child = subprocess.Popen([sys.executable, "-m", "cmiplab", "cmip", "--alpha", "1/4pi",
+                              "--betas", "0.1:3:200000", "--shots", "0", "--seed", "1"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 2
+    assert first == b"# seed=1\n"
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
 
 
 # --- a grammar fuzzer for the whole CLI boundary ---

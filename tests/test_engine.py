@@ -65,6 +65,36 @@ def test_batched_device_rows_equal_single_runs(plans, sign):
         assert same_state(batch.failure[i], one.p_failure[0], one.failure[0])
 
 
+def entrywise_device_unitary(gamma1, gamma2, phase_h, phase_v):
+    """`device_unitary` as it was written before its plate loop: each of the
+    eight block entries and both phase columns spelled out."""
+    g1, g2, ph, pv = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
+                                           for x in (gamma1, gamma2, phase_h, phase_v)))
+    H1, H2, V1, V2 = ifo._H1, ifo._H2, ifo._V1, ifo._V2
+    c1, s1 = np.cos(2 * g1), np.sin(2 * g1)
+    c2, s2 = np.cos(2 * g2), np.sin(2 * g2)
+    m = np.zeros((g1.size, 4, 4), dtype=complex)
+    m[:, H1, H1], m[:, V2, H1] = c1, -1j * s1
+    m[:, H1, V2], m[:, V2, V2] = -1j * s1, c1
+    m[:, V1, V1], m[:, H2, V1] = c2, -1j * s2
+    m[:, V1, H2], m[:, H2, H2] = -1j * s2, c2
+    phase = np.empty((g1.size, 1, 4), dtype=complex)
+    phase[:, 0, H1] = phase[:, 0, V2] = np.exp(1j * ph)
+    phase[:, 0, V1] = phase[:, 0, H2] = np.exp(1j * pv)
+    return m * phase
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(plates, plates, phases, phases), min_size=1, max_size=8),
+       st.integers(0, 3))
+def test_plate_loop_keeps_the_entrywise_bits(rows, scalar):
+    # one column of arguments is a scalar broadcast against the others
+    args = [np.array(col) for col in zip(*rows)]
+    args[scalar] = float(args[scalar][0])
+    assert np.array_equal(ifo.device_unitary(*args), entrywise_device_unitary(*args))
+    assert np.array_equal(ifo.device_unitary(*rows[0]), entrywise_device_unitary(*rows[0]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(angles, angles)
 @example(0.0, 1e-200)    # sin²(β/2) underflows to 0

@@ -50,6 +50,9 @@ def test_grid_is_evaluated_once_per_solver():
     # inner_product_contract and probability_equivalence share one pass
     expand_points = sum(a <= b for a, b in verify._ab_grid())
     assert len(calls) == expand_points
+    # the memo lives for one run_all call: the next call evaluates the grid again
+    verify.run_all(gamma1_solver=counting)
+    assert len(calls) == 2 * expand_points
 
 
 def test_raising_solver_fails_its_checks_without_aborting():
