@@ -172,7 +172,7 @@ def parse_state_spec(text: str) -> StateVector:
             raise OutputError(f"cannot read {path}: {exc}") from None
         except UnicodeDecodeError as exc:  # its repr would quote every byte read
             raise UsageError(f"cannot load a state from {path}: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # deep nesting
             raise UsageError(f"cannot load a state from {path}: {exc!r}") from None
     m = _STATE_CALL.match(s)
     if not m:
@@ -227,18 +227,17 @@ def cmd_entangle(args) -> int:
         raise OutputError("cannot write : empty --out prefix")
     res = elab.concentration_sweep(alpha, grid, gamma2, delta)
 
+    g1s, n1c, n1s, e1c, e1s = (a.tolist() for a in (
+        grid, res["n1_closed"], res["n1_state"], res["e1_closed"], res["e1_state"]))
+    lead, g2 = f"{e_in:.17g},{alpha:.17g},", f"{gamma2:.17g}"  # the same in every row
     with _open_out(f"{args.out}_n1.csv") as out:
-        out.write(f"# seed={seed}\n")
-        out.write("E_in,alpha_rad,gamma1_rad,gamma2_rad,n1_closed,n1_sim\n")
-        for i, g1 in enumerate(grid):
-            out.write(f"{e_in:.17g},{alpha:.17g},{g1:.17g},{gamma2:.17g},"
-                      f"{res['n1_closed'][i]:.17g},{res['n1_state'][i]:.17g}\n")
+        out.write(f"# seed={seed}\nE_in,alpha_rad,gamma1_rad,gamma2_rad,n1_closed,n1_sim\n"
+                  + "".join([f"{lead}{g1:.17g},{g2},{c:.17g},{s:.17g}\n"
+                             for g1, c, s in zip(g1s, n1c, n1s)]))
     with _open_out(f"{args.out}_e1.csv") as out:
-        out.write(f"# seed={seed}\n")
-        out.write("gamma1_rad,e1_closed,e1_from_state,n1\n")
-        for i, g1 in enumerate(grid):
-            out.write(f"{g1:.17g},{res['e1_closed'][i]:.17g},"
-                      f"{res['e1_state'][i]:.17g},{res['n1_closed'][i]:.17g}\n")
+        out.write(f"# seed={seed}\ngamma1_rad,e1_closed,e1_from_state,n1\n"
+                  + "".join([f"{g1:.17g},{c:.17g},{s:.17g},{n:.17g}\n"
+                             for g1, c, s, n in zip(g1s, e1c, e1s, n1c)]))
     return EXIT_OK
 
 
@@ -313,6 +312,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        """Help goes to stdout through _open_out, so a failed write is exit 2."""
+        with _open_out(None) as out:
+            out.write(self.format_help())
 
 
 @functools.cache

@@ -18,6 +18,7 @@ only its density-matrix rows share their bits with `concurrence`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +142,7 @@ class ModeBasis:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.shape)) if self.factors else 1
+        return math.prod(self.shape)  # exact on Python ints, 1 for no factors
 
     def axis(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.factors):

@@ -173,10 +173,11 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
 #: the pulse log's row after the pulse number, indexed by the 5-bit code
 #: 8·sent + 4·(guess − 1) + 2·monitor + bit, sent = 2·alice_bit + (port − 1);
 #: the path-1 ± measurement always clicks, so a pulse not on the monitor is
-#: conclusive
-_ROW_SUFFIX = tuple(
+#: conclusive.  Held as ASCII bytes padded with 0 to one width.
+_ROW_SUFFIX = np.array([list(row.encode().ljust(20, b"\0")) for row in (
     f",{a},{o},{g},monitor,\n" if m else f",{a},{o},{g},conclusive,{b}\n"
-    for a in (0, 1) for o in (1, 2) for g in (1, 2) for m in (0, 1) for b in (0, 1))
+    for a in (0, 1) for o in (1, 2) for g in (1, 2) for m in (0, 1) for b in (0, 1))],
+    dtype=np.uint8)
 
 
 def pulse_log_csv(codes: np.ndarray, seed: int, start: int) -> str:
@@ -185,9 +186,19 @@ def pulse_log_csv(codes: np.ndarray, seed: int, start: int) -> str:
 
     `codes` holds each pulse's 5-bit row code (see _ROW_SUFFIX); Bob's bit
     is meaningless on monitor pulses, whose rows leave it empty.  run_session
-    writes one call's text per chunk.
+    writes one call's text per chunk.  The rows are built as one byte table,
+    the pulse number's digits then the suffix, with 0 bytes for its leading
+    zeros and the suffix padding; dropping every 0 byte leaves the text.
     """
     head = (f"# seed={seed}\npulse,alice_bit,alice_output,bob_guess,result,bit\n"
             if start == 0 else "")
-    return head + "".join([str(i) + _ROW_SUFFIX[c]
-                           for i, c in enumerate(codes.tolist(), start)])
+    width = len(str(start + len(codes) - 1))
+    rows = np.empty((len(codes), width + _ROW_SUFFIX.shape[1]), dtype=np.uint8)
+    rows[:, width:] = np.take(_ROW_SUFFIX, codes, axis=0)
+    number = np.arange(start, start + len(codes))
+    for j in reversed(range(width)):
+        shown = (number > 0) | (j == width - 1)  # the last digit shows even for 0
+        number, digit = np.divmod(number, 10)
+        rows[:, j] = np.where(shown, digit + 48, 0)  # 48 is ASCII "0"
+    flat = rows.ravel()
+    return head + flat[flat != 0].tobytes().decode("ascii")

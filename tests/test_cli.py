@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmiplab import cli, qkd42
+from cmiplab import entanglement_lab as elab
 from cmiplab.qcore import state_from_json
 
 
@@ -314,6 +315,41 @@ def test_entangle_writes_both_tables(tmp_path):
     assert abs(float(row[1]) - math.asin(0.51)) < 1e-15
 
 
+def _per_cell_entangle_files(e_in, alpha, grid, gamma2, res, seed):
+    """The two entangle tables written cell by cell from the result arrays,
+    as cmd_entangle did before it joined its rows: the byte reference."""
+    n1 = [f"# seed={seed}\n", "E_in,alpha_rad,gamma1_rad,gamma2_rad,n1_closed,n1_sim\n"]
+    e1 = [f"# seed={seed}\n", "gamma1_rad,e1_closed,e1_from_state,n1\n"]
+    for i, g1 in enumerate(grid):
+        n1.append(f"{e_in:.17g},{alpha:.17g},{g1:.17g},{gamma2:.17g},"
+                  f"{res['n1_closed'][i]:.17g},{res['n1_state'][i]:.17g}\n")
+        e1.append(f"{g1:.17g},{res['e1_closed'][i]:.17g},"
+                  f"{res['e1_state'][i]:.17g},{res['n1_closed'][i]:.17g}\n")
+    return "".join(n1), "".join(e1)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_entangle_tables_keep_every_byte_of_the_per_cell_rows(case, tmp_path):
+    r = np.random.default_rng(case)
+    steps = int(r.integers(2, 300))
+    sweep = f"0:1/4pi:{steps}" if case % 2 else f"1/4pi:0:{steps}"  # both ends
+    gamma2 = 0.0 if case < 2 else float(r.uniform(0.0, math.pi / 4))
+    delta, seed = float(r.uniform(-math.pi, math.pi)), int(r.integers(0, 2 ** 63))
+    if case % 3:
+        e_in = float(r.uniform(0.0, 1.0))
+        alpha, source = math.asin(e_in), ("--e-in", repr(e_in))
+    else:
+        alpha = float(r.uniform(0.0, math.pi))
+        e_in, source = abs(math.sin(alpha)), (f"--alpha={alpha!r}",)
+    prefix = tmp_path / "fig"
+    assert run_cli("entangle", *source, f"--gamma2={gamma2!r}", "--gamma1s", sweep,
+                   f"--delta={delta!r}", "--seed", str(seed), "--out", str(prefix)) == 0
+    grid = cli.parse_sweep(sweep, "gamma1")
+    res = elab.concentration_sweep(alpha, grid, gamma2, delta)
+    assert ((tmp_path / "fig_n1.csv").read_text(), (tmp_path / "fig_e1.csv").read_text()) \
+        == _per_cell_entangle_files(e_in, alpha, grid, gamma2, res, seed)
+
+
 def test_entangle_flag_exclusivity(tmp_path, capsys):
     code = run_cli("entangle", "--gamma2", "1/9pi", "--gamma1s", "0:1/4pi:5",
                    "--out", str(tmp_path / "x"))
@@ -382,6 +418,11 @@ _BAD_STATE_FILES = {
     # its squared norm is past the float range
     "overflow": json.dumps({"basis": _QUBIT_BASIS,
                             "amplitudes": [[1e200, 0.0], [0.0, 0.0]]}),
+    # deep enough to exhaust json.loads' recursion limit
+    "nested": "[" * 990 + "]" * 990,
+    # 64 two-symbol factors: dimension 2^64, which int64 wraps to 0
+    "wide_basis": json.dumps({"basis": [{"factor": f"f{i}", "symbols": ["H", "V"]}
+                                        for i in range(64)], "amplitudes": []}),
 }
 
 
@@ -400,6 +441,8 @@ def test_tomo_bad_state_is_a_usage_error(spec, tmp_path, monkeypatch, capsys):
     if spec == "json:duplicate_symbols":
         # the state loader rejects it, not tomography's basis match
         assert "duplicate symbols in factor 'signal_pol'" in err
+    if spec == "json:wide_basis":
+        assert f"amplitude length 0 != basis dimension {2 ** 64}" in err
 
 
 def test_tomo_nan_state_in_exact_mode_is_a_usage_error(tmp_path, capsys):
@@ -542,10 +585,12 @@ def test_console_entry_point_subprocess(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [("qkd", "--pulses", "10"), ("verify",),
-                                  ("tomo", "psi_plus(1)")], ids=["qkd", "verify", "tomo"])
+                                  ("tomo", "psi_plus(1)"), ("--help",), ("cmip", "--help")],
+                         ids=["qkd", "verify", "tomo", "help", "cmip_help"])
 def test_stdout_full_device_is_an_io_error(argv):
     # stdout is block-buffered into a file, so the write fails on the flush;
-    # one error line and exit 2, and nothing more when the interpreter exits
+    # one error line and exit 2, and nothing more when the interpreter exits.
+    # argparse prints --help and exits before any command runs
     with open("/dev/full", "w") as full:
         res = subprocess.run([sys.executable, "-m", "cmiplab", *argv], stdout=full,
                              stderr=subprocess.PIPE, text=True, env=_child_env())

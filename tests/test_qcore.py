@@ -28,6 +28,15 @@ def test_basis_indexing_round_trip():
     assert [basis.index(*syms) for syms in layout] == list(range(basis.dim))
 
 
+def test_basis_dimension_is_exact_past_int64():
+    # 2^64 would wrap to 0 in int64 and let an empty amplitude list through
+    wide = ModeBasis(tuple((f"f{i}", ("a", "b")) for i in range(64)))
+    assert wide.dim == 2 ** 64
+    assert ModeBasis(()).dim == 1
+    with pytest.raises(ValueError, match="amplitude length 0 != basis dimension"):
+        StateVector(wide, [])
+
+
 def test_basis_combine_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         polarization_basis("a").combine(polarization_basis("a"))

@@ -267,6 +267,32 @@ def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch):
     assert got_log.getvalue() == ref_log.getvalue()
 
 
+def _comprehension_log(codes, seed, start):
+    """The pulse log built row by row from the row strings, as pulse_log_csv
+    did before its byte table: the reference for every byte it writes."""
+    suffix = tuple(
+        f",{a},{o},{g},monitor,\n" if m else f",{a},{o},{g},conclusive,{b}\n"
+        for a in (0, 1) for o in (1, 2) for g in (1, 2) for m in (0, 1) for b in (0, 1))
+    head = (f"# seed={seed}\npulse,alice_bit,alice_output,bob_guess,result,bit\n"
+            if start == 0 else "")
+    return head + "".join([str(i) + suffix[c] for i, c in enumerate(codes.tolist(), start)])
+
+
+@pytest.mark.parametrize("start, n", [
+    (0, 100), (0, 1), (7, 1), (5, 10), (99_990, 20), (999_990, 20),
+    (qkd42.QKD_CHUNK, qkd42.QKD_CHUNK), (15 * qkd42.QKD_CHUNK, qkd42.QKD_CHUNK),
+], ids=["header", "one_row", "one_row_later", "9_to_10", "99999_to_100000",
+        "999999_to_1000000", "chunk_at_65536", "chunk_at_983040"])
+def test_pulse_log_keeps_every_byte_of_the_row_comprehension(start, n):
+    # the golden logs hold 2,000 pulses, so they never reach a second chunk
+    # or a five-digit pulse number
+    codes = np.random.default_rng(start + n).integers(0, 32, n)
+    assert qkd42.pulse_log_csv(codes, 9, start) == _comprehension_log(codes, 9, start)
+    every_code = np.arange(32)
+    assert (qkd42.pulse_log_csv(every_code, 9, start)
+            == _comprehension_log(every_code, 9, start))
+
+
 def test_session_memory_is_bounded():
     # 1e6 pulses drawn at once peak near 88 MiB; chunks keep it a few MiB
     cfg = qkd42.config_for_theta(math.pi / 2, n_pulses=1_000_000, seed=3,
