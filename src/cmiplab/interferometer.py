@@ -231,8 +231,8 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
 
     Returns (p_closed, p_mc) arrays; p_mc is None when shots == 0 (closed
     form only).  The + input state is evolved through every point's plates
-    in one call; point i draws from the stream (derive(seed, 'cmip_sweep', i),
-    'sample_runs'), one generator reset per stream (same draws as fresh ones).
+    in one call, and every point's count comes from one binomial call on the
+    stream (seed, 'cmip_sweep'), in grid order.
     p_mc comes from the evolved state, not the closed form, so comparing the
     columns is a two-route check; rounding can lift a probability to 1 + 4e-16
     (at beta = alpha, within the norm repair bound), so it is clipped into
@@ -248,6 +248,4 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
     plates = np.fromiter((plan_for(alpha, b).plates() for b in betas.tolist()),
                          np.dtype((float, 4)), betas.size)
     probs = np.clip(evolve(input_amps(alpha, +1)[0], BASIS, *plates.T).p_success, 0.0, 1.0)
-    keys = ((rng.derive(seed, "cmip_sweep", i), "sample_runs") for i in range(probs.size))
-    counts = [gen.binomial(shots, p) for gen, p in zip(rng.streams(keys), probs)]
-    return p_closed, np.array(counts) / shots
+    return p_closed, rng.stream(seed, "cmip_sweep").binomial(shots, probs) / shots

@@ -141,8 +141,8 @@ def simulate_counts(rho: DensityMatrix, shots_per_setting: int | None,
                     seed: int) -> CountsTable:
     """Binomial counts per setting; exact Born probabilities when shots is None.
 
-    Setting i draws from the stream (seed, 'tomo', i), one generator reset per
-    stream (same draws as fresh ones), so the table is reproducible per seed.
+    Every setting's count comes from one binomial call on the stream
+    (seed, 'tomo'), in catalog order, so the table is reproducible per seed.
     """
     catalog = next((c for c in CATALOG.values() if c.basis == rho.basis), None)
     if catalog is None:
@@ -151,9 +151,8 @@ def simulate_counts(rho: DensityMatrix, shots_per_setting: int | None,
     if shots_per_setting is not None and shots_per_setting < 1:
         raise ValueError(f"shots_per_setting must be >= 1, got {shots_per_setting}")
     probs = np.clip(catalog.born(rho.matrix), 0.0, 1.0).tolist()
-    counts = probs if shots_per_setting is None else [
-        int(gen.binomial(shots_per_setting, p))
-        for gen, p in zip(rng.streams((seed, "tomo", i) for i in range(len(probs))), probs)]
+    counts = probs if shots_per_setting is None else (
+        rng.stream(seed, "tomo").binomial(shots_per_setting, probs).tolist())
     return CountsTable(dict(zip(catalog.settings, counts)), shots_per_setting, seed)
 
 

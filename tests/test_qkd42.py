@@ -313,4 +313,3 @@ def test_streams_are_stable_and_separated():
     d = rng.stream(2, "alice_bits").integers(0, 2, 8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c) or not np.array_equal(a, d)
-    assert isinstance(rng.derive(1, "x", 3), int)

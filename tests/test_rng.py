@@ -1,5 +1,6 @@
-"""One reset generator per sampling loop: the same draws as a fresh stream per
-key, and one Philox build per loop (none when the loop draws nothing)."""
+"""One generator and one binomial call per sampling call: the counts it
+draws are binomial and uncorrelated between points, and each call builds one
+Philox generator (none when it draws nothing)."""
 
 import math
 
@@ -10,27 +11,48 @@ from cmiplab import interferometer as ifo
 from cmiplab import rng, tomography
 from cmiplab.qcore import DensityMatrix, StateVector
 
-
-def draws(gen):
-    return (gen.binomial(1000, 0.3),
-            gen.integers(0, 2 ** 40, 3).tolist(),
-            gen.integers(0, 2 ** 31 - 1, 3, dtype=np.int32).tolist(),
-            gen.random(3).tolist(),
-            gen.normal(size=3).tolist())
+#: fixed before the sweep and tomography moved to one binomial call per
+#: sampling call: every mean, variance and correlation below lies within Z
+#: standard errors of the binomial value
+Z = 4.0
+SEEDS = 400
 
 
-def test_a_reset_generator_draws_as_a_fresh_stream():
-    keys = [(5, "tomo", 0), (5, "tomo", 1),
-            (rng.derive(7, "cmip_sweep", 3), "sample_runs"), (5, "tomo", 0)]
-    gens = rng.streams(keys)
-    for key in keys:
-        gen = next(gens)
-        assert draws(gen) == draws(rng.stream(*key)), key
-        # a 32-bit draw can leave half a 64-bit word buffered, which the next
-        # reset must drop
-        while not gen.bit_generator.state["has_uint32"]:
-            gen.integers(0, 2 ** 31 - 1, dtype=np.int32)
-    assert next(gens, None) is None
+def _assert_binomial(counts, n, p):
+    """Per column of a (seeds, points) count table: mean n·p, variance
+    n·p(1 − p), and no correlation with the next column."""
+    s = counts.shape[0]
+    var = n * p * (1 - p)
+    mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))  # binomial fourth central moment
+    mean, sample_var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
+    assert np.all(np.abs(mean - n * p) <= Z * np.sqrt(var / s)), (mean, n * p)
+    se_var = np.sqrt((mu4 - var ** 2 * (s - 3) / (s - 1)) / s)
+    assert np.all(np.abs(sample_var - var) <= Z * se_var), (sample_var, var)
+    r = [np.corrcoef(counts[:, i], counts[:, i + 1])[0, 1] for i in range(counts.shape[1] - 1)]
+    assert np.all(np.abs(r) <= Z / math.sqrt(s)), r
+
+
+@pytest.mark.parametrize("alpha, shots", [(math.pi / 4, 10), (2.3, 1000), (math.pi / 4, 100_000)])
+def test_sweep_counts_are_binomial(alpha, shots):
+    betas = np.linspace(0.05, 3.0, 6)
+    counts = []
+    for seed in range(SEEDS):
+        p, p_mc = ifo.success_probability_sweep(alpha, betas, shots, seed)
+        counts.append(np.rint(p_mc * shots))
+    _assert_binomial(np.array(counts), shots, p)
+
+
+@pytest.mark.parametrize("shots", [50, 10_000])
+def test_tomography_counts_are_binomial(shots):
+    # a pure state mixed with white noise: every setting's chance is in (0, 1)
+    amps = np.array([0.3 + 0.1j, -0.5, 0.6j, 0.2 - 0.4j]) / math.sqrt(0.91)
+    rho = DensityMatrix(tomography.CATALOG[2].basis,
+                        0.7 * np.outer(amps, amps.conj()) + 0.3 * np.eye(4) / 4)
+    p = tomography.CATALOG[2].born(rho.matrix)
+    assert np.all((p > 0.05) & (p < 0.95))
+    counts = [list(tomography.simulate_counts(rho, shots, seed).counts.values())
+              for seed in range(SEEDS)]
+    _assert_binomial(np.array(counts, dtype=float), shots, p)
 
 
 @pytest.fixture
