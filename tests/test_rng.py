@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from cmiplab import interferometer as ifo
-from cmiplab import rng, tomography
+from cmiplab import tomography
 from cmiplab.qcore import DensityMatrix, StateVector
 
-#: fixed before the sweep and tomography moved to one binomial call per
-#: sampling call: every mean, variance and correlation below lies within Z
-#: standard errors of the binomial value
+#: every mean, variance and correlation below must lie within Z standard
+#: errors of its binomial value; a correct sampler misses one such two-sided
+#: bound with chance about 6e-5
 Z = 4.0
 SEEDS = 400
 
