@@ -91,12 +91,10 @@ MAX_SWEEP_STEPS = 2 ** 19
 
 
 def parse_sweep(text: str, name: str) -> np.ndarray:
-    """The inclusive grid of a "start:stop:steps" sweep, checked before it
-    is built."""
+    """The inclusive grid of a "start:stop:steps" sweep, checked before it is built."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(
-            f"{name} sweep must be start:stop:steps, got {text!r}")
+        raise UsageError(f"{name} sweep must be start:stop:steps, got {text!r}")
     try:
         steps = int(parts[2])
     except ValueError:
@@ -198,12 +196,13 @@ def cmd_cmip(args) -> int:
     shots = parse_shots(args.shots, allow_exact=False)
     seed = resolve_seed(args.seed)
     p_closed, p_mc = ifo.success_probability_sweep(alpha, betas, shots, seed)
+    mcs = [""] * len(betas) if p_mc is None else [f"{p:.9g}" for p in p_mc.tolist()]
+    lead, tail = f"{alpha:.9g},", f",{shots},{seed}\n"  # the same in every row
     with _open_out(args.out) as out:
-        out.write(f"# seed={seed}\n")
-        out.write("alpha_rad,beta_rad,p_closed_form,p_monte_carlo,shots,seed\n")
-        for i, beta in enumerate(betas):
-            mc = "" if p_mc is None else f"{p_mc[i]:.9g}"
-            out.write(f"{alpha:.9g},{beta:.9g},{p_closed[i]:.9g},{mc},{shots},{seed}\n")
+        out.write(f"# seed={seed}\nalpha_rad,beta_rad,p_closed_form,p_monte_carlo,shots,seed\n")
+        # a write per row: unbuffered, one big write to a closed pipe ends short, silently
+        out.writelines([f"{lead}{b:.9g},{c:.9g},{mc}{tail}"
+                        for b, c, mc in zip(betas.tolist(), p_closed.tolist(), mcs)])
     return EXIT_OK
 
 

@@ -31,6 +31,9 @@ FULL_BASIS = DEVICE_BASIS.combine(polarization_basis(IDLER_POL))
 #: the two-qubit (signal, idler) polarization basis of a filtered pair
 PAIR_BASIS = FULL_BASIS.drop("signal_path")
 
+#: flat FULL_BASIS indices of |H,1,H⟩ and |V,1,V⟩, the pair source's two terms
+_HH, _VV = FULL_BASIS.index("H", "1", "H"), FULL_BASIS.index("V", "1", "V")
+
 #: branches with less probability than this carry no usable state
 EMPTY_BRANCH_TOL = 1e-12
 
@@ -50,9 +53,8 @@ class TwoPhotonConfig:
 def prepare_two_photon(cfg: TwoPhotonConfig) -> StateVector:
     """cos(a/2)|H,1,H⟩ + e^{iδ} sin(a/2)|V,1,V⟩, signal in path 1."""
     amps = np.zeros(8, dtype=complex)
-    amps[FULL_BASIS.index("H", "1", "H")] = math.cos(cfg.alpha / 2)
-    amps[FULL_BASIS.index("V", "1", "V")] = (
-        np.exp(1j * cfg.delta) * math.sin(cfg.alpha / 2))
+    amps[_HH] = math.cos(cfg.alpha / 2)
+    amps[_VV] = np.exp(1j * cfg.delta) * math.sin(cfg.alpha / 2)
     return StateVector(FULL_BASIS, amps)
 
 

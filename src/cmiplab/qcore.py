@@ -6,13 +6,13 @@ every operation returns a new value, so concurrent use needs no locking.
 
 The arithmetic is array-shaped: the `*_rows` functions and `concurrences`
 act on a whole stack of n states or matrices at once and validate it with
-one vectorised check.  The `DensityMatrix` check, `postselect` and
-`concurrence` (`concurrences` of one row) are the n = 1 calls into them, so
-a row of a batch and the scalar call give the same bits, with one exception:
-`concurrences` reads pure (n, 4) rows as 2|ad − bc| of their amplitudes, so
-only its density-matrix rows share their bits with `concurrence`.
-`fidelity` has no row form.  Only the device's `evolve` works in chunks of
-`CHUNK_ROWS` rows, through `in_chunks`.
+one vectorised check; Wootters reuses the density check's eigendecomposition.
+The `DensityMatrix` check, `postselect` and `concurrence` (`concurrences` of
+one row) are the n = 1 calls into them, so a row of a batch and the scalar
+call give the same bits, with one exception: `concurrences` reads pure (n, 4)
+rows as 2|ad − bc| of their amplitudes, so only its density-matrix rows share
+their bits with `concurrence`.  `fidelity` has no row form.  Only the device's
+`evolve` works in chunks of `CHUNK_ROWS` rows, through `in_chunks`.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ def check_unitary_rows(mats: np.ndarray):
 
 
 def check_density_rows(mats: np.ndarray):
-    """Reject a stack of (n, d, d) matrices unless every one is Hermitian,
-    of unit trace and positive semidefinite up to -1e-8 (a NaN entry fails)."""
+    """Reject a stack of (n, d, d) matrices unless every one is Hermitian, of
+    unit trace and then positive semidefinite up to -1e-8 (a NaN entry fails);
+    returns the (w, V) of the one `eigh` the last check read, for `_wootters`."""
     herm = np.max(np.abs(mats - mats.conj().swapaxes(1, 2)))
     if not herm <= 1e-10:
         raise ValueError(f"not Hermitian: max |ρ − ρ†| = {herm:.3e}")
@@ -107,9 +108,11 @@ def check_density_rows(mats: np.ndarray):
     off = np.flatnonzero(~(np.abs(tr - 1.0) <= 1e-10))
     if off.size:
         raise ValueError(f"trace {float(tr[off[0]])} deviates from 1")
-    lo = float(np.min(np.linalg.eigvalsh(mats)[:, 0]))
+    w, V = np.linalg.eigh(mats)
+    lo = float(np.min(w[:, 0]))
     if not lo >= -1e-8:
         raise ValueError(f"negative eigenvalue {lo:.3e} beyond repair tolerance")
+    return w, V
 
 
 def density_rows(amps: np.ndarray) -> np.ndarray:
@@ -156,8 +159,7 @@ class ModeBasis:
     def index(self, *symbols: str) -> int:
         """Flat amplitude index for one symbol per factor, in factor order."""
         if len(symbols) != len(self.factors):
-            raise ValueError(
-                f"need {len(self.factors)} symbols, got {len(symbols)}")
+            raise ValueError(f"need {len(self.factors)} symbols, got {len(symbols)}")
         multi = []
         for sym, (lab, syms) in zip(symbols, self.factors):
             if sym not in syms:
@@ -199,8 +201,7 @@ class StateVector:
     def __post_init__(self):
         a = np.asarray(self.amps, dtype=complex).reshape(-1)
         if a.size != self.basis.dim:
-            raise ValueError(
-                f"amplitude length {a.size} != basis dimension {self.basis.dim}")
+            raise ValueError(f"amplitude length {a.size} != basis dimension {self.basis.dim}")
         object.__setattr__(self, "amps", a)
 
 
@@ -307,8 +308,8 @@ def fidelity(rho: DensityMatrix, target: StateVector) -> float:
     return float(np.real(np.vdot(t, rho.matrix @ t)))
 
 
-def _wootters(mats: np.ndarray) -> np.ndarray:
-    """Concurrence of each validated (4, 4) density matrix of a stack.
+def _wootters(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Concurrence of each (4, 4) density matrix from the (w, V) of its check.
 
     The λi are the square roots of the eigenvalues of the Hermitian product
     √ρ·ρ̃·√ρ with ρ̃ = (σy⊗σy) ρ* (σy⊗σy).  They are computed as the singular
@@ -316,7 +317,6 @@ def _wootters(mats: np.ndarray) -> np.ndarray:
     singular values directly avoids the ~1e-8 noise that sqrt-of-eigenvalue
     picks up near zero and keeps pure states exact to ~1e-15.
     """
-    w, V = np.linalg.eigh(mats)
     sqrt_rho = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.conj().swapaxes(1, 2)
     lam = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ sqrt_rho.conj(), compute_uv=False)
     c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
@@ -330,7 +330,7 @@ def concurrences(rows: np.ndarray) -> np.ndarray:
     d|VV⟩, which get the norm repair of `normalize_rows` and then the exact
     pure-state value 2|ad − bc| (Hill and Wootters), or (n, 4, 4) density
     matrices, which get the density-matrix checks and `_wootters`, each once
-    for the whole stack.
+    for the whole stack: one eigendecomposition serves both.
     """
     rows = np.asarray(rows, dtype=complex)
     if rows.shape[1:] not in ((4,), (4, 4)):
@@ -340,8 +340,7 @@ def concurrences(rows: np.ndarray) -> np.ndarray:
     if rows.ndim == 2:
         v = normalize_rows(rows)
         return 2 * np.abs(v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2])
-    check_density_rows(rows)
-    return _wootters(rows)
+    return _wootters(*check_density_rows(rows))
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -359,6 +358,10 @@ def state_to_json(s: StateVector) -> str:
 
 def state_from_json(text: str) -> StateVector:
     doc = json.loads(text)
-    basis = ModeBasis(tuple((f["factor"], tuple(f["symbols"])) for f in doc["basis"]))
+    factors = tuple((f["factor"], f["symbols"]) for f in doc["basis"])
+    if not all(isinstance(lab, str) and isinstance(syms, list)  # not "HV" for H and V
+               and all(isinstance(x, str) for x in syms) for lab, syms in factors):
+        raise ValueError("each basis factor needs a string name and a list of string symbols")
+    basis = ModeBasis(tuple((lab, tuple(syms)) for lab, syms in factors))
     amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
     return StateVector(basis, amps)

@@ -22,7 +22,7 @@ from . import interferometer as ifo
 from . import rng
 
 #: pulses simulated per pass of run_session; bounds its memory
-QKD_CHUNK = 65_536
+QKD_CHUNK = 16_384
 
 
 def theta_angles(gamma1: float, gamma2: float):
@@ -55,8 +55,7 @@ class QkdConfig:
 
     def __post_init__(self):
         if abs(abs(self.gamma0) - math.pi / 8) > 1e-12:
-            raise ValueError(
-                f"gamma0 must be ±pi/8 (the ±45° encoding), got {self.gamma0}")
+            raise ValueError(f"gamma0 must be ±pi/8 (the ±45° encoding), got {self.gamma0}")
         if not 1 <= self.n_pulses < 2 ** 63:  # numpy array sizes are int64
             raise ValueError(f"n_pulses = {self.n_pulses} outside [1, 2^63)")
         th1, th2 = theta_angles(self.gamma1, self.gamma2)

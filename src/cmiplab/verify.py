@@ -200,25 +200,28 @@ def _pair_grid():
                                            plates, plates, indexing="ij")]
 
 
-def _check_entanglement_brute_force(gen):
+def _closed_pair_grid():
+    """Closed-form (n1, n2, e1, e2) rows over `_pair_grid()`, NaN for an empty branch."""
+    return np.array([elab.output_entanglement(*p) for p in zip(*_pair_grid())], dtype=float)
+
+
+def _check_entanglement_brute_force(gen, closed_grid):
     alphas, g1s, g2s = _pair_grid()
     pairs = np.repeat([elab.prepare_two_photon(elab.TwoPhotonConfig(float(a), 0.4)).amps
                        for a in alphas[::100]], 100, axis=0)
     br = ifo.evolve(pairs, elab.FULL_BASIS, g1s, g2s)
-    closed = np.array([elab.output_entanglement(*p) for p in zip(alphas, g1s, g2s)], dtype=float)
     e1 = elab.branch_concurrences(br.success, br.p_success)
     e2 = elab.branch_concurrences(br.failure, br.p_failure)
     brute = np.stack([br.p_success, br.p_failure, e1, e2], axis=1)
     # an empty branch (NaN on either side) has nothing to compare
-    return np.nanmax(np.abs(closed - brute))
+    return np.nanmax(np.abs(closed_grid() - brute))
 
 
-def _check_predicate_equivalence(gen):
+def _check_predicate_equivalence(gen, closed_grid):
     mismatches = 0
-    for alpha, g1, g2 in zip(*_pair_grid()):
+    for alpha, g1, g2, e1 in zip(*_pair_grid(), closed_grid()[:, 2].tolist()):
         pred = elab.concentration_predicate(float(alpha), float(g1), float(g2))
-        _, _, e1, _ = elab.output_entanglement(alpha, g1, g2)
-        if e1 is None:
+        if math.isnan(e1):
             continue  # empty branch: nothing to compare
         e_in = abs(math.sin(alpha))
         mismatches += e1 < e_in - 1e-12 if pred else e1 > e_in + 1e-12
@@ -254,7 +257,8 @@ def run_all(gamma1_solver=None, seed: int = 20260824) -> list[CheckResult]:
     """Run every invariant check; `gamma1_solver` overrides the device solver
     inside the interferometer contracts (mutation-testing hook)."""
     solver = gamma1_solver or ifo.solve_gamma1
-    deviations = functools.cache(_grid_deviations)  # lives for this call only
+    deviations = functools.cache(_grid_deviations)  # both live for this call only
+    closed_grid = functools.cache(_closed_pair_grid)
     # name, check, its extra arguments, tolerance, detail template for worst
     checks = [
         ("unitarity_preservation", _check_unitarity, (), 1e-12,
@@ -279,9 +283,9 @@ def run_all(gamma1_solver=None, seed: int = 20260824) -> list[CheckResult]:
          "P never increases as β moves away from α on either side"),
         ("failure_state_purity", _check_failure_purity, (deviations,), 1e-9,
          "worst stray failure amplitude {:.2e}"),
-        ("entanglement_closed_vs_brute", _check_entanglement_brute_force, (), 1e-9,
+        ("entanglement_closed_vs_brute", _check_entanglement_brute_force, (closed_grid,), 1e-9,
          "worst closed-form-vs-state gap {:.2e}"),
-        ("concentration_predicate_equivalence", _check_predicate_equivalence, (), 0,
+        ("concentration_predicate_equivalence", _check_predicate_equivalence, (closed_grid,), 0,
          "{:.0f} predicate mismatches"),
         ("tomography_round_trip", _check_tomography_round_trip, (), 1e-8,
          "worst exact-mode reconstruction error {:.2e}"),

@@ -415,6 +415,9 @@ _BAD_STATE_FILES = {
                               "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
     "duplicate_symbols": json.dumps({"basis": [{"factor": "signal_pol", "symbols": ["H", "H"]}],
                                      "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
+    # a string of symbols: iterating it would give ("H", "V")
+    "symbols_string": json.dumps({"basis": [{"factor": "signal_pol", "symbols": "HV"}],
+                                  "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
     # its squared norm is past the float range
     "overflow": json.dumps({"basis": _QUBIT_BASIS,
                             "amplitudes": [[1e200, 0.0], [0.0, 0.0]]}),
@@ -441,6 +444,8 @@ def test_tomo_bad_state_is_a_usage_error(spec, tmp_path, monkeypatch, capsys):
     if spec == "json:duplicate_symbols":
         # the state loader rejects it, not tomography's basis match
         assert "duplicate symbols in factor 'signal_pol'" in err
+    if spec == "json:symbols_string":
+        assert "list of string symbols" in err
     if spec == "json:wide_basis":
         assert f"amplitude length 0 != basis dimension {2 ** 64}" in err
 
@@ -609,6 +614,20 @@ def test_stdout_pipe_closed_after_the_first_line_is_an_io_error():
     err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 2
     assert first == b"# seed=1\n"
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
+
+
+def test_unbuffered_stdout_closed_after_the_first_line_is_an_io_error():
+    # with PYTHONUNBUFFERED, sys.stdout writes through to the raw file, and a
+    # pipe closed during one large write would cut it short without an error
+    child = subprocess.Popen([sys.executable, "-m", "cmiplab", "cmip", "--alpha", "1/4pi",
+                              "--betas", "0.1:3:200000", "--shots", "0", "--seed", "1"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**_child_env(), "PYTHONUNBUFFERED": "1"})
+    assert child.stdout.readline() == b"# seed=1\n"
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 2
     assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
 
 

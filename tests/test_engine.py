@@ -208,6 +208,29 @@ def test_pure_rows_take_no_decomposition(monkeypatch):
         concurrences(qcore.density_rows(pure[:2]))
 
 
+def test_a_density_stack_takes_one_eigendecomposition(monkeypatch):
+    # the density check's eigenvalues and Wootters' √ρ come from one eigh
+    eigh, calls = np.linalg.eigh, []
+
+    def spy(mats):
+        calls.append(mats.shape)
+        return eigh(mats)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second decomposition on the density route")
+
+    gen = np.random.default_rng(11)
+    g = gen.normal(size=(300, 4, 4)) + 1j * gen.normal(size=(300, 4, 4))
+    rhos = g @ g.conj().swapaxes(1, 2)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    c = concurrences(rhos)
+    assert calls == [(300, 4, 4)]
+    monkeypatch.undo()
+    assert np.array_equal(c, qcore._wootters(*np.linalg.eigh(rhos)))
+
+
 def test_small_chunks_give_the_same_sweeps(monkeypatch):
     grid = np.linspace(0.0, math.pi / 4, 101)
     betas = np.linspace(0.05, 0.8 * math.pi, 41)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -169,6 +170,18 @@ def test_state_json_round_trip():
     back = state_from_json(state_to_json(s))
     assert back.basis == s.basis
     assert np.max(np.abs(back.amps - s.amps)) < 1e-15
+
+
+@pytest.mark.parametrize("factor", [
+    {"factor": "signal_pol", "symbols": "HV"},  # not read as ("H", "V")
+    {"factor": "signal_pol", "symbols": ["H", 1]},
+    {"factor": ["signal_pol"], "symbols": ["H", "V"]},
+    {"factor": 0, "symbols": ["H", "V"]},
+], ids=["symbols_string", "symbol_number", "factor_list", "factor_number"])
+def test_state_json_needs_a_string_name_and_a_list_of_string_symbols(factor):
+    text = json.dumps({"basis": [factor], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
+    with pytest.raises(ValueError, match="list of string symbols"):
+        state_from_json(text)
 
 
 _BASES = (polarization_basis(), polarization_basis().combine(path_basis()),

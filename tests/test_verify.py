@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cmiplab import entanglement_lab as elab
 from cmiplab import qcore, verify
 from cmiplab.interferometer import solve_gamma1
 
@@ -53,6 +54,25 @@ def test_grid_is_evaluated_once_per_solver():
     # the memo lives for one run_all call: the next call evaluates the grid again
     verify.run_all(gamma1_solver=counting)
     assert len(calls) == 2 * expand_points
+
+
+def test_pair_grid_closed_forms_are_evaluated_once(monkeypatch):
+    calls = []
+    closed = elab.output_entanglement
+
+    def counting(*args):
+        calls.append(args)
+        return closed(*args)
+
+    monkeypatch.setattr(elab, "output_entanglement", counting)
+    results = verify.run_all()
+    assert all(r.passed for r in results)
+    # entanglement_closed_vs_brute and concentration_predicate_equivalence
+    # share one pass over the 1000 (α, γ1, γ2) points
+    assert len(calls) == 1000
+    # the memo lives for one run_all call
+    verify.run_all()
+    assert len(calls) == 2000
 
 
 def test_raising_solver_fails_its_checks_without_aborting():
@@ -164,6 +184,6 @@ def test_a_broken_wootters_fails_the_pure_equivalence_check(monkeypatch):
     # the pure-state check reads Wootters through density matrices, so it
     # still compares two routes; no other check reads a pure row's Wootters
     wootters = qcore._wootters
-    monkeypatch.setattr(qcore, "_wootters", lambda mats: wootters(mats) + 1e-6)
+    monkeypatch.setattr(qcore, "_wootters", lambda w, V: wootters(w, V) + 1e-6)
     failed = [r.name for r in verify.run_all() if not r.passed]
     assert failed == ["concurrence_pure_equivalence"]
