@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import os
 import re
@@ -138,13 +139,23 @@ def parse_shots(text: str, allow_exact: bool):
     return shots
 
 
+def _stdout():
+    """sys.stdout, or under python -u, where it drops the rest of a short write
+    to its raw file, a buffered file on its descriptor, which retries a short
+    write and raises on a closed pipe; closing it leaves the descriptor open."""
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        return open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                    errors=sys.stdout.errors, closefd=False)
+    return nullcontext(sys.stdout)
+
+
 @contextmanager
 def _open_out(path: str | None):
     """Text stream for `path`, or stdout for None and "-"; any OSError on
     opening, writing, flushing or closing it becomes an OutputError."""
     stdout = path is None or path == "-"
     try:
-        with (nullcontext(sys.stdout) if stdout
+        with (_stdout() if stdout
               else open(path, "w", encoding="utf-8", newline="\n")) as fh:
             yield fh
             fh.flush()  # stdout's buffer would otherwise fail only at exit
@@ -199,10 +210,9 @@ def cmd_cmip(args) -> int:
     mcs = [""] * len(betas) if p_mc is None else [f"{p:.9g}" for p in p_mc.tolist()]
     lead, tail = f"{alpha:.9g},", f",{shots},{seed}\n"  # the same in every row
     with _open_out(args.out) as out:
-        out.write(f"# seed={seed}\nalpha_rad,beta_rad,p_closed_form,p_monte_carlo,shots,seed\n")
-        # a write per row: unbuffered, one big write to a closed pipe ends short, silently
-        out.writelines([f"{lead}{b:.9g},{c:.9g},{mc}{tail}"
-                        for b, c, mc in zip(betas.tolist(), p_closed.tolist(), mcs)])
+        out.write(f"# seed={seed}\nalpha_rad,beta_rad,p_closed_form,p_monte_carlo,shots,seed\n"
+                  + "".join([f"{lead}{b:.9g},{c:.9g},{mc}{tail}"
+                             for b, c, mc in zip(betas.tolist(), p_closed.tolist(), mcs)]))
     return EXIT_OK
 
 

@@ -8,15 +8,15 @@ the heralded failures and carry no which-sign information.  `evolve` is the
 one device model, and it is array-shaped: a grid of plate angles and input
 states is evolved in one call, which builds each chunk's `device_unitary`
 stack and returns the branches as `Branches` arrays, one row per pass.
-`run_cmip` is the one-row call; every grid (the β sweep, verify's checks,
-the two-photon layer and the key session's tables) calls `evolve` itself.
+A device setting is `plates(α, β, φ, φ′)`, the plate angles `evolve` takes;
+every grid (the β sweep, verify's checks, the two-photon layer and the key
+session's tables) calls `evolve` itself.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,9 +25,6 @@ from . import rng
 from .qcore import (ModeBasis, StateVector, apply_rows, check_unitary_rows,
                     in_chunks, normalize_rows, path_basis, polarization_basis,
                     postselect_rows)
-
-EXPAND = "expand"      # a <= b: rotate HWP1, HWP2 stays at 0
-CONTRACT = "contract"  # b <= a: rotate HWP2, HWP1 stays at 0
 
 #: polarization (x) path basis shared by all device operators; amplitude
 #: order is (H,1), (H,2), (V,1), (V,2)
@@ -42,35 +39,6 @@ _V2 = BASIS.index("V", "2")
 def _check_angle(name, value):
     if not (0.0 <= value <= math.pi):
         raise ValueError(f"{name} = {value} outside [0.0, {math.pi}]")
-
-
-@dataclass(frozen=True)
-class CmipPlan:
-    """One device setting: the input and target inner angles (α, β) and the
-    two phase plates.  The branch and the plate angles follow from (α, β):
-    α ≤ β expands with γ1 = `solve_gamma1(α, β)`, otherwise the device
-    contracts with γ2 = `solve_gamma2(α, β)`; the other plate stays at 0."""
-
-    alpha: float
-    beta: float
-    phi: float = 0.0
-    phi_prime: float = 0.0
-
-    def __post_init__(self):
-        _check_angle("alpha", self.alpha)
-        _check_angle("beta", self.beta)
-
-    @property
-    def branch(self) -> str:
-        return EXPAND if self.alpha <= self.beta else CONTRACT
-
-    def plates(self) -> tuple[float, float, float, float]:
-        """The `device_unitary` arguments (γ1, γ2, φH, φV) of this setting,
-        solving the active plate once; the phase plate of the active branch
-        (φ′ on H when contracting, φ on V when expanding) is applied."""
-        if self.branch == EXPAND:
-            return solve_gamma1(self.alpha, self.beta), 0.0, 0.0, self.phi
-        return 0.0, solve_gamma2(self.alpha, self.beta), self.phi_prime, 0.0
 
 
 def _plate_angle(lo: float, hi: float) -> float:
@@ -107,11 +75,21 @@ def solve_gamma2(alpha: float, beta: float) -> float:
     return _plate_angle(beta, alpha)
 
 
-def plan_for(alpha: float, beta: float, phi: float = 0.0,
-             phi_prime: float = 0.0) -> CmipPlan:
-    """The setting that takes inner angle alpha to beta; its branch is
-    derived from (alpha, beta) when read, its plate angles by `plates()`."""
-    return CmipPlan(alpha, beta, phi, phi_prime)
+def plates(alpha: float, beta: float, phi: float = 0.0,
+           phi_prime: float = 0.0) -> tuple[float, float, float, float]:
+    """The `device_unitary` arguments (γ1, γ2, φH, φV) taking inner angle α to β.
+    α ≤ β expands with γ1 = `solve_gamma1(α, β)`, else γ2 = `solve_gamma2(α, β)`
+    contracts; the other plate stays at 0, and only the active branch's phase
+    plate, φ on V expanding or φ′ on H contracting, is applied."""
+    if alpha <= beta:
+        return solve_gamma1(alpha, beta), 0.0, 0.0, phi
+    return 0.0, solve_gamma2(alpha, beta), phi_prime, 0.0
+
+
+def plan_for(alpha: float, beta: float, phi: float = 0.0, phi_prime: float = 0.0):
+    """(alpha, `plates(alpha, beta, phi, phi_prime)`), the setting `run_cmip` takes.
+    Only the benchmark warm-up calls the two; ROADMAP.md's benchmark item deletes them."""
+    return alpha, plates(alpha, beta, phi, phi_prime)
 
 
 def closed_form_probability(alpha: float, beta: float) -> float:
@@ -139,7 +117,7 @@ def device_unitary(gamma1, gamma2, phase_h=0.0, phase_v=0.0) -> np.ndarray:
     |V,1⟩ → e^{iφV}(cos2γ2|V,1⟩ − i sin2γ2|H,2⟩), completed unitarily on the
     path-2 inputs.  The −i on the path-changing amplitudes is a global phase
     of the path-2 branch and unobservable after filtering.  The phases are
-    the phase plates of a `CmipPlan`; the two-photon layer leaves them at 0.
+    the phase plates that `plates` sets; the two-photon layer leaves them at 0.
     One unitarity check (‖U†U−I‖∞ ≤ 1e-12) covers the stack.
     """
     g1, g2, ph, pv = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
@@ -209,21 +187,22 @@ def evolve(amps: np.ndarray, basis: ModeBasis, gamma1, gamma2, phase_h=0.0,
     stack.  Each output row gets the norm repair of `qcore.normalize_rows`
     once, and both paths are split from the repaired rows.
     """
-    def chunk(amps, *plates):
-        out = normalize_rows(apply_rows(device_unitary(*plates), amps))
+    def chunk(amps, *angles):
+        out = normalize_rows(apply_rows(device_unitary(*angles), amps))
         return (*postselect_rows(out, basis, "signal_path", "1"),
                 *postselect_rows(out, basis, "signal_path", "2"))
 
-    plates = (gamma1, gamma2, phase_h, phase_v)
-    n = np.broadcast_shapes((1,), amps.shape[:-1], *map(np.shape, plates))
+    angles = (gamma1, gamma2, phase_h, phase_v)
+    n = np.broadcast_shapes((1,), amps.shape[:-1], *map(np.shape, angles))
     return Branches(*in_chunks(chunk, np.broadcast_to(amps, n + amps.shape[-1:]),
-                               *(np.broadcast_to(x, n) for x in plates)))
+                               *(np.broadcast_to(x, n) for x in angles)))
 
 
-def run_cmip(input_sign: int, plan: CmipPlan) -> Branches:
-    """Evolve one input state through the device and split it by path: the
-    one-row `Branches` of `evolve` with one plan."""
-    return evolve(input_amps(plan.alpha, input_sign), BASIS, *plan.plates())
+def run_cmip(input_sign: int, plan) -> Branches:
+    """The one-row `Branches` of the input state through a `plan_for` setting.
+    Only the benchmark warm-up needs it; see `plan_for`."""
+    alpha, angles = plan
+    return evolve(input_amps(alpha, input_sign), BASIS, *angles)
 
 
 def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
@@ -244,8 +223,8 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots == 0:
         return p_closed, None
-    # (γ1, γ2, φH, φV) per point, filled without holding n plans or tuples
-    plates = np.fromiter((plan_for(alpha, b).plates() for b in betas.tolist()),
+    # (γ1, γ2, φH, φV) per point, filled without holding n tuples
+    angles = np.fromiter((plates(alpha, b) for b in betas.tolist()),
                          np.dtype((float, 4)), betas.size)
-    probs = np.clip(evolve(input_amps(alpha, +1)[0], BASIS, *plates.T).p_success, 0.0, 1.0)
+    probs = np.clip(evolve(input_amps(alpha, +1)[0], BASIS, *angles.T).p_success, 0.0, 1.0)
     return p_closed, rng.stream(seed, "cmip_sweep").binomial(shots, probs) / shots

@@ -100,7 +100,7 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     k = 2·s + (guess − 1).  Bob's path-1 and + chances are 8-entry tables
     over k, and Eve's e1 chance a 4-entry one over the sent state, built once
     per session by the device engine: Alice's inputs, then the arriving
-    states under Bob's `plan_for(θ_guess, π/2)` plates, go through one
+    states under Bob's `plates(θ_guess, π/2)`, go through one
     `evolve` call each.  Each pulse compares its draws with table[k].
     Draw order is output: each role draws from its own stream of cfg.seed, in
     the same order in every chunk, and a chunked draw equals one long draw,
@@ -128,8 +128,7 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
         p_e1 = np.abs(states @ e1) ** 2  # port-2 rows carry a global phase
         states = np.array([e1, e2])
     # rows: k = 2·s + (guess − 1), each under the plates of its guess
-    bob_plates = [ifo.plan_for(th, math.pi / 2).plates()
-                  for th in theta_angles(cfg.gamma1, cfg.gamma2)]
+    bob_plates = [ifo.plates(th, math.pi / 2) for th in theta_angles(cfg.gamma1, cfg.gamma2)]
     bob = ifo.evolve(np.repeat(np.kron(states, [[1, 0]]), 2, axis=0), ifo.BASIS,
                      *zip(*bob_plates * len(states)))
     p_path1 = bob.p_success

@@ -65,7 +65,7 @@ def _check_unitarity(gen):
     plates, plates_g, z = np.empty((4, n)), np.empty((2, n)), np.empty((n, 2, 4))
     for i in range(n):
         a, b = gen.uniform(0, math.pi, size=2)
-        plates[:, i] = ifo.plan_for(a, b, *gen.uniform(0, 2 * math.pi, size=2)).plates()
+        plates[:, i] = ifo.plates(a, b, *gen.uniform(0, 2 * math.pi, size=2))
         z[i] = gen.normal(size=(2, 4))
         plates_g[:, i] = gen.uniform(0, math.pi / 4, size=2)
     out = apply_rows(ifo.device_unitary(*plates), _unit_rows(z))
@@ -136,10 +136,10 @@ def _grid_deviations(gamma1_solver):
     """Worst deviations of the device over the (α, β) grid, for both signs.
 
     Returns (⟨φ+|φ−⟩ vs cos β, success probability vs closed form, stray
-    failure amplitude).  Each point's plate angles are solved here: γ1 by
-    `gamma1_solver` where α ≤ β, γ2 by `solve_gamma2` otherwise; then the
-    grid's + and − inputs are evolved together in one `evolve` call, the
-    engine run_cmip uses.  `run_all` memoises it per solver for one call.
+    failure amplitude).  Each point's plate angles are solved here, by the
+    branch rule of `ifo.plates` but with γ1 from `gamma1_solver`; then the
+    grid's + and − inputs are evolved together in one `evolve` call.
+    `run_all` memoises it per solver for one call.
     """
     grid = list(_ab_grid())
     n = len(grid)

@@ -564,12 +564,18 @@ def test_verify_exit_codes_and_mutation(capsys):
     assert "[FAIL] inner_product_contract" in out
 
 
-def _child_env():
+def _child_env(unbuffered=False):
     """The environment of a child `python -m cmiplab`: it imports the same
-    cmiplab as this process, whether installed or on the test path."""
+    cmiplab as this process, whether installed or on the test path.  Its
+    stdout is block-buffered into a file or pipe, or with `unbuffered`
+    (PYTHONUNBUFFERED=1) written straight through, whatever this process
+    was started with."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 def test_console_entry_point_subprocess(tmp_path):
@@ -588,19 +594,33 @@ def test_console_entry_point_subprocess(tmp_path):
     assert "error:" in bad.stderr
 
 
+FULL_DEVICE_ARGV = pytest.mark.parametrize(
+    "argv", [("qkd", "--pulses", "10"), ("verify",), ("tomo", "psi_plus(1)"), ("--help",),
+             ("cmip", "--help")], ids=["qkd", "verify", "tomo", "help", "cmip_help"])
+
+
+def _run_into_full_device(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "cmiplab", *argv], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=_child_env(unbuffered))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: cannot write stdout: ") and res.stderr.count("\n") == 1
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [("qkd", "--pulses", "10"), ("verify",),
-                                  ("tomo", "psi_plus(1)"), ("--help",), ("cmip", "--help")],
-                         ids=["qkd", "verify", "tomo", "help", "cmip_help"])
+@FULL_DEVICE_ARGV
 def test_stdout_full_device_is_an_io_error(argv):
     # stdout is block-buffered into a file, so the write fails on the flush;
     # one error line and exit 2, and nothing more when the interpreter exits.
     # argparse prints --help and exits before any command runs
-    with open("/dev/full", "w") as full:
-        res = subprocess.run([sys.executable, "-m", "cmiplab", *argv], stdout=full,
-                             stderr=subprocess.PIPE, text=True, env=_child_env())
-    assert res.returncode == 2
-    assert res.stderr.startswith("error: cannot write stdout: ") and res.stderr.count("\n") == 1
+    _run_into_full_device(argv, unbuffered=False)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@FULL_DEVICE_ARGV
+def test_unbuffered_stdout_full_device_is_an_io_error(argv):
+    # with PYTHONUNBUFFERED, sys.stdout writes straight to the raw file
+    _run_into_full_device(argv, unbuffered=True)
 
 
 def test_stdout_pipe_closed_after_the_first_line_is_an_io_error():
@@ -623,12 +643,41 @@ def test_unbuffered_stdout_closed_after_the_first_line_is_an_io_error():
     child = subprocess.Popen([sys.executable, "-m", "cmiplab", "cmip", "--alpha", "1/4pi",
                               "--betas", "0.1:3:200000", "--shots", "0", "--seed", "1"],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             env={**_child_env(), "PYTHONUNBUFFERED": "1"})
+                             env=_child_env(unbuffered=True))
     assert child.stdout.readline() == b"# seed=1\n"
     child.stdout.close()
     err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 2
     assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_pulse_log_pipe_closed_after_the_first_line_is_an_io_error(unbuffered, tmp_path):
+    # a 16 000-pulse log is one chunk and one write, far larger than a pipe
+    # holds; unbuffered, that write used to end short and the run exit 0
+    child = subprocess.Popen([sys.executable, "-m", "cmiplab", "qkd", "--pulses", "16000",
+                              "--seed", "1", "--log", "-", "--out", str(tmp_path / "s.json")],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=_child_env(unbuffered))
+    assert child.stdout.readline() == b"# seed=1\n"
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 2
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_three_outputs_to_stdout_in_one_run(unbuffered, tmp_path):
+    # each output opens and closes stdout in turn; none of them may close fd 1
+    files = tmp_path / "counts.csv", tmp_path / "target.json", tmp_path / "report.json"
+    base = [sys.executable, "-m", "cmiplab", "tomo", "psi_plus(1)", "--seed", "1"]
+    to_files = subprocess.run([*base, "--counts-out", str(files[0]), "--emit-target",
+                               str(files[1]), "--out", str(files[2])], env=_child_env())
+    assert to_files.returncode == 0
+    res = subprocess.run([*base, "--counts-out", "-", "--emit-target", "-"],
+                         capture_output=True, text=True, env=_child_env(unbuffered))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "".join(f.read_text(encoding="utf-8") for f in files)
 
 
 # --- a grammar fuzzer for the whole CLI boundary ---

@@ -28,10 +28,11 @@ phases = st.one_of(st.just(0.0), st.floats(-2 * math.pi, 2 * math.pi))
 
 @st.composite
 def plan_rows(draw):
+    """(α, the `plates` of α → β with two phase plates)."""
     alpha, beta = draw(angles), draw(angles)
     if draw(st.booleans()):
         beta = alpha
-    return ifo.plan_for(alpha, beta, phi=draw(phases), phi_prime=draw(phases))
+    return alpha, ifo.plates(alpha, beta, phi=draw(phases), phi_prime=draw(phases))
 
 
 @st.composite
@@ -52,12 +53,12 @@ def same_state(batch_row, p, single_row):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(plan_rows(), min_size=1, max_size=12), st.sampled_from((+1, -1)))
-@example([ifo.plan_for(0.0, 0.0), ifo.plan_for(5e-324, 0.0)], +1)  # γ2's 0/0
+@example([(0.0, ifo.plates(0.0, 0.0)), (5e-324, ifo.plates(5e-324, 0.0))], +1)  # γ2's 0/0
 def test_batched_device_rows_equal_single_runs(plans, sign):
-    batch = ifo.evolve(ifo.input_amps([p.alpha for p in plans], sign), ifo.BASIS,
-                       *np.array([p.plates() for p in plans]).T)
-    for i, plan in enumerate(plans):
-        one = ifo.run_cmip(sign, plan)
+    alphas, angle_rows = zip(*plans)
+    batch = ifo.evolve(ifo.input_amps(alphas, sign), ifo.BASIS, *np.array(angle_rows).T)
+    for i, (alpha, row) in enumerate(plans):
+        one = ifo.evolve(ifo.input_amps(alpha, sign), ifo.BASIS, *row)
         assert len(one.p_success) == 1
         assert batch.p_success[i] == one.p_success[0]
         assert batch.p_failure[i] == one.p_failure[0]

@@ -51,26 +51,53 @@ def test_unambiguous_discrimination_limit():
         assert abs(p - (1 - math.cos(a))) < 1e-12
 
 
-def test_plan_for_picks_branch_by_ordering():
-    assert ifo.plan_for(0.4, 1.0).branch == ifo.EXPAND
-    assert ifo.plan_for(1.0, 0.4).branch == ifo.CONTRACT
-    assert ifo.plan_for(0.7, 0.7).plates() == (0.0, 0.0, 0.0, 0.0)
+def test_plates_picks_branch_by_ordering():
+    g1, g2, _, _ = ifo.plates(0.4, 1.0)  # expand: HWP1 turns, HWP2 stays at 0
+    assert g1 > 0.0 and g2 == 0.0
+    g1, g2, _, _ = ifo.plates(1.0, 0.4)  # contract: HWP2 turns, HWP1 stays at 0
+    assert g1 == 0.0 and g2 > 0.0
+    assert ifo.plates(0.7, 0.7) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_device_unitary_is_unitary_at_zero_phase():
     for a, b in ((0.3, 1.2), (2.0, 0.9)):
-        U = ifo.device_unitary(*ifo.plan_for(a, b).plates())[0]
+        U = ifo.device_unitary(*ifo.plates(a, b))[0]
         assert np.max(np.abs(U.conj().T @ U - np.eye(4))) < 1e-12
 
 
-def test_plan_unitary_places_the_phase_plates():
+def test_plates_place_the_phase_plates():
     # phi acts on the V input when expanding, phi' on the H input when contracting
-    expand = ifo.plan_for(0.5, 1.3, phi=0.8, phi_prime=0.4)
+    expand = ifo.plates(0.5, 1.3, phi=0.8, phi_prime=0.4)
     want = ifo.device_unitary(ifo.solve_gamma1(0.5, 1.3), 0.0, 0.0, 0.8)[0]
-    assert np.array_equal(ifo.device_unitary(*expand.plates())[0], want)
-    contract = ifo.plan_for(1.3, 0.5, phi=0.8, phi_prime=0.4)
+    assert np.array_equal(ifo.device_unitary(*expand)[0], want)
+    contract = ifo.plates(1.3, 0.5, phi=0.8, phi_prime=0.4)
     want = ifo.device_unitary(0.0, ifo.solve_gamma2(1.3, 0.5), 0.4, 0.0)[0]
-    assert np.array_equal(ifo.device_unitary(*contract.plates())[0], want)
+    assert np.array_equal(ifo.device_unitary(*contract)[0], want)
+
+
+@pytest.mark.parametrize("setting", [ifo.plates, ifo.plan_for], ids=["plates", "plan_for"])
+@pytest.mark.parametrize("alpha, beta, name, bad", [
+    (-0.1, 1.0, "alpha", -0.1), (4.0, 1.0, "alpha", 4.0), (math.nan, 1.0, "alpha", math.nan),
+    (1.0, -0.1, "beta", -0.1), (1.0, 4.0, "beta", 4.0), (1.0, math.nan, "beta", math.nan),
+    (math.nan, math.nan, "alpha", math.nan), (-1.0, 4.0, "alpha", -1.0)])
+def test_settings_reject_angles_outside_zero_to_pi(setting, alpha, beta, name, bad):
+    with pytest.raises(ValueError) as err:
+        setting(alpha, beta)
+    assert str(err.value) == f"{name} = {bad} outside [0.0, {math.pi}]"
+
+
+def test_sweep_checks_each_angle_twice_per_point(monkeypatch):
+    # the closed form and the plate solver each check (alpha, beta) once
+    calls = []
+
+    def counting(name, value):
+        calls.append(name)
+        return check(name, value)
+
+    check = ifo._check_angle
+    monkeypatch.setattr(ifo, "_check_angle", counting)
+    ifo.success_probability_sweep(1.2, np.linspace(0.1, 3.0, 100), 10_000, 3)
+    assert len(calls) == 400
 
 
 def test_sweep_solves_each_plate_once(monkeypatch):
