@@ -101,7 +101,8 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     over k, and Eve's e1 chance a 4-entry one over the sent state, built once
     per session by the device engine: Alice's inputs, then the arriving
     states under Bob's `plates(θ_guess, π/2)`, go through one
-    `evolve` call each.  Each pulse compares its draws with table[k].
+    `evolve` call each, as uint64 `rng.thresholds`: each pulse compares a raw
+    Philox word's top 53 bits with table[k], and takes coins from half words.
     Draw order is output: each role draws from its own stream of cfg.seed, in
     the same order in every chunk, and a chunked draw equals one long draw,
     so the statistics and log do not depend on the chunk size.  Sifting keeps
@@ -110,44 +111,43 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     chunk's rows of the pulse log (see pulse_log_csv) are written to it.
     """
     n = cfg.n_pulses
-    alice_bits = rng.stream(cfg.seed, "alice_bits")
-    alice_ports = rng.stream(cfg.seed, "alice_ports")
-    eve = rng.stream(cfg.seed, "eve") if cfg.eve_basis is not None else None
-    bob_guesses = rng.stream(cfg.seed, "bob_guesses")
-    bob_path = rng.stream(cfg.seed, "bob_path")
-    bob_bits = rng.stream(cfg.seed, "bob_bits")
+    alice_bits = rng.coin_flips(rng.stream(cfg.seed, "alice_bits").bit_generator)
+    alice_ports = rng.stream(cfg.seed, "alice_ports").bit_generator
+    eve = rng.stream(cfg.seed, "eve").bit_generator if cfg.eve_basis is not None else None
+    bob_guesses = rng.coin_flips(rng.stream(cfg.seed, "bob_guesses").bit_generator)
+    bob_path = rng.stream(cfg.seed, "bob_path").bit_generator
+    bob_bits = rng.stream(cfg.seed, "bob_bits").bit_generator
     enc = 1.0 if cfg.gamma0 > 0 else -1.0
     alice = ifo.evolve(np.kron([[1, enc], [1, -enc]], [[1, 0]]) / math.sqrt(2),  # bits 0, 1
                        ifo.BASIS, cfg.gamma1, cfg.gamma2)
-    p_port1 = alice.p_success[0]
+    t_port1 = rng.thresholds(alice.p_success[0])
     states = np.stack([alice.success, alice.failure], axis=1).reshape(4, 2)
     if eve is not None:
         eta = cfg.eve_basis
         e1 = np.array([math.cos(eta), math.sin(eta)])
         e2 = np.array([-math.sin(eta), math.cos(eta)])
-        p_e1 = np.abs(states @ e1) ** 2  # port-2 rows carry a global phase
+        t_e1 = rng.thresholds(np.abs(states @ e1) ** 2)  # port-2 rows carry a global phase
         states = np.array([e1, e2])
     # rows: k = 2·s + (guess − 1), each under the plates of its guess
     bob_plates = [ifo.plates(th, math.pi / 2) for th in theta_angles(cfg.gamma1, cfg.gamma2)]
     bob = ifo.evolve(np.repeat(np.kron(states, [[1, 0]]), 2, axis=0), ifo.BASIS,
                      *zip(*bob_plates * len(states)))
-    p_path1 = bob.p_success
-    p_plus = np.abs(bob.success.sum(axis=1)) ** 2 / 2
-    # the public encoding sign tells Bob which ± outcome means bit 0
-    bit1_if = np.less if cfg.gamma0 < 0 else np.greater_equal
+    t_path1 = rng.thresholds(bob.p_success)
+    t_plus = rng.thresholds(np.abs(bob.success.sum(axis=1)) ** 2 / 2)
 
     matched = sifted = errors = monitor_clicks = 0
     for start in range(0, n, QKD_CHUNK):
         m = min(QKD_CHUNK, n - start)
-        bits = alice_bits.integers(0, 2, m)
-        port2 = alice_ports.random(m) >= p_port1
+        bits = alice_bits(m)
+        port2 = alice_ports.random_raw(m) >> 11 >= t_port1
         s = sent = 2 * bits + port2
         if eve is not None:
-            s = eve.random(m) >= p_e1[sent]
-        guess2 = bob_guesses.integers(1, 3, m) == 2
+            s = (eve.random_raw(m) >> 11 >= t_e1.take(sent)).view(np.uint8)
+        guess2 = bob_guesses(m)
         k = 2 * s + guess2
-        monitor = bob_path.random(m) >= p_path1[k]
-        bob1 = bit1_if(bob_bits.random(m), p_plus[k])
+        monitor = bob_path.random_raw(m) >> 11 >= t_path1.take(k)
+        # the public encoding sign tells Bob which ± outcome means bit 0
+        bob1 = (bob_bits.random_raw(m) >> 11 >= t_plus.take(k)) != (cfg.gamma0 < 0)
         match = guess2 == port2
         kept = match & ~monitor
         matched += int(np.count_nonzero(match))

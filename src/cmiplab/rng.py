@@ -26,3 +26,23 @@ def stream_key(seed: int, *path) -> np.ndarray:
 def stream(seed: int, *path) -> np.random.Generator:
     """Independent deterministic generator for (seed, *path)."""
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
+
+
+def thresholds(p) -> np.ndarray:
+    """uint64 t with Generator.random() >= p exactly when a raw word >> 11 >= t."""
+    return np.ceil(np.asarray(p) * 2.0 ** 53).astype(np.uint64)
+
+
+def coin_flips(bit_generator: np.random.BitGenerator):
+    """Draw function m -> Generator.integers(0, 2, m) as uint8: the top bit of each
+    32-bit half word, low half first; an odd count's spare half starts the next call."""
+    spare = np.empty(0, np.uint8)
+
+    def draw(m: int) -> np.ndarray:
+        nonlocal spare
+        words = bit_generator.random_raw((m - len(spare) + 1) // 2)
+        coins = (words.astype("<u8", copy=False).view("<u4") >= 2 ** 31).view(np.uint8)
+        coins = np.concatenate((spare, coins)) if len(spare) else coins
+        spare = coins[m:]
+        return coins[:m]
+    return draw

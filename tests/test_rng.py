@@ -1,6 +1,7 @@
 """One generator and one binomial call per sampling call: the counts it
 draws are binomial and uncorrelated between points, and each call builds one
-Philox generator (none when it draws nothing)."""
+Philox generator (none when it draws nothing).  The raw-word draws of the key
+session equal the Generator methods they replace."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from cmiplab import interferometer as ifo
-from cmiplab import tomography
+from cmiplab import rng, tomography
 from cmiplab.qcore import DensityMatrix, StateVector
 
 #: every mean, variance and correlation below must lie within Z standard
@@ -81,3 +82,38 @@ def test_each_sampling_loop_builds_one_generator(philox_builds):
         philox_builds.clear()
         run()
         assert len(philox_builds) == builds, name
+
+
+#: call sizes in sequence: odd counts leave a half word for the next call
+CALL_SIZES = (1, 7, 8, 16384, 3)
+EDGE_PS = (0.0, 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.0000000000000004)
+
+
+def test_coin_flips_equal_generator_integers():
+    for low, high, as_coin in ((0, 2, lambda x: x), (1, 3, lambda x: x == 2)):
+        gen, coins = rng.stream(5, "coins"), rng.coin_flips(rng.stream(5, "coins").bit_generator)
+        for m in CALL_SIZES:
+            got = coins(m)
+            assert got.dtype == np.uint8 and len(got) == m
+            assert np.array_equal(got, as_coin(gen.integers(low, high, m))), (low, m)
+
+
+@pytest.mark.parametrize("p", EDGE_PS)
+def test_raw_words_against_thresholds_equal_generator_random(p):
+    gen, bits = rng.stream(5, "uniforms"), rng.stream(5, "uniforms").bit_generator
+    t = rng.thresholds(p)
+    for m in CALL_SIZES:
+        u, words = gen.random(m), bits.random_raw(m) >> 11
+        assert np.array_equal(u, words * 2.0 ** -53)
+        assert np.array_equal(words >= t, u >= p)
+        assert np.array_equal(~(words >= t), u < p)
+
+
+@pytest.mark.parametrize("p", EDGE_PS + (0.3, 1 / 3, 5e-324))
+def test_thresholds_split_the_words_at_p(p):
+    # random draws almost never land next to a threshold, so test the values
+    # of word >> 11 on either side of it; p·2^53 is a whole number for every
+    # p in EDGE_PS, and only p < 1/2 can tell ceil from floor
+    t = int(rng.thresholds(p))
+    words = np.array([w for w in (t - 1, t, t + 1) if 0 <= w < 2 ** 53], dtype=np.uint64)
+    assert np.array_equal(words >= rng.thresholds(p), words * 2.0 ** -53 >= p), words
