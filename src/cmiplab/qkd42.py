@@ -101,8 +101,8 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     over k, and Eve's e1 chance a 4-entry one over the sent state, built once
     per session by the device engine: Alice's inputs, then the arriving
     states under Bob's `plates(θ_guess, π/2)`, go through one
-    `evolve` call each, as uint64 `rng.thresholds`: each pulse compares a raw
-    Philox word's top 53 bits with table[k], and takes coins from half words.
+    `evolve` call each.  The tables hold uint64 `rng.thresholds`, which each
+    pulse compares with a raw Philox word's top 53 bits; coins are half words.
     Draw order is output: each role draws from its own stream of cfg.seed, in
     the same order in every chunk, and a chunked draw equals one long draw,
     so the statistics and log do not depend on the chunk size.  Sifting keeps

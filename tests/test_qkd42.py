@@ -294,8 +294,8 @@ def test_pulse_log_keeps_every_byte_of_the_row_comprehension(start, n):
 
 
 def test_session_memory_is_bounded():
-    # 1e6 pulses drawn at once peak near 88 MiB; 16,384-pulse chunks of raw
-    # words peak at 1.21 MiB (1.48 MiB with Generator draws, 3.7 MiB at 65,536)
+    # 1e6 pulses drawn at once peak near 88 MiB; 16,384-pulse chunks peak at
+    # 1.21 MiB (3.7 MiB at 65,536, measured with Generator draws)
     cfg = qkd42.config_for_theta(math.pi / 2, n_pulses=1_000_000, seed=3,
                                  eve_basis=0.0)
     tracemalloc.start()
