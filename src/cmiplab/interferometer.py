@@ -218,7 +218,7 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
     [0, 1] before the draw.
     """
     betas = np.asarray(betas, dtype=float)
-    p_closed = np.array([closed_form_probability(alpha, b) for b in betas])
+    p_closed = np.array([closed_form_probability(alpha, b) for b in betas.tolist()])
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots == 0:

@@ -226,13 +226,14 @@ class DensityMatrix:
 
     basis: ModeBasis
     matrix: np.ndarray = field(repr=False)
+    _eigh: tuple = field(init=False, repr=False, compare=False)  # its check's (w, V)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         d = self.basis.dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
-        check_density_rows(m[None])
+        object.__setattr__(self, "_eigh", check_density_rows(m[None]))
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -344,8 +345,10 @@ def concurrences(rows: np.ndarray) -> np.ndarray:
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit density matrix: one-row `concurrences`."""
-    return float(concurrences(rho.matrix[None])[0])
+    """Wootters concurrence of a two-qubit density matrix, on its own check's `eigh`."""
+    if rho.matrix.shape != (4, 4):
+        raise ValueError(f"concurrence needs two-qubit states, got shape {rho.matrix.shape}")
+    return float(_wootters(*rho._eigh)[0])
 
 
 def state_to_json(s: StateVector) -> str:

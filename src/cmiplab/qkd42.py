@@ -7,22 +7,24 @@ to orthogonal (θ → π/2) with the heralded device, and reads the ± basis on
 path 1; path-2 clicks are the monitor channel.  Sifting keeps pulses where
 the guess matched the sent port and the click was conclusive.  Both device
 passes run through the interferometer engine; `theta_angles` is the only
-closed form here.
+closed form here.  A session runs in chunks addressed by pulse index, on two threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
+import threading
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import interferometer as ifo
 from . import rng
 
-#: pulses simulated per pass of run_session; bounds its memory
-QKD_CHUNK = 16_384
+#: pulses per chunk of run_session; bounds its memory, on each of its threads
+QKD_CHUNK = 8_192
 
 
 def theta_angles(gamma1: float, gamma2: float):
@@ -82,14 +84,7 @@ class SessionStats:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n_pulses": self.n_pulses,
-            "sifted_key_length": self.sifted_key_length,
-            "conclusive_rate": self.conclusive_rate,
-            "qber": self.qber,
-            "monitor_click_rate": self.monitor_click_rate,
-            "seed": self.seed,
-        })
+        return json.dumps(asdict(self))  # keys in field order
 
 
 def run_session(cfg: QkdConfig, log=None) -> SessionStats:
@@ -103,26 +98,23 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     states under Bob's `plates(θ_guess, π/2)`, go through one
     `evolve` call each.  The tables hold uint64 `rng.thresholds`, which each
     pulse compares with a raw Philox word's top 53 bits; coins are half words.
-    Draw order is output: each role draws from its own stream of cfg.seed, in
-    the same order in every chunk, and a chunked draw equals one long draw,
-    so the statistics and log do not depend on the chunk size.  Sifting keeps
-    matched-guess conclusive pulses, always correct without Eve.  Integer
-    tallies keep memory bounded.  When `log` is an open text stream, each
-    chunk's rows of the pulse log (see pulse_log_csv) are written to it.
+    Draw order is output: pulse i takes word (coin) i of each role's stream
+    of cfg.seed via `rng.addressed`, so a chunk depends on its index alone.
+    Given 16 chunks or more (with fewer, a helper costs more than it saves)
+    and two usable CPUs, a helper thread runs the odd chunks; it is joined
+    before this returns or raises, and an exception on either thread stops
+    the other within a chunk.  A turn passed from chunk to chunk adds the
+    integer tallies and writes the pulse log's rows (see pulse_log_csv) to
+    `log`, an open text stream or None, in order and in bounded memory.
+    Sifting keeps matched-guess conclusive pulses, always correct without Eve.
     """
     n = cfg.n_pulses
-    alice_bits = rng.coin_flips(rng.stream(cfg.seed, "alice_bits").bit_generator)
-    alice_ports = rng.stream(cfg.seed, "alice_ports").bit_generator
-    eve = rng.stream(cfg.seed, "eve").bit_generator if cfg.eve_basis is not None else None
-    bob_guesses = rng.coin_flips(rng.stream(cfg.seed, "bob_guesses").bit_generator)
-    bob_path = rng.stream(cfg.seed, "bob_path").bit_generator
-    bob_bits = rng.stream(cfg.seed, "bob_bits").bit_generator
     enc = 1.0 if cfg.gamma0 > 0 else -1.0
     alice = ifo.evolve(np.kron([[1, enc], [1, -enc]], [[1, 0]]) / math.sqrt(2),  # bits 0, 1
                        ifo.BASIS, cfg.gamma1, cfg.gamma2)
     t_port1 = rng.thresholds(alice.p_success[0])
     states = np.stack([alice.success, alice.failure], axis=1).reshape(4, 2)
-    if eve is not None:
+    if cfg.eve_basis is not None:
         eta = cfg.eve_basis
         e1 = np.array([math.cos(eta), math.sin(eta)])
         e2 = np.array([-math.sin(eta), math.cos(eta)])
@@ -135,37 +127,62 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     t_path1 = rng.thresholds(bob.p_success)
     t_plus = rng.thresholds(np.abs(bob.success.sum(axis=1)) ** 2 / 2)
 
-    matched = sifted = errors = monitor_clicks = 0
-    for start in range(0, n, QKD_CHUNK):
-        m = min(QKD_CHUNK, n - start)
-        bits = alice_bits(m)
-        port2 = alice_ports.random_raw(m) >> 11 >= t_port1
-        s = sent = 2 * bits + port2
-        if eve is not None:
-            s = (eve.random_raw(m) >> 11 >= t_e1.take(sent)).view(np.uint8)
-        guess2 = bob_guesses(m)
-        k = 2 * s + guess2
-        monitor = bob_path.random_raw(m) >> 11 >= t_path1.take(k)
-        # the public encoding sign tells Bob which ± outcome means bit 0
-        bob1 = (bob_bits.random_raw(m) >> 11 >= t_plus.take(k)) != (cfg.gamma0 < 0)
-        match = guess2 == port2
-        kept = match & ~monitor
-        matched += int(np.count_nonzero(match))
-        sifted += int(np.count_nonzero(kept))
-        errors += int(np.count_nonzero(kept & (bob1 != bits)))
-        monitor_clicks += int(np.count_nonzero(monitor))
-        if log is not None:
-            log.write(pulse_log_csv(8 * sent + 4 * guess2 + 2 * monitor + bob1,
-                                    cfg.seed, start))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    step = 2 if n > 15 * QKD_CHUNK and (cpus or 1) > 1 else 1
+    tallies, failed, turns = np.zeros(4, np.int64), [], [threading.Semaphore(v) for v in (1, 0)]
 
-    return SessionStats(
-        n_pulses=n,
-        sifted_key_length=sifted,
-        conclusive_rate=sifted / matched if matched else 0.0,
-        qber=errors / sifted if sifted > 0 else None,
-        monitor_click_rate=monitor_clicks / n,
-        seed=cfg.seed,
-    )
+    def run(first):
+        """Chunks first, first + step, ..., each tallied and logged on its turn."""
+        try:
+            draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "alice_ports",
+                    "bob_guesses", "bob_path", "bob_bits") + ("eve",) * (cfg.eve_basis is not None)}
+
+            def reached(role, t):  # word >> 11 >= t, shifting in place once t is built
+                words = draw[role](start, m)
+                return np.right_shift(words, 11, out=words) >= t
+            for start in range(first * QKD_CHUNK, n, step * QKD_CHUNK):
+                m = min(QKD_CHUNK, n - start)
+                bits = draw["alice_bits"](start, m, coins=True)
+                port2 = reached("alice_ports", t_port1)
+                s = sent = 2 * bits + port2
+                if cfg.eve_basis is not None:
+                    s = reached("eve", t_e1.take(sent)).view(np.uint8)
+                guess2 = draw["bob_guesses"](start, m, coins=True)
+                k = 2 * s + guess2
+                monitor = reached("bob_path", t_path1.take(k))
+                # the public encoding sign tells Bob which ± outcome means bit 0
+                bob1 = reached("bob_bits", t_plus.take(k)) != (cfg.gamma0 < 0)
+                match = guess2 == port2
+                kept = match & ~monitor
+                text = None if log is None else pulse_log_csv(
+                    8 * sent + 4 * guess2 + 2 * monitor + bob1, cfg.seed, start)
+                turns[start // QKD_CHUNK % 2].acquire()
+                if failed:
+                    return
+                tallies[:] += [np.count_nonzero(x) for x in
+                               (match, kept, kept & (bob1 != bits), monitor)]
+                if log is not None:
+                    log.write(text)
+                turns[1 - start // QKD_CHUNK % 2].release()
+        except BaseException as exc:
+            failed.append(exc)
+            for turn in turns:
+                turn.release()  # the other thread stops at its next turn
+
+    helper = threading.Thread(target=run, args=(1,), daemon=True)
+    if step > 1:
+        helper.start()
+    run(0)
+    if step > 1:
+        helper.join()
+    if failed:
+        raise failed[0]
+
+    matched, sifted, errors, monitor_clicks = tallies.tolist()
+    return SessionStats(n_pulses=n, sifted_key_length=sifted,
+                        conclusive_rate=sifted / matched if matched else 0.0,
+                        qber=errors / sifted if sifted > 0 else None,
+                        monitor_click_rate=monitor_clicks / n, seed=cfg.seed)
 
 
 #: the pulse log's row after the pulse number, indexed by the 5-bit code

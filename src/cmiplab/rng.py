@@ -5,8 +5,8 @@ A stream is addressed by a base seed plus a path of labels; the key is the
 16-byte BLAKE2b digest of the decimal seed and the path elements joined by
 NUL bytes, so the same (seed, path) yields bit-identical draws on every
 platform and disjoint paths give independent streams.  Each sampling call
-draws from one stream: Philox is counter-based, so successive draws within a
-stream run on sequential counters under one key and need no key of their own.
+draws from one stream: Philox is counter-based, so draws within a stream run
+on sequential counters under one key, and `addressed` sets the counter.
 """
 
 from __future__ import annotations
@@ -33,16 +33,21 @@ def thresholds(p) -> np.ndarray:
     return np.ceil(np.asarray(p) * 2.0 ** 53).astype(np.uint64)
 
 
-def coin_flips(bit_generator: np.random.BitGenerator):
-    """Draw function m -> Generator.integers(0, 2, m) as uint8: the top bit of each
-    32-bit half word, low half first; an odd count's spare half starts the next call."""
-    spare = np.empty(0, np.uint8)
+def addressed(seed: int, *path):
+    """Draw function (start, m, coins=False) -> draws [start, start + m) of
+    stream (seed, *path): raw words, or coins as uint8 (Generator.integers(0,
+    2): the top bit of each 32-bit half word, low half first).  A counter set
+    to c yields words 4c to 4c + 3 next, so a draw sets it to start // 4 and
+    drops start % 4 words.  It owns its bit generator: one per thread."""
+    bit_generator = stream(seed, *path).bit_generator
+    state = bit_generator.state
 
-    def draw(m: int) -> np.ndarray:
-        nonlocal spare
-        words = bit_generator.random_raw((m - len(spare) + 1) // 2)
-        coins = (words.astype("<u8", copy=False).view("<u4") >= 2 ** 31).view(np.uint8)
-        coins = np.concatenate((spare, coins)) if len(spare) else coins
-        spare = coins[m:]
-        return coins[:m]
+    def draw(start: int, m: int, coins: bool = False) -> np.ndarray:
+        if coins:
+            words = draw(start // 2, (start + m + 1) // 2 - start // 2)
+            halves = words.astype("<u8", copy=False).view("<u4")[start % 2:start % 2 + m]
+            return (halves >= 2 ** 31).view(np.uint8)
+        state["state"]["counter"][0], state["buffer_pos"] = start // 4, 4
+        bit_generator.state = state
+        return bit_generator.random_raw(start % 4 + m)[start % 4:]
     return draw

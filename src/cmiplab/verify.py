@@ -177,14 +177,14 @@ def _check_probability_equivalence(gen, deviations, gamma1_solver):
 
 def _check_usd_point(gen):
     return max(abs(ifo.closed_form_probability(a, math.pi / 2) - (1 - math.cos(a)))
-               for a in np.arange(0.1, 1.55, 0.1))
+               for a in np.arange(0.1, 1.55, 0.1).tolist())
 
 
 def _check_monotonicity(gen):
     violations = 0
-    for alpha in np.arange(0.2, 3.0, 0.2):
-        for end in (math.pi, 0.0):  # up, then down from β = α
-            p = [ifo.closed_form_probability(alpha, b) for b in np.linspace(alpha, end, 40)]
+    for alpha in np.arange(0.2, 3.0, 0.2).tolist():
+        for to in (math.pi, 0.0):  # up, then down from β = α
+            p = [ifo.closed_form_probability(alpha, b) for b in np.linspace(alpha, to, 40).tolist()]
             violations += sum(not x >= y - 1e-12 for x, y in zip(p, p[1:]))
     return violations
 
@@ -194,10 +194,10 @@ def _check_failure_purity(gen, deviations):
 
 
 def _pair_grid():
-    """The two-photon checks' 1000 (α, γ1, γ2), α outermost, γ2 innermost."""
+    """The two-photon checks' 1000 (α, γ1, γ2) as float lists, α outermost, γ2 innermost."""
     plates = np.linspace(0.0, math.pi / 4, 10)
-    return [g.ravel() for g in np.meshgrid(np.linspace(0.15, math.pi - 0.15, 10),
-                                           plates, plates, indexing="ij")]
+    return [g.ravel().tolist() for g in np.meshgrid(np.linspace(0.15, math.pi - 0.15, 10),
+                                                    plates, plates, indexing="ij")]
 
 
 def _closed_pair_grid():
@@ -207,7 +207,7 @@ def _closed_pair_grid():
 
 def _check_entanglement_brute_force(gen, closed_grid):
     alphas, g1s, g2s = _pair_grid()
-    pairs = np.repeat([elab.prepare_two_photon(elab.TwoPhotonConfig(float(a), 0.4)).amps
+    pairs = np.repeat([elab.prepare_two_photon(elab.TwoPhotonConfig(a, 0.4)).amps
                        for a in alphas[::100]], 100, axis=0)
     br = ifo.evolve(pairs, elab.FULL_BASIS, g1s, g2s)
     e1 = elab.branch_concurrences(br.success, br.p_success)
@@ -220,7 +220,7 @@ def _check_entanglement_brute_force(gen, closed_grid):
 def _check_predicate_equivalence(gen, closed_grid):
     mismatches = 0
     for alpha, g1, g2, e1 in zip(*_pair_grid(), closed_grid()[:, 2].tolist()):
-        pred = elab.concentration_predicate(float(alpha), float(g1), float(g2))
+        pred = elab.concentration_predicate(alpha, g1, g2)
         if math.isnan(e1):
             continue  # empty branch: nothing to compare
         e_in = abs(math.sin(alpha))

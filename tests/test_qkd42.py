@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -293,9 +296,146 @@ def test_pulse_log_keeps_every_byte_of_the_row_comprehension(start, n):
             == _comprehension_log(every_code, 9, start))
 
 
+def _cpus(monkeypatch, count):
+    """Make the CPU probe of run_session see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _session_within(cfg, log, seconds=60):
+    """run_session on a daemon thread, so that session threads left waiting
+    on each other fail the test instead of hanging the suite."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(qkd42.run_session(cfg, log))
+        except BaseException as exc:
+            outcome.append(exc)
+
+    waiter = threading.Thread(target=target, daemon=True)
+    waiter.start()
+    waiter.join(seconds)
+    assert outcome, f"run_session still running after {seconds} s"
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
+
+
+@pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8], ids=["no_eve", "hv", "pi8"])
+def test_one_cpu_and_two_cpus_give_the_same_session(eve, monkeypatch):
+    cfg = qkd42.config_for_theta(math.pi / 3, n_pulses=1000, seed=37, eve_basis=eve)
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
+    threads, formatted = [], qkd42.pulse_log_csv
+
+    def spy(codes, seed, start):
+        threads.append(threading.get_ident())
+        return formatted(codes, seed, start)
+
+    monkeypatch.setattr(qkd42, "pulse_log_csv", spy)
+    runs = {}
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        threads.clear()
+        buf = io.StringIO()
+        runs[count] = _session_within(cfg, buf), buf.getvalue()
+        assert len(set(threads)) == count  # two CPUs: the odd chunks run on a helper
+    assert runs[1] == runs[2]
+
+
+def _logged_session(cfg):
+    buf = io.StringIO()
+    return qkd42.run_session(cfg, buf), buf.getvalue()
+
+
+def test_concurrent_sessions_with_fast_thread_switching(monkeypatch):
+    # four sessions at once, each with its helper: eight threads on fewer
+    # CPUs, switching every microsecond; a tally or log row added out of
+    # turn would change a session
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
+    cfgs = [qkd42.config_for_theta(math.pi / 3, n_pulses=700 + i, seed=i, eve_basis=eve)
+            for i, eve in enumerate([None, 0.0, math.pi / 8, None])]
+    _cpus(monkeypatch, 1)
+    expected = [_logged_session(cfg) for cfg in cfgs]
+    _cpus(monkeypatch, 2)
+    results = [None] * len(cfgs)
+
+    def one(i):
+        results[i] = _logged_session(cfgs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=one, args=(i,), daemon=True) for i in range(len(cfgs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
+@pytest.mark.parametrize("chunks, threads", [(15, 1), (16, 2)])
+def test_the_helper_starts_at_sixteen_chunks(chunks, threads, monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
+    seen, formatted = set(), qkd42.pulse_log_csv
+
+    def spy(codes, seed, start):
+        seen.add(threading.get_ident())
+        return formatted(codes, seed, start)
+
+    monkeypatch.setattr(qkd42, "pulse_log_csv", spy)
+    _session_within(qkd42.config_for_theta(math.pi / 2, n_pulses=7 * chunks - 3, seed=5),
+                    io.StringIO())
+    assert len(seen) == threads
+
+
+class _FailingLog(io.StringIO):
+    def write(self, text):
+        if self.tell():
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("n", [16 * 7, 17 * 7, 100 * 7 + 1])
+def test_a_failed_log_write_stops_both_threads(n, monkeypatch):
+    # the second write is the helper's first chunk; neither thread may be
+    # left waiting for its turn
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="No space left"):
+        _session_within(qkd42.config_for_theta(math.pi / 2, n_pulses=n, seed=5),
+                        _FailingLog())
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [0, 2, 3, 5])
+def test_an_exception_in_a_chunk_reaches_the_caller(failing, monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
+    formatted = qkd42.pulse_log_csv
+
+    def fail_in_one_chunk(codes, seed, start):
+        if start == 7 * failing:
+            raise RuntimeError(f"chunk {failing}")
+        return formatted(codes, seed, start)
+
+    monkeypatch.setattr(qkd42, "pulse_log_csv", fail_in_one_chunk)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"chunk {failing}"):
+        _session_within(qkd42.config_for_theta(math.pi / 2, n_pulses=200, seed=5),
+                        io.StringIO())
+    assert threading.active_count() == before
+
+
 def test_session_memory_is_bounded():
-    # 1e6 pulses drawn at once peak near 88 MiB; 16,384-pulse chunks peak at
-    # 1.21 MiB (3.7 MiB at 65,536, measured with Generator draws)
+    # 1e6 pulses drawn at once peak near 88 MiB; 8,192-pulse chunks peak at
+    # 0.46 MiB on two threads and 0.23 MiB on one (one thread of 16,384-pulse
+    # chunks peaked at 0.54 MiB, and 3.7 MiB at 65,536 with Generator draws)
     cfg = qkd42.config_for_theta(math.pi / 2, n_pulses=1_000_000, seed=3,
                                  eve_basis=0.0)
     tracemalloc.start()

@@ -84,18 +84,43 @@ def test_each_sampling_loop_builds_one_generator(philox_builds):
         assert len(philox_builds) == builds, name
 
 
-#: call sizes in sequence: odd counts leave a half word for the next call
+#: call sizes in sequence: odd counts start the next call on an odd coin
 CALL_SIZES = (1, 7, 8, 16384, 3)
 EDGE_PS = (0.0, 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.0000000000000004)
 
 
 def test_coin_flips_equal_generator_integers():
     for low, high, as_coin in ((0, 2, lambda x: x), (1, 3, lambda x: x == 2)):
-        gen, coins = rng.stream(5, "coins"), rng.coin_flips(rng.stream(5, "coins").bit_generator)
+        gen, draw, start = rng.stream(5, "coins"), rng.addressed(5, "coins"), 0
         for m in CALL_SIZES:
-            got = coins(m)
+            got = draw(start, m, coins=True)
             assert got.dtype == np.uint8 and len(got) == m
             assert np.array_equal(got, as_coin(gen.integers(low, high, m))), (low, m)
+            start += m
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 6, 7, 1001, 8192])
+@pytest.mark.parametrize("m", [1, 2, 5, 64])
+def test_addressed_draws_are_slices_of_one_long_draw(start, m):
+    # words and coins [start, start + m), drawn after unrelated draws, equal
+    # the same slices of one draw from the stream's start: start % 4 covers
+    # each word of a Philox block, and an odd start begins on a high half word
+    draw = rng.addressed(11, "slices")
+    draw(start + 3, 9)
+    draw(start + 1, 3, coins=True)
+    words = rng.stream(11, "slices").bit_generator.random_raw(start + m)
+    coins = rng.stream(11, "slices").integers(0, 2, start + m)
+    assert np.array_equal(draw(start, m), words[start:])
+    assert np.array_equal(draw(start, m, coins=True), coins[start:])
+
+
+def test_addressed_words_far_into_the_stream():
+    # a counter advanced by start // 4 blocks yields word start − start % 4 next
+    start = 2 ** 40 + 3
+    philox = np.random.Philox(key=rng.stream_key(11, "far"))
+    philox.advance(start // 4)
+    words = philox.random_raw(start % 4 + 5)[start % 4:]
+    assert np.array_equal(rng.addressed(11, "far")(start, 5), words)
 
 
 @pytest.mark.parametrize("p", EDGE_PS)

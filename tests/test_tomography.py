@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmiplab import tomography
+from cmiplab import qcore, tomography
 from cmiplab.qcore import DensityMatrix, StateVector, polarization_basis
 
 
@@ -137,6 +137,26 @@ def test_reconstruction_reports_fidelity_and_concurrence():
     report1 = tomography.reconstruct(
         tomography.simulate_counts(DensityMatrix.from_state(single), None, 0))
     assert report1.concurrence is None and report1.fidelity_vs_target is None
+
+
+def test_two_qubit_reconstruction_decomposes_its_estimate_twice(monkeypatch):
+    # the positivity repair's eigh, then the DensityMatrix check's, whose
+    # (w, V) concurrence reads: the estimate is not checked a second time
+    basis = tomography.CATALOG[2].basis
+    state = StateVector(basis, np.array([0.6, 0.0, 0.0, 0.8]))
+    table = tomography.simulate_counts(DensityMatrix.from_state(state), 1000, 4)
+    expected = tomography.reconstruct(table)
+    calls, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    report = tomography.reconstruct(table)
+    assert calls == [(4, 4), (1, 4, 4)]
+    assert report.concurrence == expected.concurrence
+    assert report.concurrence == qcore.concurrences(report.rho_hat.matrix[None])[0]
 
 
 def test_finite_shot_fidelity_is_high():
