@@ -322,24 +322,30 @@ def _session_within(cfg, log, seconds=60):
     return outcome[0]
 
 
-@pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8], ids=["no_eve", "hv", "pi8"])
-def test_one_cpu_and_two_cpus_give_the_same_session(eve, monkeypatch):
-    cfg = qkd42.config_for_theta(math.pi / 3, n_pulses=1000, seed=37, eve_basis=eve)
-    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
-    threads, formatted = [], qkd42.pulse_log_csv
+@pytest.fixture
+def formatting_threads(monkeypatch):
+    """The threads that format pulse-log rows, one id per thread."""
+    seen, formatted = set(), qkd42.pulse_log_csv
 
     def spy(codes, seed, start):
-        threads.append(threading.get_ident())
+        seen.add(threading.get_ident())
         return formatted(codes, seed, start)
 
     monkeypatch.setattr(qkd42, "pulse_log_csv", spy)
+    return seen
+
+
+@pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8], ids=["no_eve", "hv", "pi8"])
+def test_one_cpu_and_two_cpus_give_the_same_session(eve, monkeypatch, formatting_threads):
+    cfg = qkd42.config_for_theta(math.pi / 3, n_pulses=1000, seed=37, eve_basis=eve)
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
     runs = {}
     for count in (1, 2):
         _cpus(monkeypatch, count)
-        threads.clear()
+        formatting_threads.clear()
         buf = io.StringIO()
         runs[count] = _session_within(cfg, buf), buf.getvalue()
-        assert len(set(threads)) == count  # two CPUs: the odd chunks run on a helper
+        assert len(formatting_threads) == count  # two CPUs: a helper runs the odd chunks
     assert runs[1] == runs[2]
 
 
@@ -378,19 +384,12 @@ def test_concurrent_sessions_with_fast_thread_switching(monkeypatch):
 
 
 @pytest.mark.parametrize("chunks, threads", [(15, 1), (16, 2)])
-def test_the_helper_starts_at_sixteen_chunks(chunks, threads, monkeypatch):
+def test_the_helper_starts_at_sixteen_chunks(chunks, threads, monkeypatch, formatting_threads):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
-    seen, formatted = set(), qkd42.pulse_log_csv
-
-    def spy(codes, seed, start):
-        seen.add(threading.get_ident())
-        return formatted(codes, seed, start)
-
-    monkeypatch.setattr(qkd42, "pulse_log_csv", spy)
     _session_within(qkd42.config_for_theta(math.pi / 2, n_pulses=7 * chunks - 3, seed=5),
                     io.StringIO())
-    assert len(seen) == threads
+    assert len(formatting_threads) == threads
 
 
 class _FailingLog(io.StringIO):
