@@ -7,7 +7,8 @@ to orthogonal (θ → π/2) with the heralded device, and reads the ± basis on
 path 1; path-2 clicks are the monitor channel.  Sifting keeps pulses where
 the guess matched the sent port and the click was conclusive.  Both device
 passes run through the interferometer engine; `theta_angles` is the only
-closed form here.  A session runs in chunks addressed by pulse index, on two threads.
+closed form here.  A session runs in chunks addressed by pulse index, on two
+threads; a chance reads a 32-bit half word and a coin one bit.
 """
 
 from __future__ import annotations
@@ -96,10 +97,12 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     over k, and Eve's e1 chance a 4-entry one over the sent state, built once
     per session by the device engine: Alice's inputs, then the arriving
     states under Bob's `plates(θ_guess, π/2)`, go through one
-    `evolve` call each.  The tables hold uint64 `rng.thresholds`, which each
-    pulse compares with a raw Philox word's top 53 bits; coins are half words.
-    Draw order is output: pulse i takes word (coin) i of each role's stream
-    of cfg.seed via `rng.addressed`, so a chunk depends on its index alone.
+    `evolve` call each.  The tables hold uint64 `rng.thresholds`, and a
+    pulse misses a chance when its 32-bit half word of the role's raw Philox
+    stream reaches the threshold; a coin is one bit of a word.  Draw order is
+    output: pulse i takes half word i (bit i for a coin) of each role's stream
+    of cfg.seed via `rng.addressed`, so a chunk depends on its index alone and
+    the session on no `Generator` method.
     Given 16 chunks or more (with fewer, a helper costs more than it saves)
     and two usable CPUs, a helper thread runs the odd chunks; it is joined
     before this returns or raises, and an exception on either thread stops
@@ -137,17 +140,16 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
             draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "alice_ports",
                     "bob_guesses", "bob_path", "bob_bits") + ("eve",) * (cfg.eve_basis is not None)}
 
-            def reached(role, t):  # word >> 11 >= t, shifting in place once t is built
-                words = draw[role](start, m)
-                return np.right_shift(words, 11, out=words) >= t
+            def reached(role, t):  # half word >= t: the chance t·2^-32 was missed
+                return draw[role](start, m, bits=32) >= t
             for start in range(first * QKD_CHUNK, n, step * QKD_CHUNK):
                 m = min(QKD_CHUNK, n - start)
-                bits = draw["alice_bits"](start, m, coins=True)
+                bits = draw["alice_bits"](start, m, bits=1)
                 port2 = reached("alice_ports", t_port1)
                 s = sent = 2 * bits + port2
                 if cfg.eve_basis is not None:
                     s = reached("eve", t_e1.take(sent)).view(np.uint8)
-                guess2 = draw["bob_guesses"](start, m, coins=True)
+                guess2 = draw["bob_guesses"](start, m, bits=1)
                 k = 2 * s + guess2
                 monitor = reached("bob_path", t_path1.take(k))
                 # the public encoding sign tells Bob which ± outcome means bit 0

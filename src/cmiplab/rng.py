@@ -29,24 +29,28 @@ def stream(seed: int, *path) -> np.random.Generator:
 
 
 def thresholds(p) -> np.ndarray:
-    """uint64 t with Generator.random() >= p exactly when a raw word >> 11 >= t."""
-    return np.ceil(np.asarray(p) * 2.0 ** 53).astype(np.uint64)
+    """uint64 t = rint(p·2^32): a 32-bit half word is below t with chance within
+    2^-33 of p, exactly 0 or 1 near 0 or 1, and never when t = 2^32 (no uint32)."""
+    return np.rint(np.asarray(p) * 2.0 ** 32).astype(np.uint64)
 
 
 def addressed(seed: int, *path):
-    """Draw function (start, m, coins=False) -> draws [start, start + m) of
-    stream (seed, *path): raw words, or coins as uint8 (Generator.integers(0,
-    2): the top bit of each 32-bit half word, low half first).  A counter set
-    to c yields words 4c to 4c + 3 next, so a draw sets it to start // 4 and
-    drops start % 4 words.  It owns its bit generator: one per thread."""
+    """Draw function (start, m, bits=64) -> draws [start, start + m) of stream
+    (seed, *path): raw words, their 32-bit half words, low half first
+    (bits=32), or their bits, least significant first, as uint8 coins
+    (bits=1).  A counter set to c yields words 4c to 4c + 3 next, so a draw
+    sets it to the block of its first word and drops the words before it.
+    It owns its bit generator: one per thread."""
     bit_generator = stream(seed, *path).bit_generator
     state = bit_generator.state
 
-    def draw(start: int, m: int, coins: bool = False) -> np.ndarray:
-        if coins:
-            words = draw(start // 2, (start + m + 1) // 2 - start // 2)
-            halves = words.astype("<u8", copy=False).view("<u4")[start % 2:start % 2 + m]
-            return (halves >= 2 ** 31).view(np.uint8)
+    def draw(start: int, m: int, bits: int = 64) -> np.ndarray:
+        if bits < 64:
+            per = 64 // bits
+            words = draw(start // per, (start % per + m - 1) // per + 1).astype("<u8", copy=False)
+            split = (words.view("<u4") if bits == 32
+                     else np.unpackbits(words.view(np.uint8), bitorder="little"))
+            return split[start % per:start % per + m]
         state["state"]["counter"][0], state["buffer_pos"] = start // 4, 4
         bit_generator.state = state
         return bit_generator.random_raw(start % 4 + m)[start % 4:]

@@ -3,7 +3,10 @@
 Each case runs `cli.main` in a fresh directory and compares every file it
 writes, plus its standard output, byte for byte with `tests/golden/<case>/`.
 The stored files are the outputs of the code before the device and session
-refactor, so a refactor that changes any printed digit fails here.
+refactor, so a refactor that changes any printed digit fails here.  Some
+cases also rest on numpy's Generator methods, Philox's raw stream or LAPACK;
+`tests/test_canaries.py` pins those calls, and a failure here names the
+canaries of its case.
 """
 
 import csv
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from cmiplab import cli
+from test_canaries import canaries_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,7 +73,10 @@ def test_cli_output_matches_golden(case, argv, code, tmp_path, monkeypatch, caps
     expected = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
-        assert produced[name] == data, f"{case}/{name} differs from the golden copy"
+        assert produced[name] == data, (
+            f"{case}/{name} differs from the golden copy; if a canary in "
+            f"tests/test_canaries.py fails too ({', '.join(canaries_of(case)) or 'none'} "
+            f"for this case), numpy or its LAPACK moved the call it names")
 
 
 @pytest.mark.parametrize("case", ["entangle_gamma2_zero", "entangle_gamma2", "entangle_delta"])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -185,62 +186,68 @@ def _closed_form_families(cfg):
     return table
 
 
+class _RawStream:
+    """One role's stream read by the session's draw rule, pulse by pulse:
+    chance i takes 32-bit half word i of the raw words, low half first, and
+    coin i takes bit i, least significant first, 64 to a word."""
+
+    def __init__(self, seed, role, n):
+        words = rng.stream(seed, role).bit_generator.random_raw(n // 2 + 1)
+        self.words = [int(w) for w in words]
+
+    def happens(self, i, p):
+        """Whether the event of chance p happens at pulse i: its half word
+        lies below p·2^32 rounded to the nearest whole number."""
+        return (self.words[i // 2] >> 32 * (i % 2)) & 0xFFFF_FFFF < round(p * 2 ** 32)
+
+    def coin(self, i):
+        return (self.words[i // 64] >> i % 64) & 1
+
+
 def _reference_session(cfg, log):
-    """run_session's per-pulse chunk loop on closed forms rather than the
-    device engine: amplitudes and probabilities recomputed for every pulse
-    from the plate formulas, and the log rows written one by one rather than
-    through pulse_log_csv."""
+    """run_session pulse by pulse, on closed forms rather than the device
+    engine: amplitudes and probabilities recomputed for every pulse from the
+    plate formulas, each draw read from the raw words in Python integers,
+    and the log rows written one by one rather than through pulse_log_csv."""
     n = cfg.n_pulses
-    alice_bits = rng.stream(cfg.seed, "alice_bits")
-    alice_ports = rng.stream(cfg.seed, "alice_ports")
-    eve = rng.stream(cfg.seed, "eve") if cfg.eve_basis is not None else None
-    bob_guesses = rng.stream(cfg.seed, "bob_guesses")
-    bob_path = rng.stream(cfg.seed, "bob_path")
-    bob_bits = rng.stream(cfg.seed, "bob_bits")
+    roles = ["alice_bits", "alice_ports", "bob_guesses", "bob_path", "bob_bits", "eve"]
+    draws = {role: _RawStream(cfg.seed, role, n) for role in roles}
     p_port1 = _closed_form_port1(cfg)
     table = _closed_form_families(cfg)
     thetas = qkd42.theta_angles(cfg.gamma1, cfg.gamma2)
-    cb = np.array([math.tan(thetas[0] / 2), math.tan(thetas[1] / 2)])
-    if eve is not None:
+    cb = [math.tan(thetas[0] / 2), math.tan(thetas[1] / 2)]
+    if cfg.eve_basis is not None:
         eta = cfg.eve_basis
-        e1 = np.array([math.cos(eta), math.sin(eta)])
-        e2 = np.array([-math.sin(eta), math.cos(eta)])
+        e1 = (math.cos(eta), math.sin(eta))
+        e2 = (-math.sin(eta), math.cos(eta))
 
     matched = sifted = errors = monitor_clicks = 0
-    for start in range(0, n, qkd42.QKD_CHUNK):
-        m = min(qkd42.QKD_CHUNK, n - start)
-        bits = alice_bits.integers(0, 2, m)
-        ports = np.where(alice_ports.random(m) < p_port1, 1, 2)
-        arriving = table[bits, ports - 1]  # (m, 2) real amplitudes
-        if eve is not None:
-            got_e1 = eve.random(m) < (arriving @ e1) ** 2
-            arriving = np.where(got_e1[:, None], e1, e2)
-
-        guesses = bob_guesses.integers(1, 3, m)
-        cb_used = cb[guesses - 1]
-        h, v = arriving[:, 0], arriving[:, 1]
-        p_path1 = (cb_used * h) ** 2 + v ** 2
-        monitor = bob_path.random(m) >= p_path1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_plus = np.where(p_path1 > 0, (cb_used * h + v) ** 2 / (2 * p_path1), 0.0)
-        bob = np.where(bob_bits.random(m) < p_plus, 0, 1)
+    if log is not None:
+        log.write(f"# seed={cfg.seed}\npulse,alice_bit,alice_output,bob_guess,result,bit\n")
+    for i in range(n):
+        bit = draws["alice_bits"].coin(i)
+        port = 1 if draws["alice_ports"].happens(i, p_port1) else 2
+        h, v = table[bit, port - 1]
+        if cfg.eve_basis is not None:
+            h, v = e1 if draws["eve"].happens(i, (h * e1[0] + v * e1[1]) ** 2) else e2
+        guess = 2 if draws["bob_guesses"].coin(i) else 1
+        c = cb[guess - 1]
+        p_path1 = (c * h) ** 2 + v ** 2
+        monitor = not draws["bob_path"].happens(i, p_path1)
+        p_plus = (c * h + v) ** 2 / (2 * p_path1) if p_path1 > 0 else 0.0
+        bob = 0 if draws["bob_bits"].happens(i, p_plus) else 1
         if cfg.gamma0 < 0:
             # the public encoding sign tells Bob which ± outcome means bit 0
             bob = 1 - bob
 
-        match = guesses == ports
-        kept = match & ~monitor
-        matched += int(match.sum())
-        sifted += int(kept.sum())
-        errors += int((bob[kept] != bits[kept]).sum())
-        monitor_clicks += int(monitor.sum())
+        kept = guess == port and not monitor
+        matched += guess == port
+        sifted += kept
+        errors += kept and bob != bit
+        monitor_clicks += monitor
         if log is not None:
-            if start == 0:
-                log.write(f"# seed={cfg.seed}\n"
-                          "pulse,alice_bit,alice_output,bob_guess,result,bit\n")
-            for i in range(m):
-                result = "monitor," if monitor[i] else f"conclusive,{bob[i]}"
-                log.write(f"{start + i},{bits[i]},{ports[i]},{guesses[i]},{result}\n")
+            result = "monitor," if monitor else f"conclusive,{bob}"
+            log.write(f"{i},{bit},{port},{guess},{result}\n")
 
     return qkd42.SessionStats(
         n_pulses=n,
@@ -260,14 +267,114 @@ ETA_RANDOM = float(np.random.default_rng(2026).uniform(-math.pi, math.pi))
 @pytest.mark.parametrize("gamma0", [math.pi / 8, -math.pi / 8], ids=["enc+", "enc-"])
 @pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8, ETA_RANDOM],
                          ids=["no_eve", "hv", "pi8", "eta_random"])
-def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch):
-    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)  # chunk boundaries inside n
+def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch,
+                                                formatting_threads):
+    # chunks of 7 and 65 pulses start inside a coin word and on odd half
+    # words; with two CPUs, 1000 pulses make 16 chunks or more at either
+    # size, so the helper runs the odd ones
     cfg = qkd42.QkdConfig(gamma1=0.2, gamma2=0.3, gamma0=gamma0, n_pulses=n,
                           seed=n * 7919 + 13,
                           eve_basis=eve)
-    got_log, ref_log = io.StringIO(), io.StringIO()
-    assert qkd42.run_session(cfg, got_log) == _reference_session(cfg, ref_log)
-    assert got_log.getvalue() == ref_log.getvalue()
+    ref_log = io.StringIO()
+    want = _reference_session(cfg, ref_log), ref_log.getvalue()
+    for chunk in (7, 65):
+        monkeypatch.setattr(qkd42, "QKD_CHUNK", chunk)
+        for count in (1, 2):
+            _cpus(monkeypatch, count)
+            formatting_threads.clear()
+            got_log = io.StringIO()
+            assert (_session_within(cfg, got_log), got_log.getvalue()) == want, (chunk, count)
+            assert len(formatting_threads) == (2 if count == 2 and n > 15 * chunk else 1)
+
+
+def _bob_plus_thresholds(cfg, monkeypatch):
+    """The threshold table of Bob's + outcome that run_session builds for
+    cfg, over the outcome code k = 2·sent + (guess − 1): the last of the
+    three tables a session without Eve builds."""
+    built, thresholds = [], rng.thresholds
+    monkeypatch.setattr(rng, "thresholds", lambda p: built.append(thresholds(p)) or built[-1])
+    qkd42.run_session(dataclasses.replace(cfg, n_pulses=1))
+    assert len(built) == 3
+    return built[-1]
+
+
+@pytest.mark.parametrize("gamma0", [math.pi / 8, -math.pi / 8], ids=["enc+", "enc-"])
+def test_matched_plus_thresholds_make_no_eve_sessions_error_free(gamma0, monkeypatch):
+    # on a matched guess Bob's ± outcome is certain up to rounding (6e-33 at
+    # θ = π/3), and the threshold rounds it to exactly 0 or 2^32: no half
+    # word can flip the bit, so a session without Eve has no error by
+    # construction; ceil(p·2^32) would give 1, which half word 0 misses
+    cfgs = [qkd42.config_for_theta(theta, gamma0=gamma0)
+            for theta in np.linspace(0, math.pi / 2, 61)[1:]]
+    cfgs += [qkd42.QkdConfig(gamma1=g1, gamma2=g2, gamma0=gamma0)
+             for g1, g2 in ((0.2, 0.3), (0.05, 0.7), (0.3, 0.35))]
+    for cfg in cfgs:
+        t_plus = _bob_plus_thresholds(cfg, monkeypatch).tolist()
+        # matched codes k: sent = 2·bit + (port − 1) and guess = port
+        for bit in (0, 1):
+            for port in (1, 2):
+                k = 2 * (2 * bit + port - 1) + port - 1
+                # a + outcome means bit 0 under the + encoding sign
+                want = 2 ** 32 if (bit == 0) == (gamma0 > 0) else 0
+                assert t_plus[k] == want, (cfg, bit, port, t_plus)
+
+
+def _expected_rates(theta, eta):
+    """(conclusive rate, QBER, monitor click rate) for equal family angles
+    theta; the first two as perfbench's qkd_expectation gives them.  Both
+    families send cos(θ/2)|H⟩ ± sin(θ/2)|V⟩ (bit 0 is +).  Eve, if present,
+    projects onto (cos η, sin η) or (−sin η, cos η) and resends it.  Bob, on
+    a matched guess, scales H by tan(θ/2) and reads ± on path 1.  His plates
+    are the same for either guess, so a pulse misses path 1 with the same
+    chance whatever he guessed: the monitor rate is 1 − the conclusive rate,
+    cos θ without Eve or with H/V."""
+    cb = math.tan(theta / 2)
+    conclusive = errors = 0.0
+    for bit, sign in ((0, 1.0), (1, -1.0)):
+        h0, v0 = math.cos(theta / 2), sign * math.sin(theta / 2)
+        if eta is None:
+            arrivals = [(1.0, h0, v0)]
+        else:
+            c, s = math.cos(eta), math.sin(eta)
+            arrivals = [((h0 * c + v0 * s) ** 2, c, s), ((-h0 * s + v0 * c) ** 2, -s, c)]
+        for p, h, v in arrivals:
+            plus, minus = (cb * h + v) ** 2 / 2, (cb * h - v) ** 2 / 2
+            conclusive += 0.5 * p * (plus + minus)
+            errors += 0.5 * p * (minus if bit == 0 else plus)
+    return conclusive, errors / conclusive, 1.0 - conclusive
+
+
+def test_expected_rates_restate_the_frozen_oracle_values():
+    for theta in (math.pi / 3, math.pi / 2):
+        for eta in (None, 0.0):
+            assert abs(_expected_rates(theta, eta)[2] - math.cos(theta)) < 1e-12
+    assert abs(_expected_rates(math.pi / 3, math.pi / 8)[2] - MONITOR_PI8_EVE) < 1e-12
+    assert abs(_expected_rates(math.pi / 2, 0.0)[1] - QBER_HV) < 1e-12
+    assert abs(_expected_rates(math.pi / 2, math.pi / 8)[1] - QBER_PI8) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2], ids=["pi3", "pi2"])
+@pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8], ids=["no_eve", "hv", "pi8"])
+def test_short_sessions_follow_their_closed_forms(theta, eve):
+    # 200 seeds of 2,000 pulses, pooled: each rate lies within Z = 4
+    # standard errors of its closed form (a correct session misses one such
+    # two-sided bound with chance about 6e-5), and a session without Eve has
+    # no error at all
+    seeds, n = 200, 2000
+    matched = sifted = errors = monitor = 0
+    for seed in range(seeds):
+        st = qkd42.run_session(qkd42.config_for_theta(theta, n_pulses=n, seed=seed,
+                                                      eve_basis=eve))
+        matched += round(st.sifted_key_length / st.conclusive_rate)
+        sifted += st.sifted_key_length
+        errors += round(st.qber * st.sifted_key_length)
+        monitor += round(st.monitor_click_rate * n)
+    rate, qber, monitor_rate = _expected_rates(theta, eve)
+    for got, p, trials in ((sifted / matched, rate, matched), (errors / sifted, qber, sifted),
+                           (monitor / (seeds * n), monitor_rate, seeds * n)):
+        assert abs(got - p) <= 4 * math.sqrt(p * (1 - p) / trials) + 1e-12, (got, p)
+    if eve is None:
+        assert errors == 0
 
 
 def _comprehension_log(codes, seed, start):
@@ -433,8 +540,10 @@ def test_an_exception_in_a_chunk_reaches_the_caller(failing, monkeypatch):
 
 def test_session_memory_is_bounded():
     # 1e6 pulses drawn at once peak near 88 MiB; 8,192-pulse chunks peak at
-    # 0.46 MiB on two threads and 0.23 MiB on one (one thread of 16,384-pulse
-    # chunks peaked at 0.54 MiB, and 3.7 MiB at 65,536 with Generator draws)
+    # 0.52 MiB on two threads and 0.26 MiB on one with half-word chances and
+    # one-bit coins (0.46 and 0.23 MiB with a 64-bit word per draw; one
+    # thread of 16,384-pulse chunks peaked at 0.54 MiB, and 3.7 MiB at 65,536
+    # with Generator draws)
     cfg = qkd42.config_for_theta(math.pi / 2, n_pulses=1_000_000, seed=3,
                                  eve_basis=0.0)
     tracemalloc.start()

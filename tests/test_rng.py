@@ -1,9 +1,11 @@
 """One generator and one binomial call per sampling call: the counts it
 draws are binomial and uncorrelated between points, and each call builds one
-Philox generator (none when it draws nothing).  The raw-word draws of the key
-session equal the Generator methods they replace."""
+Philox generator (none when it draws nothing).  The key session's draws are
+slices of Philox's raw stream: 32-bit half words for chances, compared with
+thresholds that round p to 2^-32, and single bits for coins."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,34 +86,47 @@ def test_each_sampling_loop_builds_one_generator(philox_builds):
         assert len(philox_builds) == builds, name
 
 
-#: call sizes in sequence: odd counts start the next call on an odd coin
+#: call sizes in sequence: odd counts start the next call on an odd half
+#: word, and 16384 + 3 carries the coins across words
 CALL_SIZES = (1, 7, 8, 16384, 3)
 EDGE_PS = (0.0, 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.0000000000000004)
 
 
+def _bits_of(words, count):
+    """Bit i of words[i // 64], least significant first, for i < count."""
+    i = np.arange(count)
+    return ((words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+
+
 def test_coin_flips_equal_generator_integers():
-    for low, high, as_coin in ((0, 2, lambda x: x), (1, 3, lambda x: x == 2)):
-        gen, draw, start = rng.stream(5, "coins"), rng.addressed(5, "coins"), 0
-        for m in CALL_SIZES:
-            got = draw(start, m, coins=True)
-            assert got.dtype == np.uint8 and len(got) == m
-            assert np.array_equal(got, as_coin(gen.integers(low, high, m))), (low, m)
-            start += m
+    # coin i is bit i of Generator.integers' full-range uint64 draws, which
+    # are the raw words
+    words = rng.stream(5, "coins").integers(0, 2 ** 64, sum(CALL_SIZES) // 64 + 1,
+                                            dtype=np.uint64)
+    coins = _bits_of(words, sum(CALL_SIZES))
+    draw, start = rng.addressed(5, "coins"), 0
+    for m in CALL_SIZES:
+        got = draw(start, m, 1)
+        assert got.dtype == np.uint8 and len(got) == m
+        assert np.array_equal(got, coins[start:start + m]), (start, m)
+        start += m
 
 
-@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 6, 7, 1001, 8192])
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 6, 7, 63, 64, 65, 127, 1001, 8192])
 @pytest.mark.parametrize("m", [1, 2, 5, 64])
 def test_addressed_draws_are_slices_of_one_long_draw(start, m):
-    # words and coins [start, start + m), drawn after unrelated draws, equal
-    # the same slices of one draw from the stream's start: start % 4 covers
-    # each word of a Philox block, and an odd start begins on a high half word
+    # words, half words and coins [start, start + m), drawn after unrelated
+    # draws, equal the same slices of one draw from the stream's start:
+    # start % 4 covers each word of a Philox block, an odd start begins on a
+    # high half word, and starts 63 to 127 put coins on either side of a word
     draw = rng.addressed(11, "slices")
     draw(start + 3, 9)
-    draw(start + 1, 3, coins=True)
+    draw(start + 1, 3, 1)
     words = rng.stream(11, "slices").bit_generator.random_raw(start + m)
-    coins = rng.stream(11, "slices").integers(0, 2, start + m)
+    halves = rng.stream(11, "slices").integers(0, 2 ** 32, start + m, dtype=np.uint32)
     assert np.array_equal(draw(start, m), words[start:])
-    assert np.array_equal(draw(start, m, coins=True), coins[start:])
+    assert np.array_equal(draw(start, m, 32), halves[start:])
+    assert np.array_equal(draw(start, m, 1), _bits_of(words, start + m)[start:])
 
 
 def test_addressed_words_far_into_the_stream():
@@ -125,20 +140,32 @@ def test_addressed_words_far_into_the_stream():
 
 @pytest.mark.parametrize("p", EDGE_PS)
 def test_raw_words_against_thresholds_equal_generator_random(p):
-    gen, bits = rng.stream(5, "uniforms"), rng.stream(5, "uniforms").bit_generator
+    # a half word h, the uniform u = h·2^-32, reaches t exactly when u
+    # reaches t·2^-32, and agrees with Generator.random's test u >= p
+    # wherever u is farther than 2^-33 from p; the half words are
+    # Generator.integers' full-range uint32 draws
+    gen, draw, start = rng.stream(5, "uniforms"), rng.addressed(5, "uniforms"), 0
     t = rng.thresholds(p)
     for m in CALL_SIZES:
-        u, words = gen.random(m), bits.random_raw(m) >> 11
-        assert np.array_equal(u, words * 2.0 ** -53)
-        assert np.array_equal(words >= t, u >= p)
-        assert np.array_equal(~(words >= t), u < p)
+        halves = draw(start, m, 32)
+        assert halves.dtype == np.uint32
+        assert np.array_equal(halves, gen.integers(0, 2 ** 32, m, dtype=np.uint32))
+        u, reached = halves * 2.0 ** -32, halves >= t
+        assert np.array_equal(reached, u >= int(t) * 2.0 ** -32)
+        far = np.abs(u - p) > 2.0 ** -33
+        assert np.array_equal(reached[far], (u >= p)[far])
+        start += m
 
 
 @pytest.mark.parametrize("p", EDGE_PS + (0.3, 1 / 3, 5e-324))
 def test_thresholds_split_the_words_at_p(p):
-    # random draws almost never land next to a threshold, so test the values
-    # of word >> 11 on either side of it; p·2^53 is a whole number for every
-    # p in EDGE_PS, and only p < 1/2 can tell ceil from floor
-    t = int(rng.thresholds(p))
-    words = np.array([w for w in (t - 1, t, t + 1) if 0 <= w < 2 ** 53], dtype=np.uint64)
-    assert np.array_equal(words >= rng.thresholds(p), words * 2.0 ** -53 >= p), words
+    # t·2^-32 is the nearest multiple of 2^-32 to p, so a half word falls
+    # below t with chance within 2^-33 of p; a p at or just above 1 gives
+    # t = 2^32, and compared as uint64 no half word reaches it (as uint32 it
+    # would wrap to 0, which every half word reaches)
+    t = rng.thresholds(p)
+    assert t.dtype == np.uint64 and 0 <= int(t) <= 2 ** 32
+    assert abs(Fraction(int(t)) - Fraction(p) * 2 ** 32) <= Fraction(1, 2)
+    halves = np.array([h for h in (0, int(t) - 1, int(t), int(t) + 1, 2 ** 32 - 1)
+                       if 0 <= h < 2 ** 32], dtype=np.uint32)
+    assert np.array_equal(halves >= t, halves.astype(object) >= int(t)), halves
