@@ -113,7 +113,7 @@ def test_qr():
         "0x1.8151bb86fee1ep-5", "-0x1.8151bb86fee1ep-3", "0x1.8151bb86fee1ep-5", "0x0.0p+0"]
 
 
-def test_every_golden_case_named_rests_on_a_known_case():
+def test_every_named_golden_case_exists():
     from test_golden import CASES
     names = {case for case, _, _ in CASES}
     assert {case for cases in GOLDENS.values() for case in cases} <= names

@@ -87,7 +87,7 @@ def test_each_sampling_loop_builds_one_generator(philox_builds):
 
 
 #: call sizes in sequence: odd counts start the next call on an odd half
-#: word, and 16384 + 3 carries the coins across words
+#: word, and every call after the first starts its coins inside a word
 CALL_SIZES = (1, 7, 8, 16384, 3)
 EDGE_PS = (0.0, 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.0000000000000004)
 
@@ -106,7 +106,7 @@ def test_coin_flips_equal_generator_integers():
     coins = _bits_of(words, sum(CALL_SIZES))
     draw, start = rng.addressed(5, "coins"), 0
     for m in CALL_SIZES:
-        got = draw(start, m, 1)
+        got = draw(start, m, bits=1)
         assert got.dtype == np.uint8 and len(got) == m
         assert np.array_equal(got, coins[start:start + m]), (start, m)
         start += m
@@ -121,12 +121,12 @@ def test_addressed_draws_are_slices_of_one_long_draw(start, m):
     # high half word, and starts 63 to 127 put coins on either side of a word
     draw = rng.addressed(11, "slices")
     draw(start + 3, 9)
-    draw(start + 1, 3, 1)
+    draw(start + 1, 3, bits=1)
     words = rng.stream(11, "slices").bit_generator.random_raw(start + m)
     halves = rng.stream(11, "slices").integers(0, 2 ** 32, start + m, dtype=np.uint32)
     assert np.array_equal(draw(start, m), words[start:])
-    assert np.array_equal(draw(start, m, 32), halves[start:])
-    assert np.array_equal(draw(start, m, 1), _bits_of(words, start + m)[start:])
+    assert np.array_equal(draw(start, m, bits=32), halves[start:])
+    assert np.array_equal(draw(start, m, bits=1), _bits_of(words, start + m)[start:])
 
 
 def test_addressed_words_far_into_the_stream():
@@ -147,7 +147,7 @@ def test_raw_words_against_thresholds_equal_generator_random(p):
     gen, draw, start = rng.stream(5, "uniforms"), rng.addressed(5, "uniforms"), 0
     t = rng.thresholds(p)
     for m in CALL_SIZES:
-        halves = draw(start, m, 32)
+        halves = draw(start, m, bits=32)
         assert halves.dtype == np.uint32
         assert np.array_equal(halves, gen.integers(0, 2 ** 32, m, dtype=np.uint32))
         u, reached = halves * 2.0 ** -32, halves >= t
