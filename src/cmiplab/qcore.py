@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,5 +367,12 @@ def state_from_json(text: str) -> StateVector:
                and all(isinstance(x, str) for x in syms) for lab, syms in factors):
         raise ValueError("each basis factor needs a string name and a list of string symbols")
     basis = ModeBasis(tuple((lab, tuple(syms)) for lab, syms in factors))
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+    amps = np.array([complex(_finite(re), _finite(im)) for re, im in doc["amplitudes"]])
     return StateVector(basis, amps)
+
+
+def _finite(x) -> float:
+    """A JSON amplitude part as a float: a number in the float range, not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise ValueError("each amplitude needs two finite numbers, not bools")
+    return float(x)

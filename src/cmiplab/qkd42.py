@@ -7,16 +7,14 @@ to orthogonal (θ → π/2) with the heralded device, and reads the ± basis on
 path 1; path-2 clicks are the monitor channel.  Sifting keeps pulses where
 the guess matched the sent port and the click was conclusive.  Both device
 passes run through the interferometer engine; `theta_angles` is the only
-closed form here.  A session runs in chunks addressed by pulse index, on two
-threads; a chance reads a 32-bit half word and a coin one bit.
+closed form here.  A session runs on the calling thread in chunks addressed
+by pulse index; a chance reads a 32-bit half word and a coin one bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,8 +22,8 @@ import numpy as np
 from . import interferometer as ifo
 from . import rng
 
-#: pulses per chunk of run_session; bounds its memory, on each of its threads
-QKD_CHUNK = 8_192
+#: pulses per chunk of run_session; bounds its memory
+QKD_CHUNK = 16_384
 
 
 def theta_angles(gamma1: float, gamma2: float):
@@ -103,12 +101,10 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     output: pulse i takes half word i (bit i for a coin) of each role's stream
     of cfg.seed via `rng.addressed`, so a chunk depends on its index alone and
     the session on no `Generator` method.
-    Given 16 chunks or more (with fewer, a helper costs more than it saves)
-    and two usable CPUs, a helper thread runs the odd chunks; it is joined
-    before this returns or raises, and an exception on either thread stops
-    the other within a chunk.  A turn passed from chunk to chunk adds the
-    integer tallies and writes the pulse log's rows (see pulse_log_csv) to
-    `log`, an open text stream or None, in order and in bounded memory.
+    Each chunk adds to the integer tallies and writes its rows of the pulse
+    log (see pulse_log_csv) to `log`, an open text stream or None, as it
+    goes, so memory stays bounded; an exception, a failed write included,
+    raises from the loop.
     Sifting keeps matched-guess conclusive pulses, always correct without Eve.
     """
     n = cfg.n_pulses
@@ -130,55 +126,30 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     t_path1 = rng.thresholds(bob.p_success)
     t_plus = rng.thresholds(np.abs(bob.success.sum(axis=1)) ** 2 / 2)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    step = 2 if n > 15 * QKD_CHUNK and (cpus or 1) > 1 else 1
-    tallies, failed, turns = np.zeros(4, np.int64), [], [threading.Semaphore(v) for v in (1, 0)]
+    draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "alice_ports",
+            "bob_guesses", "bob_path", "bob_bits") + ("eve",) * (cfg.eve_basis is not None)}
 
-    def run(first):
-        """Chunks first, first + step, ..., each tallied and logged on its turn."""
-        try:
-            draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "alice_ports",
-                    "bob_guesses", "bob_path", "bob_bits") + ("eve",) * (cfg.eve_basis is not None)}
+    def reached(role, t):  # half word >= t: the chance t·2^-32 was missed
+        return draw[role](start, m, bits=32) >= t
 
-            def reached(role, t):  # half word >= t: the chance t·2^-32 was missed
-                return draw[role](start, m, bits=32) >= t
-            for start in range(first * QKD_CHUNK, n, step * QKD_CHUNK):
-                m = min(QKD_CHUNK, n - start)
-                bits = draw["alice_bits"](start, m, bits=1)
-                port2 = reached("alice_ports", t_port1)
-                s = sent = 2 * bits + port2
-                if cfg.eve_basis is not None:
-                    s = reached("eve", t_e1.take(sent)).view(np.uint8)
-                guess2 = draw["bob_guesses"](start, m, bits=1)
-                k = 2 * s + guess2
-                monitor = reached("bob_path", t_path1.take(k))
-                # the public encoding sign tells Bob which ± outcome means bit 0
-                bob1 = reached("bob_bits", t_plus.take(k)) != (cfg.gamma0 < 0)
-                match = guess2 == port2
-                kept = match & ~monitor
-                text = None if log is None else pulse_log_csv(
-                    8 * sent + 4 * guess2 + 2 * monitor + bob1, cfg.seed, start)
-                turns[start // QKD_CHUNK % 2].acquire()
-                if failed:
-                    return
-                tallies[:] += [np.count_nonzero(x) for x in
-                               (match, kept, kept & (bob1 != bits), monitor)]
-                if log is not None:
-                    log.write(text)
-                turns[1 - start // QKD_CHUNK % 2].release()
-        except BaseException as exc:
-            failed.append(exc)
-            for turn in turns:
-                turn.release()  # the other thread stops at its next turn
-
-    helper = threading.Thread(target=run, args=(1,), daemon=True)
-    if step > 1:
-        helper.start()
-    run(0)
-    if step > 1:
-        helper.join()
-    if failed:
-        raise failed[0]
+    tallies = np.zeros(4, np.int64)
+    for start in range(0, n, QKD_CHUNK):
+        m = min(QKD_CHUNK, n - start)
+        bits = draw["alice_bits"](start, m, bits=1)
+        port2 = reached("alice_ports", t_port1)
+        s = sent = 2 * bits + port2
+        if cfg.eve_basis is not None:
+            s = reached("eve", t_e1.take(sent)).view(np.uint8)
+        guess2 = draw["bob_guesses"](start, m, bits=1)
+        k = 2 * s + guess2
+        monitor = reached("bob_path", t_path1.take(k))
+        # the public encoding sign tells Bob which ± outcome means bit 0
+        bob1 = reached("bob_bits", t_plus.take(k)) != (cfg.gamma0 < 0)
+        match = guess2 == port2
+        kept = match & ~monitor
+        tallies += [np.count_nonzero(x) for x in (match, kept, kept & (bob1 != bits), monitor)]
+        if log is not None:
+            log.write(pulse_log_csv(8 * sent + 4 * guess2 + 2 * monitor + bob1, cfg.seed, start))
 
     matched, sifted, errors, monitor_clicks = tallies.tolist()
     return SessionStats(n_pulses=n, sifted_key_length=sifted,

@@ -39,8 +39,8 @@ def addressed(seed: int, *path):
     (seed, *path): raw words, their 32-bit half words, low half first
     (bits=32), or their bits, least significant first, as uint8 coins
     (bits=1).  A counter set to c yields words 4c to 4c + 3 next, so a draw
-    sets it to the block of its first word and drops the words before it.
-    It owns its bit generator: one per thread."""
+    sets it to the block of its first word and drops the words before it, so
+    draws may start anywhere, in any order and of any size."""
     bit_generator = stream(seed, *path).bit_generator
     state = bit_generator.state
 

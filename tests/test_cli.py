@@ -421,6 +421,12 @@ _BAD_STATE_FILES = {
     # its squared norm is past the float range
     "overflow": json.dumps({"basis": _QUBIT_BASIS,
                             "amplitudes": [[1e200, 0.0], [0.0, 0.0]]}),
+    # past the float range as a JSON integer: complex() would overflow
+    "huge_integer": json.dumps({"basis": _QUBIT_BASIS,
+                                "amplitudes": [[10 ** 400, 0], [0, 0]]}),
+    # JSON true and false are not the numbers 1 and 0
+    "bool_amplitude": json.dumps({"basis": _QUBIT_BASIS,
+                                  "amplitudes": [[True, 0], [False, 0]]}),
     # deep enough to exhaust json.loads' recursion limit
     "nested": "[" * 990 + "]" * 990,
     # 64 two-symbol factors: dimension 2^64, which int64 wraps to 0
@@ -448,6 +454,8 @@ def test_tomo_bad_state_is_a_usage_error(spec, tmp_path, monkeypatch, capsys):
         assert "list of string symbols" in err
     if spec == "json:wide_basis":
         assert f"amplitude length 0 != basis dimension {2 ** 64}" in err
+    if spec in ("json:huge_integer", "json:bool_amplitude"):
+        assert "two finite numbers, not bools" in err
 
 
 def test_tomo_nan_state_in_exact_mode_is_a_usage_error(tmp_path, capsys):

@@ -1,8 +1,6 @@
 import dataclasses
 import io
 import math
-import os
-import sys
 import threading
 import tracemalloc
 
@@ -270,8 +268,7 @@ ETA_RANDOM = float(np.random.default_rng(2026).uniform(-math.pi, math.pi))
 def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch,
                                                 formatting_threads):
     # chunks of 7 and 65 pulses start inside a coin word and on odd half
-    # words; with two CPUs, 1000 pulses make 16 chunks or more at either
-    # size, so the helper runs the odd ones
+    # words; the caller's thread alone formats the log
     cfg = qkd42.QkdConfig(gamma1=0.2, gamma2=0.3, gamma0=gamma0, n_pulses=n,
                           seed=n * 7919 + 13,
                           eve_basis=eve)
@@ -279,12 +276,10 @@ def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch,
     want = _reference_session(cfg, ref_log), ref_log.getvalue()
     for chunk in (7, 65):
         monkeypatch.setattr(qkd42, "QKD_CHUNK", chunk)
-        for count in (1, 2):
-            _cpus(monkeypatch, count)
-            formatting_threads.clear()
-            got_log = io.StringIO()
-            assert (_session_within(cfg, got_log), got_log.getvalue()) == want, (chunk, count)
-            assert len(formatting_threads) == (2 if count == 2 and n > 15 * chunk else 1)
+        formatting_threads.clear()
+        got_log = io.StringIO()
+        assert (qkd42.run_session(cfg, got_log), got_log.getvalue()) == want, chunk
+        assert formatting_threads == {threading.get_ident()}
 
 
 def _bob_plus_thresholds(cfg, monkeypatch):
@@ -403,32 +398,6 @@ def test_pulse_log_keeps_every_byte_of_the_row_comprehension(start, n):
             == _comprehension_log(every_code, 9, start))
 
 
-def _cpus(monkeypatch, count):
-    """Make the CPU probe of run_session see `count` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-
-
-def _session_within(cfg, log, seconds=60):
-    """run_session on a daemon thread, so that session threads left waiting
-    on each other fail the test instead of hanging the suite."""
-    outcome = []
-
-    def target():
-        try:
-            outcome.append(qkd42.run_session(cfg, log))
-        except BaseException as exc:
-            outcome.append(exc)
-
-    waiter = threading.Thread(target=target, daemon=True)
-    waiter.start()
-    waiter.join(seconds)
-    assert outcome, f"run_session still running after {seconds} s"
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    return outcome[0]
-
-
 @pytest.fixture
 def formatting_threads(monkeypatch):
     """The threads that format pulse-log rows, one id per thread."""
@@ -442,61 +411,18 @@ def formatting_threads(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8], ids=["no_eve", "hv", "pi8"])
-def test_one_cpu_and_two_cpus_give_the_same_session(eve, monkeypatch, formatting_threads):
-    cfg = qkd42.config_for_theta(math.pi / 3, n_pulses=1000, seed=37, eve_basis=eve)
-    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
-    runs = {}
-    for count in (1, 2):
-        _cpus(monkeypatch, count)
-        formatting_threads.clear()
-        buf = io.StringIO()
-        runs[count] = _session_within(cfg, buf), buf.getvalue()
-        assert len(formatting_threads) == count  # two CPUs: a helper runs the odd chunks
-    assert runs[1] == runs[2]
+def test_a_logged_session_starts_no_thread(monkeypatch):
+    counts, formatted = [], qkd42.pulse_log_csv
 
+    def spy(codes, seed, start):
+        counts.append(threading.active_count())
+        return formatted(codes, seed, start)
 
-def _logged_session(cfg):
-    buf = io.StringIO()
-    return qkd42.run_session(cfg, buf), buf.getvalue()
-
-
-def test_concurrent_sessions_with_fast_thread_switching(monkeypatch):
-    # four sessions at once, each with its helper: eight threads on fewer
-    # CPUs, switching every microsecond; a tally or log row added out of
-    # turn would change a session
-    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
-    cfgs = [qkd42.config_for_theta(math.pi / 3, n_pulses=700 + i, seed=i, eve_basis=eve)
-            for i, eve in enumerate([None, 0.0, math.pi / 8, None])]
-    _cpus(monkeypatch, 1)
-    expected = [_logged_session(cfg) for cfg in cfgs]
-    _cpus(monkeypatch, 2)
-    results = [None] * len(cfgs)
-
-    def one(i):
-        results[i] = _logged_session(cfgs[i])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=one, args=(i,), daemon=True) for i in range(len(cfgs))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == expected
-
-
-@pytest.mark.parametrize("chunks, threads", [(15, 1), (16, 2)])
-def test_the_helper_starts_at_sixteen_chunks(chunks, threads, monkeypatch, formatting_threads):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
-    _session_within(qkd42.config_for_theta(math.pi / 2, n_pulses=7 * chunks - 3, seed=5),
-                    io.StringIO())
-    assert len(formatting_threads) == threads
+    monkeypatch.setattr(qkd42, "pulse_log_csv", spy)
+    before = threading.active_count()
+    qkd42.run_session(qkd42.config_for_theta(math.pi / 2, n_pulses=3 * qkd42.QKD_CHUNK + 1,
+                                             seed=5), io.StringIO())
+    assert counts == [before] * 4
 
 
 class _FailingLog(io.StringIO):
@@ -508,20 +434,18 @@ class _FailingLog(io.StringIO):
 
 @pytest.mark.parametrize("n", [16 * 7, 17 * 7, 100 * 7 + 1])
 def test_a_failed_log_write_stops_both_threads(n, monkeypatch):
-    # the second write is the helper's first chunk; neither thread may be
-    # left waiting for its turn
-    _cpus(monkeypatch, 2)
+    # the second chunk's write fails: it raises from the session, which
+    # leaves no thread behind
     monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
     before = threading.active_count()
     with pytest.raises(OSError, match="No space left"):
-        _session_within(qkd42.config_for_theta(math.pi / 2, n_pulses=n, seed=5),
-                        _FailingLog())
+        qkd42.run_session(qkd42.config_for_theta(math.pi / 2, n_pulses=n, seed=5),
+                          _FailingLog())
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("failing", [0, 2, 3, 5])
 def test_an_exception_in_a_chunk_reaches_the_caller(failing, monkeypatch):
-    _cpus(monkeypatch, 2)
     monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
     formatted = qkd42.pulse_log_csv
 
@@ -533,17 +457,17 @@ def test_an_exception_in_a_chunk_reaches_the_caller(failing, monkeypatch):
     monkeypatch.setattr(qkd42, "pulse_log_csv", fail_in_one_chunk)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"chunk {failing}"):
-        _session_within(qkd42.config_for_theta(math.pi / 2, n_pulses=200, seed=5),
-                        io.StringIO())
+        qkd42.run_session(qkd42.config_for_theta(math.pi / 2, n_pulses=200, seed=5),
+                          io.StringIO())
     assert threading.active_count() == before
 
 
 def test_session_memory_is_bounded():
-    # 1e6 pulses drawn at once peak near 88 MiB; 8,192-pulse chunks peak at
-    # 0.52 MiB on two threads and 0.26 MiB on one with half-word chances and
-    # one-bit coins (0.46 and 0.23 MiB with a 64-bit word per draw; one
-    # thread of 16,384-pulse chunks peaked at 0.54 MiB, and 3.7 MiB at 65,536
-    # with Generator draws)
+    # 1e6 pulses drawn at once peak near 88 MiB; 16,384-pulse chunks on one
+    # thread, with half-word chances and one-bit coins, peak at 0.44 MiB
+    # (1.11 MiB in a process's first session, with its one-time allocations);
+    # one thread of 8,192-pulse chunks peaked at 0.26 MiB, and 65,536-pulse
+    # chunks of Generator draws at 3.7 MiB
     cfg = qkd42.config_for_theta(math.pi / 2, n_pulses=1_000_000, seed=3,
                                  eve_basis=0.0)
     tracemalloc.start()
