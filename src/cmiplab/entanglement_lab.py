@@ -22,17 +22,15 @@ import numpy as np
 
 from .interferometer import BASIS as DEVICE_BASIS
 from .interferometer import evolve
-from .qcore import (IDLER_POL, StateVector, concurrences, polarization_basis,
+from .qcore import (IDLER_POL, PAIR_BASIS, POL_SYMBOLS, StateVector, concurrences,
                     postselect)
 
-#: signal polarization (x) signal path (x) idler polarization
-FULL_BASIS = DEVICE_BASIS.combine(polarization_basis(IDLER_POL))
-
-#: the two-qubit (signal, idler) polarization basis of a filtered pair
-PAIR_BASIS = FULL_BASIS.drop("signal_path")
+#: signal polarization (x) signal path (x) idler polarization; a filtered
+#: pair is on PAIR_BASIS, the (signal, idler) polarization basis
+FULL_BASIS = DEVICE_BASIS + ((IDLER_POL, POL_SYMBOLS),)
 
 #: flat FULL_BASIS indices of |H,1,H⟩ and |V,1,V⟩, the pair source's two terms
-_HH, _VV = FULL_BASIS.index("H", "1", "H"), FULL_BASIS.index("V", "1", "V")
+_HH, _VV = 0, 5
 
 #: branches with less probability than this carry no usable state
 EMPTY_BRANCH_TOL = 1e-12

@@ -22,18 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .qcore import (ModeBasis, StateVector, apply_rows, check_unitary_rows,
-                    in_chunks, normalize_rows, path_basis, polarization_basis,
-                    postselect_rows)
+from .qcore import (PATH_SYMBOLS, POL_BASIS, SIGNAL_PATH, StateVector, apply_rows,
+                    check_unitary_rows, in_chunks, normalize_rows, postselect_rows)
 
-#: polarization (x) path basis shared by all device operators; amplitude
-#: order is (H,1), (H,2), (V,1), (V,2)
-BASIS = polarization_basis().combine(path_basis())
+#: polarization (x) path basis shared by all device operators
+BASIS = POL_BASIS + ((SIGNAL_PATH, PATH_SYMBOLS),)
 
-_H1 = BASIS.index("H", "1")
-_H2 = BASIS.index("H", "2")
-_V1 = BASIS.index("V", "1")
-_V2 = BASIS.index("V", "2")
+#: flat BASIS indices of (H,1), (H,2), (V,1), (V,2), polarization slowest
+_H1, _H2, _V1, _V2 = 0, 1, 2, 3
 
 
 def _check_angle(name, value):
@@ -156,8 +152,7 @@ def target_state(beta: float, sign: int) -> StateVector:
     """The heralded output cos(b/2)|H⟩ ± sin(b/2)|V⟩ (polarization only)."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return StateVector(polarization_basis(),
-                       [math.cos(beta / 2), sign * math.sin(beta / 2)])
+    return StateVector(POL_BASIS, [math.cos(beta / 2), sign * math.sin(beta / 2)])
 
 
 class Branches(NamedTuple):
@@ -175,7 +170,7 @@ class Branches(NamedTuple):
     p_failure: np.ndarray
 
 
-def evolve(amps: np.ndarray, basis: ModeBasis, gamma1, gamma2, phase_h=0.0,
+def evolve(amps: np.ndarray, basis: tuple, gamma1, gamma2, phase_h=0.0,
            phase_v=0.0) -> Branches:
     """Pass n states through n device settings and split each by exit path.
 

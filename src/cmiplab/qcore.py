@@ -1,8 +1,11 @@
 """Exact finite-dimensional quantum state and operator arithmetic.
 
-Everything here is plain dense linear algebra over labeled tensor-product
-mode bases (polarization, path, idler polarization).  States are immutable;
-every operation returns a new value, so concurrent use needs no locking.
+Everything here is plain dense linear algebra over the paper's four fixed
+bases, each a tuple of (label, symbols) factors in amplitude order, the first
+factor slowest.  This module defines the two that a state file may hold,
+`POL_BASIS` and `PAIR_BASIS`; the device modules extend them.  States are
+immutable; every operation returns a new value, so concurrent use needs no
+locking.
 
 The arithmetic is array-shaped: the `*_rows` functions and `concurrences`
 act on a whole stack of n states or matrices at once and validate it with
@@ -32,6 +35,11 @@ IDLER_POL = "idler_pol"
 
 POL_SYMBOLS = ("H", "V")
 PATH_SYMBOLS = ("1", "2")
+
+#: the tomography bases, the only ones a state file may hold: one photon's
+#: polarization, and a pair's (signal, idler) polarization
+POL_BASIS = ((SIGNAL_POL, POL_SYMBOLS),)
+PAIR_BASIS = POL_BASIS + ((IDLER_POL, POL_SYMBOLS),)
 
 # Norms this close to 1 are repaired silently; anything further out is a
 # construction bug and gets rejected.
@@ -122,100 +130,39 @@ def density_rows(amps: np.ndarray) -> np.ndarray:
     return amps[:, :, None] * amps.conj()[:, None, :]
 
 
-@dataclass(frozen=True)
-class ModeBasis:
-    """Ordered tensor product of labeled subsystem factors."""
-
-    factors: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def __post_init__(self):
-        labels = [lab for lab, _ in self.factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in basis: {labels}")
-        for lab, syms in self.factors:
-            if len(set(syms)) != len(syms):
-                raise ValueError(f"duplicate symbols in factor {lab!r}: {list(syms)}")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.factors)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(syms) for _, syms in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.shape)  # exact on Python ints, 1 for no factors
-
-    def axis(self, label: str) -> int:
-        for i, (lab, _) in enumerate(self.factors):
-            if lab == label:
-                return i
-        raise ValueError(f"unknown factor label {label!r}; have {self.labels}")
-
-    def symbols_of(self, label: str) -> tuple[str, ...]:
-        return self.factors[self.axis(label)][1]
-
-    def index(self, *symbols: str) -> int:
-        """Flat amplitude index for one symbol per factor, in factor order."""
-        if len(symbols) != len(self.factors):
-            raise ValueError(f"need {len(self.factors)} symbols, got {len(symbols)}")
-        multi = []
-        for sym, (lab, syms) in zip(symbols, self.factors):
-            if sym not in syms:
-                raise ValueError(f"symbol {sym!r} not in factor {lab!r} {syms}")
-            multi.append(syms.index(sym))
-        return int(np.ravel_multi_index(multi, self.shape)) if multi else 0
-
-    def combine(self, other: "ModeBasis") -> "ModeBasis":
-        overlap = set(self.labels) & set(other.labels)
-        if overlap:
-            raise ValueError(f"overlapping factor labels: {sorted(overlap)}")
-        return ModeBasis(self.factors + other.factors)
-
-    def drop(self, label: str) -> "ModeBasis":
-        ax = self.axis(label)
-        return ModeBasis(self.factors[:ax] + self.factors[ax + 1:])
-
-
-def polarization_basis(label: str = SIGNAL_POL) -> ModeBasis:
-    return ModeBasis(((label, POL_SYMBOLS),))
-
-
-def path_basis(label: str = SIGNAL_PATH) -> ModeBasis:
-    return ModeBasis(((label, PATH_SYMBOLS),))
+def _dim(basis) -> int:
+    return math.prod(len(syms) for _, syms in basis)
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over a ModeBasis.
+    """Complex amplitudes over a basis of (label, symbols) factors.
 
     Normalized states have squared norm 1; branch components produced by
     splitting a state are deliberately left unnormalized and carry their
     squared norm as a probability.
     """
 
-    basis: ModeBasis
+    basis: tuple
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.amps, dtype=complex).reshape(-1)
-        if a.size != self.basis.dim:
-            raise ValueError(f"amplitude length {a.size} != basis dimension {self.basis.dim}")
+        if a.size != _dim(self.basis):
+            raise ValueError(f"amplitude length {a.size} != basis dimension {_dim(self.basis)}")
         object.__setattr__(self, "amps", a)
 
 
 @dataclass(frozen=True)
 class Operator:
-    """Square matrix on a ModeBasis."""
+    """Square matrix on a basis of (label, symbols) factors."""
 
-    basis: ModeBasis
+    basis: tuple
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        d = self.basis.dim
+        d = _dim(self.basis)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
         object.__setattr__(self, "matrix", m)
@@ -223,15 +170,16 @@ class Operator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on a ModeBasis."""
+    """Hermitian, unit-trace, positive-semidefinite matrix on a basis of
+    (label, symbols) factors."""
 
-    basis: ModeBasis
+    basis: tuple
     matrix: np.ndarray = field(repr=False)
     _eigh: tuple = field(init=False, repr=False, compare=False)  # its check's (w, V)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        d = self.basis.dim
+        d = _dim(self.basis)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} != ({d}, {d})")
         object.__setattr__(self, "_eigh", check_density_rows(m[None]))
@@ -255,7 +203,7 @@ def apply_rows(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return (mats @ np.ascontiguousarray(amps).reshape(n, k, -1)).reshape(n, -1)
 
 
-def postselect_rows(amps: np.ndarray, basis: ModeBasis, factor: str, symbol: str):
+def postselect_rows(amps: np.ndarray, basis: tuple, factor: str, symbol: str):
     """Project each row of an (n, d) state stack onto one symbol of one factor.
 
     Returns (states, probs): the renormalized conditional states on the
@@ -264,12 +212,15 @@ def postselect_rows(amps: np.ndarray, basis: ModeBasis, factor: str, symbol: str
     `states` is zero.  The rows are taken as normalized: callers run
     `normalize_rows` first.
     """
-    ax = basis.axis(factor)
-    syms = basis.symbols_of(factor)
+    labels = [lab for lab, _ in basis]
+    if factor not in labels:
+        raise ValueError(f"unknown factor label {factor!r}; have {labels}")
+    ax = labels.index(factor)
+    syms = basis[ax][1]
     if symbol not in syms:
         raise ValueError(f"symbol {symbol!r} not in factor {factor!r} {syms}")
     n = len(amps)
-    grid = amps.reshape((n,) + basis.shape)
+    grid = amps.reshape((n,) + tuple(len(s) for _, s in basis))
     kept = np.take(grid, syms.index(symbol), axis=ax + 1).reshape(n, -1)
     probs = (kept.conj()[:, None, :] @ kept[:, :, None]).real[:, 0, 0]
     live = probs >= POSTSELECT_MIN
@@ -299,7 +250,7 @@ def postselect(s: StateVector, factor: str, symbol: str):
     prob = float(probs[0])
     if prob < POSTSELECT_MIN:
         return None, prob
-    return StateVector(s.basis.drop(factor), states[0]), prob
+    return StateVector(tuple(f for f in s.basis if f[0] != factor), states[0]), prob
 
 
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:
@@ -354,19 +305,23 @@ def concurrence(rho: DensityMatrix) -> float:
 
 def state_to_json(s: StateVector) -> str:
     doc = {
-        "basis": [{"factor": lab, "symbols": list(syms)} for lab, syms in s.basis.factors],
+        "basis": [{"factor": lab, "symbols": list(syms)} for lab, syms in s.basis],
         "amplitudes": [[float(a.real), float(a.imag)] for a in s.amps],
     }
     return json.dumps(doc)
 
 
 def state_from_json(text: str) -> StateVector:
+    """The state a file holds; its basis must be `POL_BASIS` or `PAIR_BASIS`,
+    checked before any amplitude is read."""
     doc = json.loads(text)
-    factors = tuple((f["factor"], f["symbols"]) for f in doc["basis"])
-    if not all(isinstance(lab, str) and isinstance(syms, list)  # not "HV" for H and V
-               and all(isinstance(x, str) for x in syms) for lab, syms in factors):
-        raise ValueError("each basis factor needs a string name and a list of string symbols")
-    basis = ModeBasis(tuple((lab, tuple(syms)) for lab, syms in factors))
+    factors = [(f["factor"], f["symbols"]) for f in doc["basis"]]
+    # symbols compared as JSON lists: the string "HV" is not (H, V)
+    basis = next((b for b in (POL_BASIS, PAIR_BASIS)
+                  if factors == [(lab, list(syms)) for lab, syms in b]), None)
+    if basis is None:
+        raise ValueError("the basis must be signal_pol, or signal_pol then idler_pol, "
+                         "each with symbols [H, V]")
     amps = np.array([complex(_finite(re), _finite(im)) for re, im in doc["amplitudes"]])
     return StateVector(basis, amps)
 

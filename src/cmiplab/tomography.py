@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .qcore import (IDLER_POL, DensityMatrix, ModeBasis, StateVector,
-                    concurrence, fidelity, polarization_basis)
+from .qcore import (PAIR_BASIS, POL_BASIS, DensityMatrix, StateVector, concurrence,
+                    fidelity)
 
 _SQ = 1.0 / math.sqrt(2.0)
 _KETS = {
@@ -43,7 +43,7 @@ _PAULIS = [np.eye(2, dtype=complex),
 class Catalog(NamedTuple):
     """Measurement settings of n qubits and the arrays built from them."""
 
-    basis: ModeBasis         # signal polarization, then the idler's for a pair
+    basis: tuple             # POL_BASIS, or PAIR_BASIS for a pair
     settings: tuple          # label tuples in catalog order: HH, HV, ..., LL
     projectors: np.ndarray   # rank-1 product projectors, (6^n, 2^n, 2^n)
     paulis: np.ndarray       # Pauli products spanning the operators, (4^n, 2^n, 2^n)
@@ -55,9 +55,7 @@ class Catalog(NamedTuple):
 
 
 def _catalog(n_qubits: int) -> Catalog:
-    basis = polarization_basis()
-    if n_qubits == 2:
-        basis = basis.combine(polarization_basis(IDLER_POL))
+    basis = PAIR_BASIS if n_qubits == 2 else POL_BASIS
     settings = tuple(itertools.product(LABELS, repeat=n_qubits))
     kets = [functools.reduce(np.kron, [_KETS[lab] for lab in labs]) for labs in settings]
     projectors = np.array([np.outer(ket, ket.conj()) for ket in kets])
@@ -147,7 +145,7 @@ def simulate_counts(rho: DensityMatrix, shots_per_setting: int | None,
     catalog = next((c for c in CATALOG.values() if c.basis == rho.basis), None)
     if catalog is None:
         raise ValueError(f"tomography measures the H/V polarization of signal_pol or "
-                         f"(signal_pol, idler_pol), got {rho.basis.factors}")
+                         f"(signal_pol, idler_pol), got {rho.basis}")
     if shots_per_setting is not None and shots_per_setting < 1:
         raise ValueError(f"shots_per_setting must be >= 1, got {shots_per_setting}")
     probs = np.clip(catalog.born(rho.matrix), 0.0, 1.0).tolist()
@@ -166,7 +164,7 @@ class TomoReport:
     def to_json(self) -> str:
         m = self.rho_hat.matrix
         doc = {
-            "basis": list(self.rho_hat.basis.labels),
+            "basis": [lab for lab, _ in self.rho_hat.basis],
             "rho_hat": [[[float(z.real), float(z.imag)] for z in row] for row in m],
             "fidelity_vs_target": self.fidelity_vs_target,
             "concurrence": self.concurrence,
@@ -198,5 +196,5 @@ def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoR
     rho_hat = DensityMatrix(basis, (V * (w / total)) @ V.conj().T)
     residual = float(np.sqrt(np.mean((catalog.born(rho_hat.matrix) - f) ** 2)))
     fid = None if target is None else fidelity(rho_hat, target)
-    conc = concurrence(rho_hat) if basis.dim == 4 else None
+    conc = concurrence(rho_hat) if basis == PAIR_BASIS else None
     return TomoReport(rho_hat, fid, conc, residual)

@@ -13,7 +13,7 @@ import pytest
 from cmiplab import entanglement_lab as elab
 from cmiplab import interferometer as ifo
 from cmiplab import qkd42, tomography, verify
-from cmiplab.qcore import DensityMatrix, StateVector, polarization_basis
+from cmiplab.qcore import POL_BASIS, DensityMatrix, StateVector
 
 SEED = 20260824
 
@@ -174,7 +174,7 @@ def test_criterion_7_tomography_round_trip(acceptance):
                 rep = tomography.reconstruct(tomography.simulate_counts(rho, None, 0))
                 worst = max(worst, float(np.max(np.abs(rep.rho_hat.matrix - rho.matrix))))
         assert worst <= 1e-8, worst
-        pol = polarization_basis()
+        pol = POL_BASIS
         for half in (math.pi / 8, 0.22 * math.pi):
             target = StateVector(pol, [math.cos(half), math.sin(half)])
             rho = DensityMatrix.from_state(target)

@@ -37,7 +37,7 @@ workloads.write_concentrated_pair(Path("pair.json"), 1.1, 0.3)
 from cmiplab.qcore import state_from_json
 pair = state_from_json(Path("pair.json").read_text(encoding="utf-8"))
 print(json.dumps({"metrics": sorted(tracer.layer_metrics(1, [], 0)),
-                  "pair_labels": list(pair.basis.labels),
+                  "pair_labels": [lab for lab, _ in pair.basis],
                   "pair_norm": float(np.linalg.norm(pair.amps)), "session": session}))
 """
 

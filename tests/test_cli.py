@@ -432,7 +432,22 @@ _BAD_STATE_FILES = {
     # 64 two-symbol factors: dimension 2^64, which int64 wraps to 0
     "wide_basis": json.dumps({"basis": [{"factor": f"f{i}", "symbols": ["H", "V"]}
                                         for i in range(64)], "amplitudes": []}),
+    "pair_swapped": json.dumps({
+        "basis": [{"factor": "idler_pol", "symbols": ["H", "V"]},
+                  {"factor": "signal_pol", "symbols": ["H", "V"]}],
+        "amplitudes": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0.0]]}),
+    "symbols_reversed": json.dumps({"basis": [{"factor": "signal_pol", "symbols": ["V", "H"]}],
+                                    "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
+    "path_only": json.dumps({"basis": [{"factor": "signal_path", "symbols": ["1", "2"]}],
+                             "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
+    # the basis is read first, so the amplitude past the float range is never reached
+    "path_huge_integer": json.dumps({"basis": [{"factor": "signal_path", "symbols": ["1", "2"]}],
+                                     "amplitudes": [[10 ** 400, 0], [0, 0]]}),
 }
+#: files whose basis is neither of the two a state file may hold
+_REFUSED_BASES = ("eight_dim", "pol_and_path", "idler_only", "duplicate_symbols",
+                  "symbols_string", "wide_basis", "pair_swapped", "symbols_reversed",
+                  "path_only", "path_huge_integer")
 
 
 @pytest.mark.parametrize("spec", ["two_photon(4, 0)", *(
@@ -447,13 +462,9 @@ def test_tomo_bad_state_is_a_usage_error(spec, tmp_path, monkeypatch, capsys):
     if spec == "json:not_utf8":
         # names the file and gives the decoder's reason, not the bytes read
         assert "not_utf8" in err and "invalid start byte" in err and len(err) < 200
-    if spec == "json:duplicate_symbols":
+    if spec.removeprefix("json:") in _REFUSED_BASES:
         # the state loader rejects it, not tomography's basis match
-        assert "duplicate symbols in factor 'signal_pol'" in err
-    if spec == "json:symbols_string":
-        assert "list of string symbols" in err
-    if spec == "json:wide_basis":
-        assert f"amplitude length 0 != basis dimension {2 ** 64}" in err
+        assert "basis must be signal_pol, or signal_pol then idler_pol" in err
     if spec in ("json:huge_integer", "json:bool_amplitude"):
         assert "two finite numbers, not bools" in err
 
@@ -828,3 +839,91 @@ def test_cli_grammar_fuzz(argv, tmp_path, monkeypatch):
                          and err.endswith("\n")), err
     if code == 0:
         assert _run_in(tmp_path / f"run{runs + 1}", argv) == first
+
+
+# --- a fuzzer for the state file, the CLI's one file input ---
+
+#: any JSON value, with the numbers a float cannot hold
+_json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+                         st.text(max_size=6),
+                         st.sampled_from((10 ** 400, -10 ** 400, 5e-324, 1e308, -0.0)))
+_json_values = st.recursive(_json_leaves, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+    st.text(max_size=6), kids, max_size=4), max_leaves=12)
+#: extra keys, which a reader ignores
+_extras = st.dictionaries(st.text(max_size=6), _json_values, max_size=2)
+#: labels: the three the program names, then near misses, non-ASCII ones
+#: (a Cyrillic "ѕ", a lone surrogate) and other JSON values
+_labels = _mostly(st.sampled_from(("signal_pol", "idler_pol", "signal_path")),
+                  st.one_of(st.sampled_from(("ѕignal_pol", "signal_pöl", "Signal_pol", "",
+                                             "\ud800")),
+                            st.text(max_size=12), _json_values))
+_symbols = _mostly(st.just(["H", "V"]), st.one_of(
+    st.sampled_from((["V", "H"], ["H", "H"], "HV", ["1", "2"], ["H"], ["H", "V", "D"], ["Н", "V"])),
+    st.lists(st.text(max_size=2), max_size=3), _json_values))
+_factors = _mostly(st.builds(lambda extra, lab, syms: {**extra, "factor": lab, "symbols": syms},
+                             _extras, _labels, _symbols), _json_values)
+_VALID_BASES = ([{"factor": "signal_pol", "symbols": ["H", "V"]}],
+                [{"factor": "signal_pol", "symbols": ["H", "V"]},
+                 {"factor": "idler_pol", "symbols": ["H", "V"]}])
+_state_bases = _mostly(st.sampled_from(_VALID_BASES), st.one_of(
+    st.lists(_factors, max_size=3), _factors.map(lambda f: [f] * 64), _json_values))
+_parts = _mostly(st.floats(-1.0, 1.0), st.one_of(st.sampled_from(
+    (math.nan, math.inf, -math.inf, 10 ** 400, True, False, 1e308, 5e-324, "0.5", None)),
+    _json_values))
+
+
+def _unit(parts):
+    """(re, im) pairs of the unit vector along parts, or of |0⟩ if they are all 0."""
+    norm = math.sqrt(sum(x * x for x in parts))
+    parts = [x / norm for x in parts] if norm else [1.0] + [0.0] * (len(parts) - 1)
+    return [parts[i:i + 2] for i in range(0, len(parts), 2)]
+
+
+_amplitude_lists = _mostly(
+    st.sampled_from((4, 8)).flatmap(lambda k: st.lists(st.floats(-1.0, 1.0), min_size=k,
+                                                       max_size=k)).map(_unit),
+    st.one_of(st.lists(_mostly(st.tuples(_parts, _parts).map(list),
+                               st.one_of(st.lists(_parts, max_size=3), _json_values)),
+                       max_size=9), _json_values))
+
+
+@st.composite
+def state_files(draw):
+    """The bytes of a state file: mostly a document with a basis and
+    amplitudes, either maybe missing, else any JSON value, maybe nested deep."""
+    # the shape is drawn first: Hypothesis draws late choices small more often
+    keep = [k for k in ("basis", "amplitudes") if draw(st.integers(0, 9))]
+    whole = draw(st.integers(0, 9))
+    depth = draw(_mostly(st.just(0), st.sampled_from((1, 50, 2000))))
+    ascii_only = draw(st.booleans())
+    doc = {**draw(_extras), "basis": draw(_state_bases), "amplitudes": draw(_amplitude_lists)}
+    value = {k: v for k, v in doc.items() if k in keep or k not in ("basis", "amplitudes")}
+    value = value if whole else draw(_json_values)
+    text = "[" * depth + json.dumps(value, ensure_ascii=ascii_only) + "]" * depth
+    return text.encode("utf-8", "surrogatepass")  # a lone surrogate is not UTF-8
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=state_files())
+@example(data=_BAD_STATE_FILES["wide_basis"].encode())
+@example(data=_BAD_STATE_FILES["path_huge_integer"].encode())
+@example(data=json.dumps({"basis": _VALID_BASES[0] * 2,  # a duplicate label
+                          "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}).encode())
+@example(data=json.dumps({"basis": [{"factor": "\ud800", "symbols": ["H", "V"]}]},
+                         ensure_ascii=False).encode("utf-8", "surrogatepass"))
+def test_state_file_fuzz(data, tmp_path, monkeypatch):
+    # any state file ends in a report (exit 0) or in one "error:" line with
+    # exit 1 or 2, never in an escaping exception
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["tomo", f"json:{path}"])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+        assert json.loads(out.getvalue())["basis"] in (["signal_pol"], ["signal_pol", "idler_pol"])
+    else:
+        assert code in (1, 2) and err.startswith("error: ") and err.count("\n") == 1, err

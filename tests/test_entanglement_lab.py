@@ -33,13 +33,13 @@ def test_config_validation_and_entanglement():
 def test_prepared_pair_amplitudes():
     cfg = elab.TwoPhotonConfig(0.8, delta=0.3)
     s = elab.prepare_two_photon(cfg)
-    b = s.basis
-    assert abs(s.amps[b.index("H", "1", "H")] - math.cos(0.4)) < 1e-15
+    assert s.basis == elab.FULL_BASIS
+    assert abs(s.amps[0] - math.cos(0.4)) < 1e-15  # |H,1,H⟩
     expected_vv = math.sin(0.4) * np.exp(0.3j)
-    assert abs(s.amps[b.index("V", "1", "V")] - expected_vv) < 1e-15
+    assert abs(s.amps[5] - expected_vv) < 1e-15  # |V,1,V⟩
     assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-15
     pair = elab.polarization_pair_state(cfg)
-    assert pair.basis.dim == 4
+    assert pair.basis == elab.PAIR_BASIS
     assert abs(pair.amps[0] - math.cos(0.4)) < 1e-15
     assert abs(pair.amps[3] - expected_vv) < 1e-15
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmiplab import entanglement_lab as elab
 from cmiplab import qcore, tomography
-from cmiplab.qcore import DensityMatrix, StateVector, polarization_basis
+from cmiplab.qcore import POL_BASIS, DensityMatrix, StateVector
 
 
 def random_pure(gen, dim):
@@ -44,7 +45,7 @@ def test_design_matrix_is_informationally_complete():
 
 
 def test_exact_counts_are_born_probabilities():
-    s = StateVector(polarization_basis(), [1.0, 0.0])
+    s = StateVector(POL_BASIS, [1.0, 0.0])
     table = tomography.simulate_counts(DensityMatrix.from_state(s), None, 0)
     assert table.shots_per_setting is None
     assert abs(table.counts[("H",)] - 1.0) < 1e-15
@@ -56,7 +57,7 @@ def test_exact_counts_are_born_probabilities():
 def test_counts_are_seeded_and_bounded():
     gen = np.random.default_rng(2)
     rho = DensityMatrix.from_state(
-        StateVector(polarization_basis(), random_pure(gen, 2)))
+        StateVector(POL_BASIS, random_pure(gen, 2)))
     t1 = tomography.simulate_counts(rho, 500, 9)
     t2 = tomography.simulate_counts(rho, 500, 9)
     t3 = tomography.simulate_counts(rho, 500, 10)
@@ -89,7 +90,7 @@ def test_counts_csv_round_trip():
        st.one_of(st.none(), st.integers(1, 2 ** 63 - 1)), st.integers(0, 2 ** 64 - 1))
 def test_counts_csv_round_trip_is_exact(n_qubits, state_seed, shots, seed):
     basis = tomography.CATALOG[n_qubits].basis
-    amps = random_pure(np.random.default_rng(state_seed), basis.dim)
+    amps = random_pure(np.random.default_rng(state_seed), 2 ** n_qubits)
     table = tomography.simulate_counts(
         DensityMatrix.from_state(StateVector(basis, amps)), shots, seed)
     assert tomography.CountsTable.from_csv(table.to_csv()) == table
@@ -133,7 +134,7 @@ def test_reconstruction_reports_fidelity_and_concurrence():
         target=triplet)
     assert abs(report.fidelity_vs_target - 1.0) < 1e-10
     assert abs(report.concurrence - 1.0) < 1e-8
-    single = StateVector(polarization_basis(), [math.cos(0.4), math.sin(0.4)])
+    single = StateVector(POL_BASIS, [math.cos(0.4), math.sin(0.4)])
     report1 = tomography.reconstruct(
         tomography.simulate_counts(DensityMatrix.from_state(single), None, 0))
     assert report1.concurrence is None and report1.fidelity_vs_target is None
@@ -159,7 +160,7 @@ def test_two_qubit_reconstruction_decomposes_its_estimate_twice(monkeypatch):
 
 
 def test_finite_shot_fidelity_is_high():
-    target = StateVector(polarization_basis(),
+    target = StateVector(POL_BASIS,
                          [math.cos(0.22 * math.pi), math.sin(0.22 * math.pi)])
     table = tomography.simulate_counts(DensityMatrix.from_state(target), 10_000, 7)
     report = tomography.reconstruct(table, target=target)
@@ -188,7 +189,7 @@ def test_incomplete_table_is_rejected():
 
 
 def _counts_csv(shots=1000):
-    s = StateVector(polarization_basis(), [math.cos(0.3), math.sin(0.3)])
+    s = StateVector(POL_BASIS, [math.cos(0.3), math.sin(0.3)])
     return tomography.simulate_counts(DensityMatrix.from_state(s), shots, 3).to_csv()
 
 
@@ -216,7 +217,7 @@ def test_counts_csv_validation(setting, row, why):
 
 
 def test_exact_counts_csv_rejects_probabilities_outside_the_unit_interval():
-    s = StateVector(polarization_basis(), [1.0, 0.0])
+    s = StateVector(POL_BASIS, [1.0, 0.0])
     text = tomography.simulate_counts(DensityMatrix.from_state(s), None, 3).to_csv()
     with pytest.raises(ValueError, match="outside"):
         tomography.CountsTable.from_csv(_edit_row(text, "H", "H,1.5,exact,3"))
@@ -237,15 +238,13 @@ def test_simulate_counts_input_validation():
     rho = DensityMatrix(basis, np.eye(2) / 2)
     with pytest.raises(ValueError):
         tomography.simulate_counts(rho, 0, 1)
-    eight = polarization_basis("a").combine(polarization_basis("b")).combine(
-        polarization_basis("c"))
-    big = DensityMatrix(eight, np.eye(8) / 8)
+    big = DensityMatrix(elab.FULL_BASIS, np.eye(8) / 8)
     with pytest.raises(ValueError):
         tomography.simulate_counts(big, 100, 1)
 
 
 def test_report_json_fields():
-    s = StateVector(polarization_basis(), [1.0, 0.0])
+    s = StateVector(POL_BASIS, [1.0, 0.0])
     report = tomography.reconstruct(
         tomography.simulate_counts(DensityMatrix.from_state(s), None, 0), target=s)
     import json
