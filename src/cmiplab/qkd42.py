@@ -8,7 +8,9 @@ path 1; path-2 clicks are the monitor channel.  Sifting keeps pulses where
 the guess matched the sent port and the click was conclusive.  Both device
 passes run through the interferometer engine; `theta_angles` is the only
 closed form here.  A session runs on the calling thread in chunks addressed
-by pulse index; a chance reads a 32-bit half word and a coin one bit.
+by pulse index; a chance reads a 32-bit half word and a coin one bit, but a
+role whose thresholds are all 0 or 2^32 is not drawn, and a chance table of
+one value is compared as one number rather than gathered per pulse.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class QkdConfig:
     def __post_init__(self):
         if abs(abs(self.gamma0) - math.pi / 8) > 1e-12:
             raise ValueError(f"gamma0 must be ±pi/8 (the ±45° encoding), got {self.gamma0}")
+        for name, value in (("n_pulses", self.n_pulses), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_pulses < 2 ** 63:  # numpy array sizes are int64
             raise ValueError(f"n_pulses = {self.n_pulses} outside [1, 2^63)")
         th1, th2 = theta_angles(self.gamma1, self.gamma2)
@@ -97,10 +102,12 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     states under Bob's `plates(θ_guess, π/2)`, go through one
     `evolve` call each.  The tables hold uint64 `rng.thresholds`, and a
     pulse misses a chance when its 32-bit half word of the role's raw Philox
-    stream reaches the threshold; a coin is one bit of a word.  Draw order is
-    output: pulse i takes half word i (bit i for a coin) of each role's stream
-    of cfg.seed via `rng.addressed`, so a chunk depends on its index alone and
-    the session on no `Generator` method.
+    stream reaches the threshold; a coin is one bit of a word.  A role whose
+    thresholds are all 0 or 2^32 is not drawn, as no half word changes its
+    result, and a table of one value is compared as one number.  Draw order is
+    output: pulse i takes half word i (bit i for a coin) of each drawn role's
+    stream of cfg.seed via `rng.addressed`, so a chunk depends on its index
+    alone and the session on no `Generator` method.
     Each chunk adds to the integer tallies and writes its rows of the pulse
     log (see pulse_log_csv) to `log`, an open text stream or None, as it
     goes, so memory stays bounded; an exception, a failed write included,
@@ -111,26 +118,34 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     enc = 1.0 if cfg.gamma0 > 0 else -1.0
     alice = ifo.evolve(np.kron([[1, enc], [1, -enc]], [[1, 0]]) / math.sqrt(2),  # bits 0, 1
                        ifo.BASIS, cfg.gamma1, cfg.gamma2)
-    t_port1 = rng.thresholds(alice.p_success[0])
+    draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "bob_guesses")}
+    undrawn = np.zeros(QKD_CHUNK, np.uint32)
+
+    def chance(role, p):  # role's table t of rng.thresholds(p), or its one value
+        t = rng.thresholds(p).ravel()
+        if ((0 < t) & (t < 2 ** 32)).any():  # else no half word changes a result
+            draw[role] = rng.addressed(cfg.seed, role)
+        return t if t.min() < t.max() else int(t[0])
+
+    t_port1 = chance("alice_ports", alice.p_success[0])
     states = np.stack([alice.success, alice.failure], axis=1).reshape(4, 2)
     if cfg.eve_basis is not None:
         eta = cfg.eve_basis
         e1 = np.array([math.cos(eta), math.sin(eta)])
         e2 = np.array([-math.sin(eta), math.cos(eta)])
-        t_e1 = rng.thresholds(np.abs(states @ e1) ** 2)  # port-2 rows carry a global phase
+        t_e1 = chance("eve", np.abs(states @ e1) ** 2)  # port-2 rows carry a global phase
         states = np.array([e1, e2])
     # rows: k = 2·s + (guess − 1), each under the plates of its guess
     bob_plates = [ifo.plates(th, math.pi / 2) for th in theta_angles(cfg.gamma1, cfg.gamma2)]
     bob = ifo.evolve(np.repeat(np.kron(states, [[1, 0]]), 2, axis=0), ifo.BASIS,
                      *zip(*bob_plates * len(states)))
-    t_path1 = rng.thresholds(bob.p_success)
-    t_plus = rng.thresholds(np.abs(bob.success.sum(axis=1)) ** 2 / 2)
+    t_path1 = chance("bob_path", bob.p_success)
+    t_plus = chance("bob_bits", np.abs(bob.success.sum(axis=1)) ** 2 / 2)
+    gather_k = not isinstance(t_path1, int) or not isinstance(t_plus, int)
 
-    draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "alice_ports",
-            "bob_guesses", "bob_path", "bob_bits") + ("eve",) * (cfg.eve_basis is not None)}
-
-    def reached(role, t):  # half word >= t: the chance t·2^-32 was missed
-        return draw[role](start, m, bits=32) >= t
+    def reached(role, t, k=None):  # half word >= t: the chance t·2^-32 was missed
+        hw = draw[role](start, m, bits=32) if role in draw else undrawn[:m]
+        return hw >= (t if isinstance(t, int) else t.take(k))
 
     tallies = np.zeros(4, np.int64)
     for start in range(0, n, QKD_CHUNK):
@@ -139,12 +154,12 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
         port2 = reached("alice_ports", t_port1)
         s = sent = 2 * bits + port2
         if cfg.eve_basis is not None:
-            s = reached("eve", t_e1.take(sent)).view(np.uint8)
+            s = reached("eve", t_e1, sent).view(np.uint8)
         guess2 = draw["bob_guesses"](start, m, bits=1)
-        k = 2 * s + guess2
-        monitor = reached("bob_path", t_path1.take(k))
+        k = (2 * s + guess2).astype(np.intp) if gather_k else None  # one cast for both gathers
+        monitor = reached("bob_path", t_path1, k)
         # the public encoding sign tells Bob which ± outcome means bit 0
-        bob1 = reached("bob_bits", t_plus.take(k)) != (cfg.gamma0 < 0)
+        bob1 = reached("bob_bits", t_plus, k) != (cfg.gamma0 < 0)
         match = guess2 == port2
         kept = match & ~monitor
         tallies += [np.count_nonzero(x) for x in (match, kept, kept & (bob1 != bits), monitor)]

@@ -49,6 +49,17 @@ def test_config_validation():
         qkd42.QkdConfig(gamma1=math.pi / 6, gamma2=math.pi / 12)
 
 
+@pytest.mark.parametrize("bad", [True, False, 1000.0, np.int64(1000), "1000", None],
+                         ids=["true", "false", "float", "numpy_int", "str", "none"])
+def test_config_refuses_a_non_integer_pulse_count_or_seed(bad):
+    # a bool reached session.json as true, and a float failed in range()
+    # inside run_session; a numpy integer would fail in SessionStats.to_json
+    with pytest.raises(ValueError, match="n_pulses must be an integer"):
+        qkd42.QkdConfig(n_pulses=bad)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        qkd42.QkdConfig(seed=bad)
+
+
 def test_config_for_theta_balances_the_ports():
     for theta in (math.pi / 3, 0.4 * math.pi, math.pi / 2):
         cfg = qkd42.config_for_theta(theta)
@@ -261,17 +272,22 @@ def _reference_session(cfg, log):
 ETA_RANDOM = float(np.random.default_rng(2026).uniform(-math.pi, math.pi))
 
 
-@pytest.mark.parametrize("n", [1, 6, 7, 8, 1000])
+@pytest.mark.parametrize("n, theta", [(n, None) for n in (1, 6, 7, 8, 1000)]
+                         + [(1000, math.pi / 2), (1000, math.pi / 3)],
+                         ids=["1", "6", "7", "8", "1000", "pi2_1000", "pi3_1000"])
 @pytest.mark.parametrize("gamma0", [math.pi / 8, -math.pi / 8], ids=["enc+", "enc-"])
 @pytest.mark.parametrize("eve", [None, 0.0, math.pi / 8, ETA_RANDOM],
                          ids=["no_eve", "hv", "pi8", "eta_random"])
-def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch,
+def test_session_equals_the_per_pulse_reference(eve, gamma0, n, theta, monkeypatch,
                                                 formatting_threads):
     # chunks of 7 and 65 pulses start inside a coin word and on odd half
-    # words; the caller's thread alone formats the log
-    cfg = qkd42.QkdConfig(gamma1=0.2, gamma2=0.3, gamma0=gamma0, n_pulses=n,
-                          seed=n * 7919 + 13,
-                          eve_basis=eve)
+    # words; the caller's thread alone formats the log.  γ = (0.2, 0.3)
+    # draws every role's chance table per pulse; at θ = π/2 and π/3 some
+    # tables are decided (all 0 or 2^32) or hold one value, and the
+    # reference still reads every role's half word
+    common = dict(gamma0=gamma0, n_pulses=n, seed=n * 7919 + 13, eve_basis=eve)
+    cfg = (qkd42.QkdConfig(gamma1=0.2, gamma2=0.3, **common) if theta is None
+           else qkd42.config_for_theta(theta, **common))
     ref_log = io.StringIO()
     want = _reference_session(cfg, ref_log), ref_log.getvalue()
     for chunk in (7, 65):
@@ -280,6 +296,39 @@ def test_session_equals_the_per_pulse_reference(eve, gamma0, n, monkeypatch,
         got_log = io.StringIO()
         assert (qkd42.run_session(cfg, got_log), got_log.getvalue()) == want, chunk
         assert formatting_threads == {threading.get_ident()}
+
+
+def _roles_drawn(cfg, monkeypatch):
+    """The roles whose streams a 100-pulse session of cfg reads."""
+    roles, addressed = [], rng.addressed
+
+    def spy(seed, role):
+        draw = addressed(seed, role)
+
+        def reading(start, m, bits=64):
+            roles.append(role)
+            return draw(start, m, bits)
+        return reading
+
+    monkeypatch.setattr(rng, "addressed", spy)
+    qkd42.run_session(dataclasses.replace(cfg, n_pulses=100))
+    return set(roles)
+
+
+def test_decided_chances_read_no_stream(monkeypatch):
+    # a table of thresholds 0 and 2^32 alone is decided by the outcome code:
+    # at θ = π/2 Bob's path-1 chance is 1 and his ± outcome certain, at
+    # θ = π/3 only the ± outcome (conditional on path 1) is
+    coins = {"alice_bits", "bob_guesses"}
+    chances = {"alice_ports", "bob_path", "bob_bits"}
+    assert _roles_drawn(qkd42.config_for_theta(math.pi / 2), monkeypatch) == (
+        coins | {"alice_ports"})
+    assert _roles_drawn(qkd42.config_for_theta(math.pi / 3), monkeypatch) == (
+        coins | {"alice_ports", "bob_path"})
+    general = qkd42.QkdConfig(gamma1=0.2, gamma2=0.3)
+    assert _roles_drawn(general, monkeypatch) == coins | chances
+    assert _roles_drawn(dataclasses.replace(general, eve_basis=0.0), monkeypatch) == (
+        coins | chances | {"eve"})
 
 
 def _bob_plus_thresholds(cfg, monkeypatch):
