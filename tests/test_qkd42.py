@@ -299,20 +299,22 @@ def test_session_equals_the_per_pulse_reference(eve, gamma0, n, theta, monkeypat
 
 
 def _roles_drawn(cfg, monkeypatch):
-    """The roles whose streams a 100-pulse session of cfg reads."""
-    roles, addressed = [], rng.addressed
+    """The roles whose streams a 100-pulse session of cfg builds and reads."""
+    built, read, addressed = set(), set(), rng.addressed
 
     def spy(seed, role):
+        built.add(role)
         draw = addressed(seed, role)
 
         def reading(start, m, bits=64):
-            roles.append(role)
+            read.add(role)
             return draw(start, m, bits)
         return reading
 
     monkeypatch.setattr(rng, "addressed", spy)
     qkd42.run_session(dataclasses.replace(cfg, n_pulses=100))
-    return set(roles)
+    assert built == read
+    return read
 
 
 def test_decided_chances_read_no_stream(monkeypatch):
