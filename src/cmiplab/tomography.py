@@ -62,13 +62,10 @@ def _catalog(n_qubits: int) -> Catalog:
     paulis = np.array([functools.reduce(np.kron, ps)
                        for ps in itertools.product(_PAULIS, repeat=n_qubits)])
     design = np.trace(projectors[:, None] @ paulis[None], axis1=2, axis2=3).real
-    rank = np.linalg.matrix_rank(design, tol=1e-10)
-    if rank < 4 ** n_qubits:
-        raise RuntimeError(f"design matrix rank {rank} < {4 ** n_qubits}: catalog incomplete")
     return Catalog(basis, settings, projectors, paulis, design)
 
 
-#: the six-projector catalog per qubit count, built and rank-checked once
+#: the six-projector catalog per qubit count, built once
 CATALOG = {n: _catalog(n) for n in (1, 2)}
 
 
@@ -187,7 +184,6 @@ def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoR
     f = counts.frequencies()
     c, *_ = np.linalg.lstsq(catalog.design, f, rcond=None)
     raw = (c[:, None, None] * catalog.paulis).sum(axis=0)
-    raw = 0.5 * (raw + raw.conj().T)
     w, V = np.linalg.eigh(raw)
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
