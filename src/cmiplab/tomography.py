@@ -2,9 +2,9 @@
 
 Measurement model: the overcomplete six-projector catalog {H, V, D, A, R, L}
 per qubit (36 product settings for a pair), binomial counting statistics per
-setting, linear inversion over the Pauli operator basis, and eigenvalue
-clipping as positivity repair.  shots_per_setting=None is the exact-Born-rule
-sentinel used as the noiseless oracle.
+setting, linear inversion as an exact projection on the integer Pauli design
+and eigenvalue clipping as positivity repair.  shots_per_setting=None is the
+exact-Born-rule sentinel used as the noiseless oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ _PAULIS = [np.eye(2, dtype=complex),
            np.array([[0, 1], [1, 0]], dtype=complex),
            np.array([[0, -1j], [1j, 0]], dtype=complex),
            np.array([[1, 0], [0, -1]], dtype=complex)]
+#: tr(Π P) of the settings H, V, D, A, R, L (rows) and the Paulis I, X, Y, Z
+_TRACES = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [1, 1, 0, 0],
+                    [1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 1, 0]])
 
 
 class Catalog(NamedTuple):
@@ -47,7 +50,7 @@ class Catalog(NamedTuple):
     settings: tuple          # label tuples in catalog order: HH, HV, ..., LL
     projectors: np.ndarray   # rank-1 product projectors, (6^n, 2^n, 2^n)
     paulis: np.ndarray       # Pauli products spanning the operators, (4^n, 2^n, 2^n)
-    design: np.ndarray       # Pauli coefficients to probabilities, tr(Π_i P_k)
+    design: np.ndarray       # tr(Π_i P_k), exact integers: _TRACES' Kronecker power
 
     def born(self, matrix: np.ndarray) -> np.ndarray:
         """Born probabilities tr(ρ Π_i) of every setting, in catalog order."""
@@ -61,7 +64,7 @@ def _catalog(n_qubits: int) -> Catalog:
     projectors = np.array([np.outer(ket, ket.conj()) for ket in kets])
     paulis = np.array([functools.reduce(np.kron, ps)
                        for ps in itertools.product(_PAULIS, repeat=n_qubits)])
-    design = np.trace(projectors[:, None] @ paulis[None], axis1=2, axis2=3).real
+    design = functools.reduce(np.kron, [_TRACES] * n_qubits)
     return Catalog(basis, settings, projectors, paulis, design)
 
 
@@ -171,18 +174,18 @@ class TomoReport:
 
 
 def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoReport:
-    """Least-squares linear inversion with positivity repair.
+    """Linear inversion by exact projection, with positivity repair.
 
-    The Pauli-coefficient system tr(Π_i P_k) c_k = f_i is solved by lstsq;
-    the Hermitian estimate is clipped to nonnegative eigenvalues and
-    renormalized to unit trace.  The reported residual is the RMS mismatch
-    between the repaired state's Born probabilities and the observed
-    frequencies, which is how users can see when repair mattered.
+    The integer design D = tr(Π_i P_k) has orthogonal columns, so the
+    least-squares c of D c = f is D^T f / diag(D^T D).  The Hermitian
+    estimate is clipped to nonnegative eigenvalues and renormalized to unit
+    trace; the residual, the RMS mismatch between its Born probabilities
+    and the frequencies, shows when that repair mattered.
     """
     catalog = CATALOG[counts.n_qubits]
     basis = catalog.basis
     f = counts.frequencies()
-    c, *_ = np.linalg.lstsq(catalog.design, f, rcond=None)
+    c = catalog.design.T @ f / (catalog.design ** 2).sum(axis=0)
     raw = (c[:, None, None] * catalog.paulis).sum(axis=0)
     w, V = np.linalg.eigh(raw)
     w = np.clip(w, 0.0, None)

@@ -37,11 +37,39 @@ def test_circular_kets_convention():
     assert np.allclose(projector[("H",)] + projector[("V",)], np.eye(2))
 
 
+def projection(catalog, f):
+    """The Pauli coefficients of frequencies f as reconstruct takes them."""
+    return catalog.design.T @ f / (catalog.design ** 2).sum(axis=0)
+
+
 def test_design_matrix_is_informationally_complete():
-    assert tomography.CATALOG[1].design.shape == (6, 4)
-    assert tomography.CATALOG[2].design.shape == (36, 16)
-    assert np.linalg.matrix_rank(tomography.CATALOG[1].design, tol=1e-10) == 4
-    assert np.linalg.matrix_rank(tomography.CATALOG[2].design, tol=1e-10) == 16
+    one, two = tomography.CATALOG[1].design, tomography.CATALOG[2].design
+    assert one.shape == (6, 4) and two.shape == (36, 16)
+    # exact integers: the one-qubit table of 0 and ±1, and its Kronecker square
+    assert one.dtype.kind == "i" and set(one.ravel().tolist()) == {-1, 0, 1}
+    assert two.dtype.kind == "i" and np.array_equal(two, np.kron(one, one))
+    # the independent route: tr(Π_i P_k) from the kets
+    for catalog in tomography.CATALOG.values():
+        traces = np.trace(catalog.projectors[:, None] @ catalog.paulis[None], axis1=2, axis2=3)
+        assert np.max(np.abs(traces - catalog.design)) <= 1e-15
+    # orthogonal nonzero columns, so the design has full column rank
+    assert np.array_equal(one.T @ one, np.diag([6, 2, 2, 2]))
+    assert np.array_equal(two.T @ two, np.diag(np.kron([6, 2, 2, 2], [6, 2, 2, 2])))
+
+
+def test_projection_is_the_least_squares_solution():
+    # lstsq is the reference: the diagonal D^T D makes its solution the projection
+    gen = np.random.default_rng(31)
+    worst = 0.0
+    for n, catalog in tomography.CATALOG.items():
+        for seed in range(200):
+            g = gen.normal(size=(2 ** n, 2 ** n)) + 1j * gen.normal(size=(2 ** n, 2 ** n))
+            rho = DensityMatrix(catalog.basis, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+            for shots in (None, 10_000):
+                f = tomography.simulate_counts(rho, shots, seed).frequencies()
+                c, *_ = np.linalg.lstsq(catalog.design, f, rcond=None)
+                worst = max(worst, float(np.max(np.abs(projection(catalog, f) - c))))
+    assert worst <= 2e-15, worst
 
 
 def test_exact_counts_are_born_probabilities():
@@ -107,7 +135,7 @@ def test_stacked_born_and_pauli_sums_equal_the_setting_loops():
             born = catalog.born(rho)
             loop = np.array([np.trace(rho @ P).real for P in catalog.projectors])
             assert born.tobytes() == loop.tobytes()
-            c, *_ = np.linalg.lstsq(catalog.design, born, rcond=None)
+            c = projection(catalog, born)
             stacked = (c[:, None, None] * catalog.paulis).sum(axis=0)
             assert stacked.tobytes() == sum(ck * P for ck, P in zip(c, catalog.paulis)).tobytes()
 
@@ -123,7 +151,7 @@ def test_exact_reconstruction_of_random_states():
                 tomography.simulate_counts(rho, None, 0))
             worst = max(worst, float(np.max(np.abs(report.rho_hat.matrix - rho.matrix))))
             assert report.residual < 1e-10
-    assert worst < 1e-8, worst
+    assert worst <= 1e-15, worst
 
 
 def test_reconstruction_reports_fidelity_and_concurrence():
@@ -149,12 +177,19 @@ def test_two_qubit_reconstruction_decomposes_its_estimate_twice(monkeypatch):
     calls, eigh = [], np.linalg.eigh
 
     def spy(a, *args, **kwargs):
-        calls.append(np.shape(a))
+        calls.append(a)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     report = tomography.reconstruct(table)
-    assert calls == [(4, 4), (1, 4, 4)]
+    assert [np.shape(a) for a in calls] == [(4, 4), (1, 4, 4)]
+    # the raw estimate is the projection's Pauli sum, exactly Hermitian with
+    # no symmetrizing step (only its diagonal's zero imaginary parts may
+    # differ from the conjugate's in sign)
+    catalog = tomography.CATALOG[2]
+    c = projection(catalog, table.frequencies())
+    assert calls[0].tobytes() == (c[:, None, None] * catalog.paulis).sum(axis=0).tobytes()
+    assert np.array_equal(calls[0], calls[0].conj().T)
     # the same bits as Wootters on a fresh decomposition of the estimate
     assert report.concurrence == qcore.concurrences(report.rho_hat.matrix[None])[0]
 

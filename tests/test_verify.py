@@ -115,7 +115,7 @@ PINNED_SEEDS = {
         ('worst stray failure amplitude 0.00e+00', 0.0),
         ('worst closed-form-vs-state gap 6.00e-15', 5.995204332975845e-15),
         ('0 predicate mismatches', 0),
-        ('worst exact-mode reconstruction error 7.02e-16', 7.017551473126622e-16),
+        ('worst exact-mode reconstruction error 4.44e-16', 4.442087593794096e-16),
         ('qber exactly 0 without an eavesdropper', 0),
         ('identical seeds give identical counts and session stats', 0),
     ],
@@ -133,7 +133,7 @@ PINNED_SEEDS = {
         ('worst stray failure amplitude 0.00e+00', 0.0),
         ('worst closed-form-vs-state gap 6.00e-15', 5.995204332975845e-15),
         ('0 predicate mismatches', 0),
-        ('worst exact-mode reconstruction error 1.11e-15', 1.1105699151271774e-15),
+        ('worst exact-mode reconstruction error 4.45e-16', 4.446498126012308e-16),
         ('qber exactly 0 without an eavesdropper', 0),
         ('identical seeds give identical counts and session stats', 0),
     ],
