@@ -4,13 +4,13 @@ The signal photon of cos(a/2)|HH⟩ + e^{iδ} sin(a/2)|VV⟩ passes the
 interferometer with both plates rotated; conditioning on its exit path
 splits the pair into two branches whose entanglement can exceed (path 1)
 or fall below the input value, with closed forms for both probability and
-concurrence checked against explicit state evolution.  A grid of pairs and
-plate settings is one `evolve` call on FULL_BASIS, whose `Branches` rows are
-on PAIR_BASIS (path 1 `success`, path 2 `failure`); `branch_concurrences`
-gives the entanglement of the branches a caller reads.  `apply_cmip_signal`
-filters one pair and returns its branches as `StateVector`s
-(`EntangledBranches`), the form that `state_to_json` writes for the
-tomography of a concentrated pair.
+concurrence checked against explicit state evolution.  A grid of pairs on
+FULL_BASIS and plate settings is one `evolve` call, whose `Branches` rows
+are on PAIR_BASIS, the pair's polarizations (path 1 `success`, path 2
+`failure`); `branch_concurrences` gives the entanglement of the branches a
+caller reads.  `apply_cmip_signal` filters one pair and returns its
+branches as `StateVector`s (`EntangledBranches`), the form that
+`state_to_json` writes for the tomography of a concentrated pair.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import BASIS as DEVICE_BASIS
-from .interferometer import evolve
-from .qcore import (IDLER_POL, PAIR_BASIS, POL_SYMBOLS, StateVector, concurrences,
-                    postselect)
-
-#: signal polarization (x) signal path (x) idler polarization; a filtered
-#: pair is on PAIR_BASIS, the (signal, idler) polarization basis
-FULL_BASIS = DEVICE_BASIS + ((IDLER_POL, POL_SYMBOLS),)
+from .interferometer import FULL_BASIS, evolve
+from .qcore import PAIR_BASIS, StateVector, concurrences, postselect
 
 #: flat FULL_BASIS indices of |H,1,H⟩ and |V,1,V⟩, the pair source's two terms
 _HH, _VV = 0, 5
@@ -101,7 +95,7 @@ def apply_cmip_signal(state: StateVector, gamma1: float, gamma2: float) -> Entan
     its state and entanglement."""
     if state.basis != FULL_BASIS:
         raise ValueError("expected a two-photon state on the standard basis")
-    b = evolve(state.amps, FULL_BASIS, gamma1, gamma2)
+    b = evolve(state.amps, gamma1, gamma2)
     out = []
     for phi, p in ((b.success, b.p_success), (b.failure, b.p_failure)):
         e = branch_concurrences(phi, p)[0]
@@ -179,7 +173,7 @@ def concentration_sweep(alpha: float, gamma1_grid, gamma2: float, delta: float =
         _check_plate("gamma1", g1)
         cols["n1_closed"][i], _, e1c, _ = output_entanglement(alpha, g1, gamma2)
         cols["e1_closed"][i] = np.nan if e1c is None else e1c
-    path1 = evolve(state.amps, FULL_BASIS, gamma1_grid, gamma2)
+    path1 = evolve(state.amps, gamma1_grid, gamma2)
     cols["n1_state"] = path1.p_success
     cols["e1_state"] = branch_concurrences(path1.success, path1.p_success)
     return cols

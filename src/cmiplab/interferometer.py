@@ -6,8 +6,8 @@ Conditioning on the photon leaving in path 1 maps the pair onto
 cos(b/2)|H⟩ ± sin(b/2)|V⟩ for a chosen inner angle b; the path-2 events are
 the heralded failures and carry no which-sign information.  `evolve` is the
 one device model, and it is array-shaped: a grid of plate angles and input
-states is evolved in one call, which builds each chunk's `device_unitary`
-stack and returns the branches as `Branches` arrays, one row per pass.
+states, photons on `BASIS` or pairs on `FULL_BASIS` by their row length, is
+evolved in one call, which returns the branches as `Branches` arrays.
 A device setting is `plates(α, β, φ, φ′)`, the plate angles `evolve` takes;
 every grid (the β sweep, verify's checks, the two-photon layer and the key
 session's tables) calls `evolve` itself.
@@ -22,11 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .qcore import (PATH_SYMBOLS, POL_BASIS, SIGNAL_PATH, StateVector, apply_rows,
-                    check_unitary_rows, in_chunks, normalize_rows, postselect_rows)
+from .qcore import (IDLER_POL, PATH_SYMBOLS, POL_BASIS, POL_SYMBOLS, SIGNAL_PATH,
+                    StateVector, apply_rows, check_unitary_rows, in_chunks, normalize_rows,
+                    postselect_rows)
 
-#: polarization (x) path basis shared by all device operators
+#: polarization (x) path basis shared by all device operators; a pair adds
+#: the idler's polarization, which the device leaves alone
 BASIS = POL_BASIS + ((SIGNAL_PATH, PATH_SYMBOLS),)
+FULL_BASIS = BASIS + ((IDLER_POL, POL_SYMBOLS),)
 
 #: flat BASIS indices of (H,1), (H,2), (V,1), (V,2), polarization slowest
 _H1, _H2, _V1, _V2 = 0, 1, 2, 3
@@ -170,20 +173,20 @@ class Branches(NamedTuple):
     p_failure: np.ndarray
 
 
-def evolve(amps: np.ndarray, basis: tuple, gamma1, gamma2, phase_h=0.0,
-           phase_v=0.0) -> Branches:
+def evolve(amps: np.ndarray, gamma1, gamma2, phase_h=0.0, phase_v=0.0) -> Branches:
     """Pass n states through n device settings and split each by exit path.
 
-    amps is an (n, d) stack of normalized states on `basis`, or one (d,)
-    state for every setting; `basis` leads with the signal polarization and
-    path, and trailing factors (an idler photon) are untouched.  The plate
-    angles are `device_unitary`'s, broadcast with the rows.  Rows are evolved
-    in chunks of `qcore.CHUNK_ROWS`, each through its own `device_unitary`
+    amps is an (n, d) stack of normalized states, or one (d,) state for every
+    setting: d = 4 on `BASIS`, one photon, or d = 8 on `FULL_BASIS`, a pair
+    whose idler is untouched; any other d is a ValueError.  The plate angles
+    are `device_unitary`'s, broadcast with the rows.  Rows are evolved in
+    chunks of `qcore.CHUNK_ROWS`, each through its own `device_unitary`
     stack.  Each output row gets the norm repair of `qcore.normalize_rows`
     once, and both paths are split from the repaired rows.
     """
     def chunk(amps, *angles):
         out = normalize_rows(apply_rows(device_unitary(*angles), amps))
+        basis = BASIS if out.shape[1] == 4 else FULL_BASIS
         return (*postselect_rows(out, basis, "signal_path", "1"),
                 *postselect_rows(out, basis, "signal_path", "2"))
 
@@ -197,7 +200,7 @@ def run_cmip(input_sign: int, plan) -> Branches:
     """The one-row `Branches` of the input state through a `plan_for` setting.
     Only the benchmark warm-up needs it; see `plan_for`."""
     alpha, angles = plan
-    return evolve(input_amps(alpha, input_sign), BASIS, *angles)
+    return evolve(input_amps(alpha, input_sign), *angles)
 
 
 def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
@@ -221,5 +224,5 @@ def success_probability_sweep(alpha: float, betas, shots: int, seed: int):
     # (γ1, γ2, φH, φV) per point, filled without holding n tuples
     angles = np.fromiter((plates(alpha, b) for b in betas.tolist()),
                          np.dtype((float, 4)), betas.size)
-    probs = np.clip(evolve(input_amps(alpha, +1)[0], BASIS, *angles.T).p_success, 0.0, 1.0)
+    probs = np.clip(evolve(input_amps(alpha, +1)[0], *angles.T).p_success, 0.0, 1.0)
     return p_closed, rng.stream(seed, "cmip_sweep").binomial(shots, probs) / shots

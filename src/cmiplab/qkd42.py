@@ -117,7 +117,7 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     n = cfg.n_pulses
     enc = 1.0 if cfg.gamma0 > 0 else -1.0
     alice = ifo.evolve(np.kron([[1, enc], [1, -enc]], [[1, 0]]) / math.sqrt(2),  # bits 0, 1
-                       ifo.BASIS, cfg.gamma1, cfg.gamma2)
+                       cfg.gamma1, cfg.gamma2)
     draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "bob_guesses")}
     undrawn = np.zeros(QKD_CHUNK, np.uint32)
 
@@ -137,7 +137,7 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
         states = np.array([e1, e2])
     # rows: k = 2·s + (guess − 1), each under the plates of its guess
     bob_plates = [ifo.plates(th, math.pi / 2) for th in theta_angles(cfg.gamma1, cfg.gamma2)]
-    bob = ifo.evolve(np.repeat(np.kron(states, [[1, 0]]), 2, axis=0), ifo.BASIS,
+    bob = ifo.evolve(np.repeat(np.kron(states, [[1, 0]]), 2, axis=0),
                      *zip(*bob_plates * len(states)))
     t_path1 = chance("bob_path", bob.p_success)
     t_plus = chance("bob_bits", np.abs(bob.success.sum(axis=1)) ** 2 / 2)

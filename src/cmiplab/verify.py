@@ -5,8 +5,8 @@ yes/no check its count of violations; `run_all` holds the tolerances and
 the detail templates, so a `CheckResult` carries the numbers its detail
 line is formatted from.  `run_all` accepts an alternative gamma1 solver so
 intentional faults (mutation testing) can demonstrate that the physics
-contracts actually bite.  The grid checks take their expansion plate angles
-from that solver and evolve them through the device engine directly.
+contracts actually bite.  The three (α, β) grid checks read one device
+pass, which takes its expansion plate angles from that solver.
 
 Draw order is output.  Draws of one kind come from one call, which gives
 the same bits as the per-sample draws; where kinds interleave within a
@@ -86,7 +86,7 @@ def _check_normalization(gen):
 
 
 def _check_postselect_completeness(gen):
-    basis = elab.FULL_BASIS
+    basis = ifo.FULL_BASIS
     amps = normalize_rows(_unit_rows(gen.normal(size=(50, 2, 8))))
     worst = 0.0
     for factor, syms in basis:
@@ -117,8 +117,8 @@ def _check_delta_independence(gen):
     alphas, deltas = np.linspace(0.1, 3.0, 7), np.linspace(0.0, 2 * math.pi, 9)
     pairs = np.array([elab.prepare_two_photon(elab.TwoPhotonConfig(float(a), float(d))).amps
                       for a in alphas for d in deltas])
-    pol, _ = postselect_rows(normalize_rows(pairs), elab.FULL_BASIS, "signal_path", "1")
-    br = ifo.evolve(pairs, elab.FULL_BASIS, 0.3, 0.2)
+    pol, _ = postselect_rows(normalize_rows(pairs), ifo.FULL_BASIS, "signal_path", "1")
+    br = ifo.evolve(pairs, 0.3, 0.2)
     e1 = elab.branch_concurrences(br.success, br.p_success)
     e2 = elab.branch_concurrences(br.failure, br.p_failure)
     vals = np.stack([concurrences(pol), br.p_success, e1, e2], axis=1).reshape(7, 9, 4)
@@ -138,7 +138,7 @@ def _grid_deviations(gamma1_solver):
     failure amplitude).  Each point's plate angles are solved here, by the
     branch rule of `ifo.plates` but with γ1 from `gamma1_solver`; then the
     grid's + and − inputs are evolved together in one `evolve` call.
-    `run_all` memoises it per solver for one call.
+    `run_all` memoises it for one call, bound to that call's solver.
     """
     grid = list(_ab_grid())
     n = len(grid)
@@ -152,7 +152,7 @@ def _grid_deviations(gamma1_solver):
         p_closed[i] = ifo.closed_form_probability(alpha, beta)
     # rows: the + inputs of the grid, then its − inputs
     amps = np.concatenate([ifo.input_amps(alphas, sign) for sign in (+1, -1)])
-    out = ifo.evolve(amps, ifo.BASIS, np.tile(g1, 2), np.tile(g2, 2))
+    out = ifo.evolve(amps, np.tile(g1, 2), np.tile(g2, 2))
     plus, minus = out.success.reshape(2, n, 2)
     ip = (plus.conj()[:, None, :] @ minus[:, :, None])[:, 0, 0]
     worst_ip = float(max(np.max(np.abs(ip.real - np.cos(betas))),
@@ -166,12 +166,12 @@ def _grid_deviations(gamma1_solver):
     return worst_ip, worst_p, float(np.max(stray, initial=0.0))
 
 
-def _check_inner_product(gen, deviations, gamma1_solver):
-    return deviations(gamma1_solver)[0]
+def _check_inner_product(gen, deviations):
+    return deviations()[0]
 
 
-def _check_probability_equivalence(gen, deviations, gamma1_solver):
-    return deviations(gamma1_solver)[1]
+def _check_probability_equivalence(gen, deviations):
+    return deviations()[1]
 
 
 def _check_usd_point(gen):
@@ -189,7 +189,7 @@ def _check_monotonicity(gen):
 
 
 def _check_failure_purity(gen, deviations):
-    return deviations(ifo.solve_gamma1)[2]
+    return deviations()[2]
 
 
 def _pair_grid():
@@ -208,7 +208,7 @@ def _check_entanglement_brute_force(gen, closed_grid):
     alphas, g1s, g2s = _pair_grid()
     pairs = np.repeat([elab.prepare_two_photon(elab.TwoPhotonConfig(a, 0.4)).amps
                        for a in alphas[::100]], 100, axis=0)
-    br = ifo.evolve(pairs, elab.FULL_BASIS, g1s, g2s)
+    br = ifo.evolve(pairs, g1s, g2s)
     e1 = elab.branch_concurrences(br.success, br.p_success)
     e2 = elab.branch_concurrences(br.failure, br.p_failure)
     brute = np.stack([br.p_success, br.p_failure, e1, e2], axis=1)
@@ -255,9 +255,8 @@ def _check_determinism(gen):
 def run_all(gamma1_solver=None, seed: int = 20260824) -> list[CheckResult]:
     """Run every invariant check; `gamma1_solver` overrides the device solver
     inside the interferometer contracts (mutation-testing hook)."""
-    solver = gamma1_solver or ifo.solve_gamma1
-    deviations = functools.cache(_grid_deviations)  # both live for this call only
-    closed_grid = functools.cache(_closed_pair_grid)
+    deviations = functools.cache(lambda: _grid_deviations(gamma1_solver or ifo.solve_gamma1))
+    closed_grid = functools.cache(_closed_pair_grid)  # both live for this call only
     # name, check, its extra arguments, tolerance, detail template for worst
     checks = [
         ("unitarity_preservation", _check_unitarity, (), 1e-12,
@@ -272,9 +271,9 @@ def run_all(gamma1_solver=None, seed: int = 20260824) -> list[CheckResult]:
          "worst local-unitary deviation {:.2e}"),
         ("delta_independence", _check_delta_independence, (), 1e-12,
          "worst delta dependence {:.2e}"),
-        ("inner_product_contract", _check_inner_product, (deviations, solver), 1e-9,
+        ("inner_product_contract", _check_inner_product, (deviations,), 1e-9,
          "worst ⟨φ+|φ−⟩ − cos β deviation {:.2e}"),
-        ("probability_equivalence", _check_probability_equivalence, (deviations, solver), 1e-12,
+        ("probability_equivalence", _check_probability_equivalence, (deviations,), 1e-12,
          "worst amplitude-vs-closed-form gap {:.2e}"),
         ("usd_idp_point", _check_usd_point, (), 1e-12,
          "worst |P(α,π/2) − (1−cos α)| = {:.2e}"),

@@ -56,9 +56,9 @@ def same_state(batch_row, p, single_row):
 @example([(0.0, ifo.plates(0.0, 0.0)), (5e-324, ifo.plates(5e-324, 0.0))], +1)  # γ2's 0/0
 def test_batched_device_rows_equal_single_runs(plans, sign):
     alphas, angle_rows = zip(*plans)
-    batch = ifo.evolve(ifo.input_amps(alphas, sign), ifo.BASIS, *np.array(angle_rows).T)
+    batch = ifo.evolve(ifo.input_amps(alphas, sign), *np.array(angle_rows).T)
     for i, (alpha, row) in enumerate(plans):
-        one = ifo.evolve(ifo.input_amps(alpha, sign), ifo.BASIS, *row)
+        one = ifo.evolve(ifo.input_amps(alpha, sign), *row)
         assert len(one.p_success) == 1
         assert batch.p_success[i] == one.p_success[0]
         assert batch.p_failure[i] == one.p_failure[0]
@@ -150,7 +150,7 @@ def test_batched_pair_rows_equal_single_filters(rows):
     states = [elab.prepare_two_photon(elab.TwoPhotonConfig(a, d)) for a, d, _, _ in rows]
     g1s = np.array([r[2] for r in rows])
     g2s = np.array([r[3] for r in rows])
-    batch = ifo.evolve(np.array([s.amps for s in states]), elab.FULL_BASIS, g1s, g2s)
+    batch = ifo.evolve(np.array([s.amps for s in states]), g1s, g2s)
     assert batch.success.shape == (len(rows), 4)
     e1 = elab.branch_concurrences(batch.success, batch.p_success)
     e2 = elab.branch_concurrences(batch.failure, batch.p_failure)

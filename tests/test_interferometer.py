@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cmiplab import entanglement_lab as elab
 from cmiplab import interferometer as ifo
 
 # frozen closed-form values (computed independently, full precision)
@@ -182,3 +183,23 @@ def test_sweep_shapes_and_closed_form_only_mode():
     closed2, mc2 = ifo.success_probability_sweep(math.pi / 4, betas, 0, seed=5)
     assert mc2 is None
     assert np.allclose(closed, closed2, atol=0)
+
+
+@pytest.mark.parametrize("d", [2, 6, 16])
+@pytest.mark.parametrize("rows", [(), (1,), (3,)], ids=["one_state", "one_row", "three_rows"])
+def test_evolve_takes_only_photon_or_pair_rows(d, rows):
+    # 4 amplitudes are one photon on BASIS, 8 a pair on FULL_BASIS; any
+    # other row length has no layout
+    amps = np.zeros(rows + (d,), dtype=complex)
+    amps[..., 0] = 1.0
+    with pytest.raises(ValueError):
+        ifo.evolve(amps, 0.2, 0.1)
+
+
+def test_evolve_splits_photons_and_pairs_by_row_length():
+    # a photon's branches are its polarization, a pair's both polarizations
+    photon = ifo.evolve(ifo.input_amps([0.4, 0.9], +1), 0.2, 0.1)
+    pair = ifo.evolve(np.eye(8, dtype=complex)[[0, 5]], 0.2, 0.1)
+    assert photon.success.shape == photon.failure.shape == (2, 2)
+    assert pair.success.shape == pair.failure.shape == (2, 4)
+    assert elab.FULL_BASIS is ifo.FULL_BASIS

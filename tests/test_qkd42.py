@@ -75,7 +75,7 @@ def test_family_states_are_normalized_with_overlap_cos_theta():
     for cfg in (qkd42.QkdConfig(gamma1=0.2, gamma2=0.3),
                 *(qkd42.config_for_theta(theta)
                   for theta in (math.pi / 3, 0.4 * math.pi, math.pi / 2))):
-        out = ifo.evolve(amps, ifo.BASIS, cfg.gamma1, cfg.gamma2)
+        out = ifo.evolve(amps, cfg.gamma1, cfg.gamma2)
         for (plus, minus), theta in zip((out.success, out.failure),
                                         qkd42.theta_angles(cfg.gamma1, cfg.gamma2)):
             assert abs(np.vdot(plus, plus) - 1.0) < 1e-12

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cmiplab import entanglement_lab as elab
+from cmiplab import interferometer as ifo
 from cmiplab import qcore, verify
 from cmiplab.interferometer import solve_gamma1
 
@@ -56,6 +57,20 @@ def test_grid_is_evaluated_once_per_solver():
     assert len(calls) == 2 * expand_points
 
 
+def test_a_mutated_run_evolves_the_grid_once(monkeypatch):
+    # the three (α, β) grid checks share one device pass under the run's
+    # solver: 900 points, each with its + and − input
+    rows, evolve = [], ifo.evolve
+
+    def spy(amps, *angles):
+        rows.append(len(amps))
+        return evolve(amps, *angles)
+
+    monkeypatch.setattr(ifo, "evolve", spy)
+    verify.run_all(gamma1_solver=crooked)
+    assert 2 * len(list(verify._ab_grid())) == 1800 and rows.count(1800) == 1
+
+
 def test_pair_grid_closed_forms_are_evaluated_once(monkeypatch):
     calls = []
     closed = elab.output_entanglement
@@ -82,7 +97,9 @@ def test_raising_solver_fails_its_checks_without_aborting():
     results = verify.run_all(gamma1_solver=broken)
     assert len(results) == 16
     failed = {r.name: r.detail for r in results if not r.passed}
-    assert set(failed) == {"inner_product_contract", "probability_equivalence"}
+    # the three (α, β) grid checks read the one pass under the run's solver
+    assert set(failed) == {"inner_product_contract", "probability_equivalence",
+                           "failure_state_purity"}
     assert all("ArithmeticError: solver fault" in d for d in failed.values())
 
 
