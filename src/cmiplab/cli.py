@@ -2,11 +2,11 @@
 sessions, and the invariant suite.
 
 Angles are decimal radians, rational multiples of pi ("1/2pi", "0.44pi", "pi")
-or "arcsin <x>" (x may carry its own minus), with an optional leading minus,
-written in ASCII digits without "_".  Sweeps are "start:stop:steps" with
-inclusive endpoints.  Every CSV starts with a "# seed=<n>" comment; the
-default seed comes from the CMIPLAB_SEED environment variable (42 when unset)
-and --seed overrides both.
+or "arcsin <x>" (x may carry its own minus), with an optional leading minus.
+Every number is in ASCII digits, without "_" or a leading "+".  Sweeps are
+"start:stop:steps" with inclusive endpoints.  Every CSV starts with a
+"# seed=<n>" comment; the default seed comes from the CMIPLAB_SEED
+environment variable (42 when unset) and --seed overrides both.
 
 Exit codes: 0 success, 1 usage/parse error, 2 I/O error, 3 verification
 failure.  `main` is the one error boundary: any ValueError (a UsageError, or
@@ -47,8 +47,16 @@ class OutputError(Exception):
     """Unreadable input or unwritable output (exit code 2)."""
 
 
-_FRACTION = re.compile(r"^(\d+)/(\d+)pi$")
-_MULTIPLE = re.compile(r"^(\d+\.?\d*|\.\d+)?pi$")
+_FRACTION = re.compile(r"^(\d+)/(\d+)pi$", re.ASCII)
+_MULTIPLE = re.compile(r"^(\d+\.?\d*|\.\d+)?pi$", re.ASCII)
+
+
+def number(text: str, kind=int):
+    """kind(text), refusing a "_", a leading "+" and any non-ASCII character,
+    all of which int() and float() take: a ValueError, as kind() raises."""
+    if text.strip().startswith("+") or "_" in text or not text.isascii():
+        raise ValueError(f"invalid number {text!r}")
+    return kind(text)
 
 
 def parse_angle(text: str) -> float:
@@ -57,9 +65,8 @@ def parse_angle(text: str) -> float:
     s = text.strip()
     sign, s = (-1.0, s[1:].strip()) if s.startswith("-") else (1.0, s)
     arcsin = s.startswith("arcsin")
-    x = s[len("arcsin"):].strip() if arcsin else s
-    # float() would take these signs and "_", and float() and \d any script's digits
-    if s.startswith(("-", "+")) or x.startswith("+") or "_" in s or not s.isascii():
+    x = s[len("arcsin"):] if arcsin else s
+    if s.startswith("-"):  # float() would take a second minus
         raise UsageError(f"cannot parse angle {text!r}")
     compact = s.replace(" ", "")
     fraction, multiple = _FRACTION.match(compact), _MULTIPLE.match(compact)
@@ -69,7 +76,7 @@ def parse_angle(text: str) -> float:
         elif multiple:
             value = float(multiple.group(1) or 1.0) * math.pi
         else:  # a decimal, or the argument x of "arcsin x"
-            value = float(x)
+            value = number(x, float)
     except ValueError:  # not a number, or an integer past int()'s digit limit
         raise UsageError(f"cannot parse angle {text!r}") from None
     except ZeroDivisionError:
@@ -97,7 +104,7 @@ def parse_sweep(text: str, name: str) -> np.ndarray:
     if len(parts) != 3:
         raise UsageError(f"{name} sweep must be start:stop:steps, got {text!r}")
     try:
-        steps = int(parts[2])
+        steps = number(parts[2])
     except ValueError:
         raise UsageError(f"sweep step count {parts[2]!r} is not an integer") from None
     start, stop = parse_angle(parts[0]), parse_angle(parts[1])
@@ -117,7 +124,7 @@ def resolve_seed(flag_value: str | None) -> int:
     if source is None:
         return 42
     try:
-        seed = int(source)
+        seed = number(source)
     except ValueError:
         raise UsageError(f"seed {source!r} is not an integer") from None
     if not 0 <= seed < 2 ** 64:
@@ -131,7 +138,7 @@ def parse_shots(text: str, allow_exact: bool):
             raise UsageError("this command needs an integer shot count")
         return None
     try:
-        shots = int(text)
+        shots = number(text)
     except ValueError:
         raise UsageError(f"shots {text!r} must be an integer or 'exact'") from None
     if not 0 <= shots < 2 ** 63:  # the draws take int64 counts
@@ -219,7 +226,7 @@ def cmd_cmip(args) -> int:
 def cmd_entangle(args) -> int:
     if args.e_in is not None:
         try:
-            e_in = float(args.e_in)
+            e_in = number(args.e_in, float)
         except ValueError:
             raise UsageError(f"--e-in {args.e_in!r} is not a number") from None
         if not 0.0 <= e_in <= 1.0:
@@ -371,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma2")
     p.add_argument("--gamma0", default="1/8pi", help="encoding sign/angle, ±pi/8")
     p.add_argument("--theta", help="set gamma1/gamma2 for equal family angles")
-    p.add_argument("--pulses", type=int, default=10_000)
+    p.add_argument("--pulses", type=number, default=10_000)
     p.add_argument("--seed")
     p.add_argument("--eve", help="intercept or intercept:<angle>")
     p.add_argument("--log", help="write the per-pulse CSV log here")

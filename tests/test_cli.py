@@ -187,6 +187,50 @@ def test_seed_resolution(monkeypatch):
         cli.resolve_seed("-1")
 
 
+#: numbers that int() and float() read, with a "_", a leading "+" or
+#: non-ASCII digits, which the CLI refuses as it refuses them in angles
+_E_IN = ("entangle", "--gamma2", "0", "--gamma1s", "0:0.5:3", "--out", "fig", "--e-in")
+
+
+@pytest.mark.parametrize("argv, env_seed", [
+    (("qkd", "--pulses", "10", "--seed", "1_0"), None),
+    (("qkd", "--pulses", "10", "--seed", "١"), None),
+    (("qkd", "--pulses", "10", "--seed", "+1"), None),
+    (("qkd", "--pulses", "10"), "١"),
+    (("qkd", "--pulses", "10"), "1_0"),
+    (("qkd", "--pulses", "١٠"), None),
+    (("qkd", "--pulses", "1_0"), None),
+    (("cmip", "--alpha", "0.5", "--betas", "0.6:1:1_0", "--shots", "1_0"), None),
+    (("cmip", "--alpha", "0.5", "--betas", "0.6:1:+3", "--shots", "0"), None),
+    (("cmip", "--alpha", "0.5", "--betas", "0.6:1:3", "--shots", "+10"), None),
+    (("tomo", "psi_plus(1)", "--shots", "١٠"), None),
+    ((*_E_IN, "0.5_0"), None),
+    ((*_E_IN, "٠.٥"), None),
+    ((*_E_IN, "+0.5"), None),
+], ids=["seed_underscore", "seed_arabic", "seed_plus", "env_seed_arabic",
+        "env_seed_underscore", "pulses_arabic", "pulses_underscore", "cmip_steps_and_shots",
+        "cmip_steps_plus", "cmip_shots_plus", "tomo_shots_arabic", "e_in_underscore",
+        "e_in_arabic", "e_in_plus"])
+def test_every_number_keeps_the_angle_grammar(argv, env_seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if env_seed is None:
+        monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    else:
+        monkeypatch.setenv(cli.ENV_SEED, env_seed)
+    assert cli.main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_number_reads_plain_ascii_numbers():
+    assert cli.number(" 7 ") == 7 and cli.number("-1") == -1
+    assert cli.number("0.5", float) == 0.5 and cli.number("1e3", float) == 1000.0
+    for bad in ("1_0", "+1", " +1", "١", "１", "٠.٥", "x", ""):
+        with pytest.raises(ValueError):
+            cli.number(bad)
+
+
 def test_state_specs(tmp_path):
     s = cli.parse_state_spec("psi_plus(1/4pi)")
     assert np.allclose(s.amps, [math.cos(math.pi / 8), math.sin(math.pi / 8)])
