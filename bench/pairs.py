@@ -1,8 +1,9 @@
 """Benchmark the parent commit against the change, in alternating pairs.
 
-    python3 bench/pairs.py <n>
+    python3 bench/pairs.py <n> [--parent REV]
 
-Run from anywhere inside a git checkout.  The parent is HEAD~, checked out
+Run from anywhere inside a git checkout.  The parent is REV (default HEAD~;
+name the branch point when the change spans several commits), checked out
 with `git worktree` into a temporary directory that is removed afterwards;
 the change is the working tree this script sits in.  For every workload in
 BENCHMARK.json, pair i of PAIRS runs `perfbench/run.py --trace 0 --seed
@@ -63,14 +64,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("n", type=int, help="the file written is BENCH_<n>.json")
+    ap.add_argument("--parent", default="HEAD~", metavar="REV",
+                    help="the revision to compare against (default HEAD~)")
     args = ap.parse_args(argv)
+    try:
+        parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    except subprocess.CalledProcessError:
+        ap.error(f"--parent {args.parent!r} names no commit")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
     seeds = [FIRST_SEED + i for i in range(PAIRS)]
     doc = {
-        "parent": git("rev-parse", "HEAD~"),
+        "parent": parent_sha,
         "change": git("rev-parse", "HEAD"),
         "change_has_uncommitted_edits": git("status", "--porcelain") != "",
         "command": [*spec["command"], "--trace", "0"],
@@ -82,7 +89,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent), "HEAD~")
+        git("worktree", "add", "--detach", str(parent), parent_sha)
         try:
             checkouts = {"parent": parent, "change": ROOT}
             for w in spec["workloads"]:

@@ -437,8 +437,10 @@ def _comprehension_log(codes, seed, start):
 @pytest.mark.parametrize("start, n", [
     (0, 100), (0, 1), (7, 1), (5, 10), (99_990, 20), (999_990, 20),
     (qkd42.QKD_CHUNK, qkd42.QKD_CHUNK), (15 * qkd42.QKD_CHUNK, qkd42.QKD_CHUNK),
+    (999, 20), (9_999, 20), (10 ** 8 - 10, 20),
 ], ids=["header", "one_row", "one_row_later", "9_to_10", "99999_to_100000",
-        "999999_to_1000000", "second_chunk", "sixteenth_chunk"])
+        "999999_to_1000000", "second_chunk", "sixteenth_chunk", "from_999",
+        "from_9999", "99999999_to_100000000"])
 def test_pulse_log_keeps_every_byte_of_the_row_comprehension(start, n):
     # the golden logs hold 2,000 pulses, so they never reach a second chunk
     # or a five-digit pulse number
@@ -484,9 +486,9 @@ class _FailingLog(io.StringIO):
 
 
 @pytest.mark.parametrize("n", [16 * 7, 17 * 7, 100 * 7 + 1])
-def test_a_failed_log_write_stops_both_threads(n, monkeypatch):
-    # the second chunk's write fails: it raises from the session, which
-    # leaves no thread behind
+def test_a_failed_log_write_raises_from_the_session(n, monkeypatch):
+    # the second chunk's write fails: it raises from the session, which runs
+    # its chunks on the calling thread and leaves no thread behind
     monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
     before = threading.active_count()
     with pytest.raises(OSError, match="No space left"):
