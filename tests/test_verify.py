@@ -49,7 +49,7 @@ def test_grid_is_evaluated_once_per_solver():
 
     results = verify.run_all(gamma1_solver=counting)
     assert all(r.passed for r in results)
-    # inner_product_contract and probability_equivalence share one pass
+    # the three (α, β) grid checks share one pass
     expand_points = sum(a <= b for a, b in verify._ab_grid())
     assert len(calls) == expand_points
     # the memo lives for one run_all call: the next call evaluates the grid again
