@@ -2,8 +2,9 @@
 sessions, and the invariant suite.
 
 Angles are decimal radians, rational multiples of pi ("1/2pi", "0.44pi", "pi")
-or "arcsin <x>" (x may carry its own minus), with an optional leading minus.
-Every number is in ASCII digits, without "_" or a leading "+".  Sweeps are
+or "arcsin <x>" (x may carry its own minus), with an optional leading minus,
+one per state-spec argument.  Numbers and angles are ASCII with no "_", no
+leading "+" and only ASCII padding; a refused number is named.  Sweeps are
 "start:stop:steps" with inclusive endpoints.  Every CSV starts with a
 "# seed=<n>" comment; the default seed comes from the CMIPLAB_SEED
 environment variable (42 when unset) and --seed overrides both.
@@ -51,33 +52,38 @@ _FRACTION = re.compile(r"^(\d+)/(\d+)pi$", re.ASCII)
 _MULTIPLE = re.compile(r"^(\d+\.?\d*|\.\d+)?pi$", re.ASCII)
 
 
-def number(text: str, kind=int):
-    """kind(text), refusing a "_", a leading "+" and any non-ASCII character,
-    all of which int() and float() take: a ValueError, as kind() raises."""
-    if text.strip().startswith("+") or "_" in text or not text.isascii():
-        raise ValueError(f"invalid number {text!r}")
-    return kind(text)
+def number(text: str, what: str, kind=int):
+    """kind(text), refusing a "_", a leading "+" and any non-ASCII character
+    (a non-ASCII space too), all of which int(), float() and str.strip()
+    take: a UsageError that names `what` and quotes the text."""
+    try:
+        if text.strip().startswith("+") or "_" in text or not text.isascii():
+            raise ValueError(text)
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"{what} {text!r} is not {noun}") from None
 
 
 def parse_angle(text: str) -> float:
     """Parse an angle literal to radians.  A literal that names no finite
     float (nan, inf, or a number past the float range) is a UsageError."""
-    s = text.strip()
-    sign, s = (-1.0, s[1:].strip()) if s.startswith("-") else (1.0, s)
-    arcsin = s.startswith("arcsin")
-    x = s[len("arcsin"):] if arcsin else s
-    if s.startswith("-"):  # float() would take a second minus
-        raise UsageError(f"cannot parse angle {text!r}")
-    compact = s.replace(" ", "")
-    fraction, multiple = _FRACTION.match(compact), _MULTIPLE.match(compact)
-    try:
+    try:  # the raw text passes number's guard before strip() can drop a space
+        s = number(text, "angle", str).strip()
+        sign, s = (-1.0, s[1:].strip()) if s.startswith("-") else (1.0, s)
+        arcsin = s.startswith("arcsin")
+        x = s[len("arcsin"):] if arcsin else s
+        if s.startswith("-"):  # float() would take a second minus
+            raise ValueError(text)
+        compact = s.replace(" ", "")
+        fraction, multiple = _FRACTION.match(compact), _MULTIPLE.match(compact)
         if fraction:
             value = int(fraction.group(1)) * math.pi / int(fraction.group(2))
         elif multiple:
             value = float(multiple.group(1) or 1.0) * math.pi
         else:  # a decimal, or the argument x of "arcsin x"
-            value = number(x, float)
-    except ValueError:  # not a number, or an integer past int()'s digit limit
+            value = number(x, "angle", float)
+    except ValueError:  # number's refusal, or an integer past int()'s digit limit
         raise UsageError(f"cannot parse angle {text!r}") from None
     except ZeroDivisionError:
         raise UsageError(f"zero denominator in angle {text!r}") from None
@@ -103,10 +109,7 @@ def parse_sweep(text: str, name: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{name} sweep must be start:stop:steps, got {text!r}")
-    try:
-        steps = number(parts[2])
-    except ValueError:
-        raise UsageError(f"sweep step count {parts[2]!r} is not an integer") from None
+    steps = number(parts[2], f"{name} sweep step count")
     start, stop = parse_angle(parts[0]), parse_angle(parts[1])
     if steps < 2:
         raise UsageError(f"{name} sweep needs >= 2 steps, got {steps}")
@@ -123,10 +126,7 @@ def resolve_seed(flag_value: str | None) -> int:
     source = flag_value if flag_value is not None else os.environ.get(ENV_SEED)
     if source is None:
         return 42
-    try:
-        seed = number(source)
-    except ValueError:
-        raise UsageError(f"seed {source!r} is not an integer") from None
+    seed = number(source, "seed")
     if not 0 <= seed < 2 ** 64:
         raise UsageError(f"seed {seed} outside [0, 2^64)")
     return seed
@@ -137,10 +137,7 @@ def parse_shots(text: str, allow_exact: bool):
         if not allow_exact:
             raise UsageError("this command needs an integer shot count")
         return None
-    try:
-        shots = number(text)
-    except ValueError:
-        raise UsageError(f"shots {text!r} must be an integer or 'exact'") from None
+    shots = number(text, "--shots")
     if not 0 <= shots < 2 ** 63:  # the draws take int64 counts
         raise UsageError(f"shots {shots} outside [0, 2^63)")
     return shots
@@ -194,7 +191,7 @@ def parse_state_spec(text: str) -> StateVector:
     if not m:
         raise UsageError(f"cannot parse state spec {text!r}")
     name, arg_text = m.group(1), m.group(2)
-    args = [a for a in (p.strip() for p in arg_text.split(",")) if a]
+    args = arg_text.split(",")  # unstripped: parse_angle reads each one's raw text
     pair_signs = {"psi_plus": +1, "psi_minus": -1, "phi_plus": +1, "phi_minus": -1}
     if name in pair_signs:
         if len(args) != 1:
@@ -225,10 +222,7 @@ def cmd_cmip(args) -> int:
 
 def cmd_entangle(args) -> int:
     if args.e_in is not None:
-        try:
-            e_in = number(args.e_in, float)
-        except ValueError:
-            raise UsageError(f"--e-in {args.e_in!r} is not a number") from None
+        e_in = number(args.e_in, "--e-in", float)
         if not 0.0 <= e_in <= 1.0:
             raise UsageError(f"--e-in {e_in} outside [0, 1]")
         alpha = math.asin(e_in)
@@ -289,7 +283,7 @@ def _parse_eve(text: str | None) -> float | None:
 
 def cmd_qkd(args) -> int:
     seed = resolve_seed(args.seed)
-    common = dict(gamma0=parse_angle(args.gamma0), n_pulses=args.pulses,
+    common = dict(gamma0=parse_angle(args.gamma0), n_pulses=number(args.pulses, "--pulses"),
                   seed=seed, eve_basis=_parse_eve(args.eve))
     if args.theta is not None:
         if args.gamma1 is not None or args.gamma2 is not None:
@@ -378,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma2")
     p.add_argument("--gamma0", default="1/8pi", help="encoding sign/angle, ±pi/8")
     p.add_argument("--theta", help="set gamma1/gamma2 for equal family angles")
-    p.add_argument("--pulses", type=number, default=10_000)
+    p.add_argument("--pulses", default="10000")
     p.add_argument("--seed")
     p.add_argument("--eve", help="intercept or intercept:<angle>")
     p.add_argument("--log", help="write the per-pulse CSV log here")

@@ -207,10 +207,15 @@ _E_IN = ("entangle", "--gamma2", "0", "--gamma1s", "0:0.5:3", "--out", "fig", "-
     ((*_E_IN, "0.5_0"), None),
     ((*_E_IN, "٠.٥"), None),
     ((*_E_IN, "+0.5"), None),
+    # non-ASCII spaces, which str.strip() would drop: ideographic, no-break, em
+    (("qkd", "--pulses", "10", "--theta", "\u30001/3pi"), None),
+    (("cmip", "--alpha", "\xa00.5", "--betas", "0.6:1:3", "--shots", "0"), None),
+    (("cmip", "--alpha", "0.5", "--betas", "0.6:1\u2003:3", "--shots", "0"), None),
 ], ids=["seed_underscore", "seed_arabic", "seed_plus", "env_seed_arabic",
         "env_seed_underscore", "pulses_arabic", "pulses_underscore", "cmip_steps_and_shots",
         "cmip_steps_plus", "cmip_shots_plus", "tomo_shots_arabic", "e_in_underscore",
-        "e_in_arabic", "e_in_plus"])
+        "e_in_arabic", "e_in_plus", "theta_ideographic_space", "alpha_no_break_space",
+        "betas_em_space"])
 def test_every_number_keeps_the_angle_grammar(argv, env_seed, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if env_seed is None:
@@ -224,11 +229,34 @@ def test_every_number_keeps_the_angle_grammar(argv, env_seed, tmp_path, monkeypa
 
 
 def test_number_reads_plain_ascii_numbers():
-    assert cli.number(" 7 ") == 7 and cli.number("-1") == -1
-    assert cli.number("0.5", float) == 0.5 and cli.number("1e3", float) == 1000.0
+    assert cli.number(" 7 ", "n") == 7 and cli.number("-1", "n") == -1
+    assert cli.number("0.5", "x", kind=float) == 0.5
+    assert cli.number("1e3", "x", kind=float) == 1000.0
     for bad in ("1_0", "+1", " +1", "١", "１", "٠.٥", "x", ""):
-        with pytest.raises(ValueError):
-            cli.number(bad)
+        with pytest.raises(cli.UsageError):
+            cli.number(bad, "n")
+
+
+@pytest.mark.parametrize("argv, env_seed, err", [
+    (("qkd", "--pulses", "10", "--seed", "1_0"), None, "seed '1_0' is not an integer"),
+    (("qkd", "--pulses", "10"), "\u30001", "seed '\\u30001' is not an integer"),
+    (("tomo", "psi_plus(1)", "--shots", "x"), None, "--shots 'x' is not an integer"),
+    (("cmip", "--alpha", "0.5", "--betas", "0.6:1:+3"), None,
+     "beta sweep step count '+3' is not an integer"),
+    ((*_E_IN, "\xa00.5"), None, "--e-in '\\xa00.5' is not a number"),
+    (("qkd", "--pulses", "1_0"), None, "--pulses '1_0' is not an integer"),
+], ids=["seed", "env_seed", "shots", "sweep_steps", "e_in", "pulses"])
+def test_a_refused_number_is_named_and_quoted(argv, env_seed, err, tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    if env_seed is None:
+        monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    else:
+        monkeypatch.setenv(cli.ENV_SEED, env_seed)
+    assert cli.main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err == f"error: {err}\n"
 
 
 def test_state_specs(tmp_path):
@@ -239,6 +267,9 @@ def test_state_specs(tmp_path):
     pair = cli.parse_state_spec("two_photon(arcsin 0.51, 0)")
     half = math.asin(0.51) / 2
     assert np.allclose(pair.amps, [math.cos(half), 0, 0, math.sin(half)])
+    # ASCII spaces around the spec and its arguments are allowed
+    assert np.array_equal(cli.parse_state_spec(" two_photon( arcsin 0.51 , 0 ) ").amps,
+                          pair.amps)
     with pytest.raises(cli.UsageError):
         cli.parse_state_spec("bell()")
     with pytest.raises(cli.UsageError):
@@ -494,8 +525,9 @@ _REFUSED_BASES = ("eight_dim", "pol_and_path", "idler_only", "duplicate_symbols"
                   "path_only", "path_huge_integer")
 
 
-@pytest.mark.parametrize("spec", ["two_photon(4, 0)", *(
-    f"json:{name}" for name in _BAD_STATE_FILES)])
+@pytest.mark.parametrize("spec", [
+    "two_photon(4, 0)", "two_photon(1,,0)", "psi_plus(,1)", "psi_plus(1,)",
+    "two_photon(,1,0,)", "psi_plus(\u30001)", *(f"json:{name}" for name in _BAD_STATE_FILES)])
 def test_tomo_bad_state_is_a_usage_error(spec, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, data in _BAD_STATE_FILES.items():
@@ -759,7 +791,7 @@ _angles = _mostly(
               st.sampled_from(("-0", "-pi", "-arcsin 1", "arcsin 2", "1/0pi", "nan", "inf",
                                "-inf", "5e-324", "-5e-324", "2.2e-308", "1e-170",
                                str(2 ** 31), str(2 ** 63), "1e308", "-1e308", f"{HUGE}pi",
-                               "", "x", "pip"))))
+                               "", "x", "pip", "\u30001/8pi"))))
 #: every step count, pulse count and shot count a run accepts is small;
 #: oversize values come only from the range the CLI rejects
 _OVERSIZE = (str(2 ** 63), str(2 ** 64), "1" * 30)
@@ -793,7 +825,8 @@ _states = _mostly(
               st.builds("two_photon({}, {})".format, _angles, _angles),
               st.just("json:../in/qubit")),
     st.sampled_from((*(f"json:../in/{name}" for name in _BAD_STATE_FILES), "json:../in/absent",
-                     "bell()", "psi_plus(1, 2)", "two_photon(1)", "json:", "psi_plus")))
+                     "bell()", "psi_plus(1, 2)", "two_photon(1)", "two_photon(1,,0)", "json:",
+                     "psi_plus")))
 
 #: the strategy for each option's value
 _VALUES = {

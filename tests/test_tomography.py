@@ -168,6 +168,17 @@ def test_reconstruction_reports_fidelity_and_concurrence():
     assert report1.concurrence is None and report1.fidelity_vs_target is None
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "qcore.fidelity returns the real part of <t|rho|t> unclipped, so the exact "
+    "reconstruction of the tomo_two_exact golden state reads 1.0000000000000004; "
+    "ROADMAP item 3 bounds it and regenerates tomo_two_exact/report.json"))
+def test_exact_fidelity_is_at_most_one():
+    target = elab.polarization_pair_state(elab.TwoPhotonConfig(math.asin(0.51), math.pi / 5))
+    report = tomography.reconstruct(
+        tomography.simulate_counts(DensityMatrix.from_state(target), None, 18), target=target)
+    assert report.fidelity_vs_target <= 1.0
+
+
 def test_two_qubit_reconstruction_decomposes_its_estimate_twice(monkeypatch):
     # the positivity repair's eigh, then the DensityMatrix check's, whose
     # (w, V) concurrence reads: the estimate is not checked a second time
