@@ -4,7 +4,8 @@ sessions, and the invariant suite.
 Angles are decimal radians, rational multiples of pi ("1/2pi", "0.44pi", "pi")
 or "arcsin <x>" (x may carry its own minus), with an optional leading minus,
 one per state-spec argument.  Numbers and angles are ASCII with no "_", no
-leading "+" and only ASCII padding; a refused number is named.  Sweeps are
+leading "+" and only ASCII padding; a refused number is named, and refused
+text is quoted with any argv byte that is not UTF-8 as \\xNN.  Sweeps are
 "start:stop:steps" with inclusive endpoints.  Every CSV starts with a
 "# seed=<n>" comment; the default seed comes from the CMIPLAB_SEED
 environment variable (42 when unset) and --seed overrides both.
@@ -52,6 +53,10 @@ _FRACTION = re.compile(r"^(\d+)/(\d+)pi$", re.ASCII)
 _MULTIPLE = re.compile(r"^(\d+\.?\d*|\.\d+)?pi$", re.ASCII)
 
 
+def quote(text: str) -> str:  # repr, but argv's undecodable bytes as \xNN, not \udcNN
+    return re.sub(r"(\\\\)|\\udc([89a-f][0-9a-f])", lambda m: m[1] or rf"\x{m[2]}", repr(text))
+
+
 def number(text: str, what: str, kind=int):
     """kind(text), refusing a "_", a leading "+" and any non-ASCII character
     (a non-ASCII space too), all of which int(), float() and str.strip()
@@ -62,7 +67,7 @@ def number(text: str, what: str, kind=int):
         return kind(text)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise UsageError(f"{what} {text!r} is not {noun}") from None
+        raise UsageError(f"{what} {quote(text)} is not {noun}") from None
 
 
 def parse_angle(text: str) -> float:
@@ -84,9 +89,9 @@ def parse_angle(text: str) -> float:
         else:  # a decimal, or the argument x of "arcsin x"
             value = number(x, "angle", float)
     except ValueError:  # number's refusal, or an integer past int()'s digit limit
-        raise UsageError(f"cannot parse angle {text!r}") from None
+        raise UsageError(f"cannot parse angle {quote(text)}") from None
     except ZeroDivisionError:
-        raise UsageError(f"zero denominator in angle {text!r}") from None
+        raise UsageError(f"zero denominator in angle {quote(text)}") from None
     except OverflowError:  # an integer past the float range
         value = math.inf
     if arcsin:
@@ -94,7 +99,7 @@ def parse_angle(text: str) -> float:
             raise UsageError(f"arcsin argument {value} outside [-1, 1]")
         value = math.asin(value)
     if not math.isfinite(value):
-        raise UsageError(f"angle {text!r} is not finite")
+        raise UsageError(f"angle {quote(text)} is not finite")
     return sign * value
 
 
@@ -108,7 +113,7 @@ def parse_sweep(text: str, name: str) -> np.ndarray:
     """The inclusive grid of a "start:stop:steps" sweep, checked before it is built."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"{name} sweep must be start:stop:steps, got {text!r}")
+        raise UsageError(f"{name} sweep must be start:stop:steps, got {quote(text)}")
     steps = number(parts[2], f"{name} sweep step count")
     start, stop = parse_angle(parts[0]), parse_angle(parts[1])
     if steps < 2:
@@ -189,7 +194,7 @@ def parse_state_spec(text: str) -> StateVector:
             raise UsageError(f"cannot load a state from {path}: {exc!r}") from None
     m = _STATE_CALL.match(s)
     if not m:
-        raise UsageError(f"cannot parse state spec {text!r}")
+        raise UsageError(f"cannot parse state spec {quote(text)}")
     name, arg_text = m.group(1), m.group(2)
     args = arg_text.split(",")  # unstripped: parse_angle reads each one's raw text
     pair_signs = {"psi_plus": +1, "psi_minus": -1, "phi_plus": +1, "phi_minus": -1}
@@ -202,7 +207,7 @@ def parse_state_spec(text: str) -> StateVector:
             raise UsageError(f"two_photon takes (alpha, delta), got {len(args)} args")
         cfg = elab.TwoPhotonConfig(parse_angle(args[0]), parse_angle(args[1]))
         return elab.polarization_pair_state(cfg)
-    raise UsageError(f"unknown state constructor {name!r}")
+    raise UsageError(f"unknown state constructor {quote(name)}")
 
 
 def cmd_cmip(args) -> int:
@@ -277,7 +282,7 @@ def _parse_eve(text: str | None) -> float | None:
         return 0.0
     if text.startswith("intercept:"):
         return parse_angle(text[len("intercept:"):])
-    raise UsageError(f"unknown eavesdropper policy {text!r} "
+    raise UsageError(f"unknown eavesdropper policy {quote(text)} "
                      f"(use intercept or intercept:<angle>)")
 
 

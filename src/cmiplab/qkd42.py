@@ -9,8 +9,8 @@ the guess matched the sent port and the click was conclusive.  Both device
 passes run through the interferometer engine; `theta_angles` is the only
 closed form here.  A session runs on the calling thread in chunks addressed
 by pulse index; a chance reads a 32-bit half word and a coin one bit, but a
-role whose thresholds are all 0 or 2^32 is not drawn, and a chance table of
-one value is compared as one number rather than gathered per pulse.
+role whose thresholds are all 0 or 2^32 is not drawn and its table is read
+as bools, and a table of one value is compared as one number.
 """
 
 from __future__ import annotations
@@ -104,10 +104,10 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     pulse misses a chance when its 32-bit half word of the role's raw Philox
     stream reaches the threshold; a coin is one bit of a word.  A role whose
     thresholds are all 0 or 2^32 is not drawn, as no half word changes its
-    result, and a table of one value is compared as one number.  Draw order is
-    output: pulse i takes half word i (bit i for a coin) of each drawn role's
-    stream of cfg.seed via `rng.addressed`, so a chunk depends on its index
-    alone and the session on no `Generator` method.
+    result, and its table is read as bools (t == 0); a table of one value is
+    compared as one number.  Draw order is output: pulse i takes half word i
+    (bit i for a coin) of each drawn role's stream of cfg.seed via `rng.addressed`,
+    so a chunk depends on its index alone and the session on no `Generator` method.
     Each chunk adds to the integer tallies and writes its rows of the pulse
     log (see pulse_log_csv) to `log`, an open text stream or None, as it
     goes, so memory stays bounded; an exception, a failed write included,
@@ -119,13 +119,12 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     alice = ifo.evolve(np.kron([[1, enc], [1, -enc]], [[1, 0]]) / math.sqrt(2),  # bits 0, 1
                        cfg.gamma1, cfg.gamma2)
     draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "bob_guesses")}
-    undrawn = np.zeros(QKD_CHUNK, np.uint32)
 
-    def chance(role, p):  # role's table t of rng.thresholds(p), or its one value
+    def chance(role, p):  # t = rng.thresholds(p): its one value, t, or t == 0 if decided
         t = rng.thresholds(p).ravel()
         if ((0 < t) & (t < 2 ** 32)).any():  # else no half word changes a result
             draw[role] = rng.addressed(cfg.seed, role)
-        return t if t.min() < t.max() else int(t[0])
+        return int(t[0]) if t.min() == t.max() else t if role in draw else t == 0
 
     t_port1 = chance("alice_ports", alice.p_success[0])
     states = np.stack([alice.success, alice.failure], axis=1).reshape(4, 2)
@@ -144,8 +143,9 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     gather_k = not isinstance(t_path1, int) or not isinstance(t_plus, int)
 
     def reached(role, t, k=None):  # half word >= t: the chance t·2^-32 was missed
-        hw = draw[role](start, m, bits=32) if role in draw else undrawn[:m]
-        return hw >= (t if isinstance(t, int) else t.take(k))
+        if role not in draw:  # decided: the half word 0 reaches t where t is 0
+            return np.full(m, t == 0) if isinstance(t, int) else t.take(k)
+        return draw[role](start, m, bits=32) >= (t if isinstance(t, int) else t.take(k))
 
     tallies = np.zeros(4, np.int64)
     for start in range(0, n, QKD_CHUNK):
@@ -177,10 +177,10 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
 #: 8·sent + 4·(guess − 1) + 2·monitor + bit, sent = 2·alice_bit + (port − 1);
 #: the path-1 ± measurement always clicks, so a pulse not on the monitor is
 #: conclusive.  Held as ASCII bytes padded with 0 to one width.
-_ROW_SUFFIX = np.array([list(row.encode().ljust(20, b"\0")) for row in (
+_ROW_SUFFIX = [row.encode().ljust(20, b"\0") for row in (
     f",{a},{o},{g},monitor,\n" if m else f",{a},{o},{g},conclusive,{b}\n"
-    for a in (0, 1) for o in (1, 2) for g in (1, 2) for m in (0, 1) for b in (0, 1))],
-    dtype=np.uint8)
+    for a in (0, 1) for o in (1, 2) for g in (1, 2) for m in (0, 1) for b in (0, 1))]
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48  # "0000" to "9999"
 
 
 def pulse_log_csv(codes: np.ndarray, seed: int, start: int) -> str:
@@ -189,19 +189,24 @@ def pulse_log_csv(codes: np.ndarray, seed: int, start: int) -> str:
 
     `codes` holds each pulse's 5-bit row code (see _ROW_SUFFIX); Bob's bit
     is meaningless on monitor pulses, whose rows leave it empty.  run_session
-    writes one call's text per chunk.  The rows are built as one byte table,
-    the pulse number's digits then the suffix, with 0 bytes for its leading
-    zeros and the suffix padding; dropping every 0 byte leaves the text.
+    writes one call's text per chunk, built in one byte buffer.  A run of
+    numbers of one width w and 10^4-block reads its last min(w, 4) digits
+    from _DIGITS and drops monitor rows' padding as whole gcd(w, 4)-byte items.
     """
     head = (f"# seed={seed}\npulse,alice_bit,alice_output,bob_guess,result,bit\n"
-            if start == 0 else "")
-    width = len(str(start + len(codes) - 1))
-    rows = np.empty((len(codes), width + _ROW_SUFFIX.shape[1]), dtype=np.uint8)
-    rows[:, width:] = np.take(_ROW_SUFFIX, codes, axis=0)
-    number = np.arange(start, start + len(codes))
-    for j in reversed(range(width)):
-        shown = (number > 0) | (j == width - 1)  # the last digit shows even for 0
-        number, digit = np.divmod(number, 10)
-        rows[:, j] = np.where(shown, digit + 48, 0)  # 48 is ASCII "0"
-    flat = rows.ravel()
-    return head + flat[flat != 0].tobytes().decode("ascii")
+            if start == 0 else "").encode()
+    out = np.empty(len(head) + len(codes) * (len(str(start + len(codes))) + 20), np.uint8)
+    out[:(pos := len(head))] = np.frombuffer(head, np.uint8)
+    while len(codes):
+        w, low = len(str(start)), start % 10 ** 4
+        d, n = min(w, 4), min(len(codes), 10 ** w - start, 10 ** 4 - low)
+        top = str(start)[:-4].encode() + bytes(d)  # the upper digits, then d for _DIGITS
+        rows, run, codes = out[pos:pos + n * (w + 20)].reshape(n, w + 20), codes[:n], codes[n:]
+        np.frombuffer(top + top.join(_ROW_SUFFIX), np.uint8).reshape(32, -1).take(run, 0, rows)
+        rows[:, w - d:w].view(f"V{d}")[:] = _DIGITS[low:low + n, 4 - d:].view(f"V{d}")
+        if (run & 2).any():  # 2·monitor: drop the monitor rows' padding
+            items = rows.reshape(-1).view(f"u{math.gcd(w, 4)}")
+            rows = items[items != 0].view(np.uint8)
+            out[pos:pos + rows.size] = rows
+        pos, start = pos + rows.size, start + n
+    return str(out[:pos], "ascii")  # decodes from the buffer, with no bytes copy

@@ -259,6 +259,26 @@ def test_a_refused_number_is_named_and_quoted(argv, env_seed, err, tmp_path, mon
     assert captured.err == f"error: {err}\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    # argv bytes that are not UTF-8 reach Python as surrogate escapes
+    (("cmip", "--alpha", os.fsdecode(b"\xa00.5"), "--betas", "0.6:1:3"),
+     r"cannot parse angle '\xa00.5'"),
+    (("qkd", "--pulses", "10", "--seed", os.fsdecode(b"1\xff")), r"seed '1\xff' is not an integer"),
+    (("tomo", os.fsdecode(b"psi_plus(\x80)")), r"cannot parse angle '\x80'"),
+    # any other text is quoted by repr: a typed backslash, other non-ASCII text
+    (("cmip", "--alpha", "\\udca0", "--betas", "0.6:1:3"), r"cannot parse angle '\\udca0'"),
+    (("qkd", "--eve", "\u3000\ud800"), r"unknown eavesdropper policy '\u3000\ud800' "
+     "(use intercept or intercept:<angle>)"),
+], ids=["angle", "seed", "state_spec_argument", "typed_escape", "other_text"])
+def test_a_refusal_quotes_undecodable_argv_by_its_bytes(argv, err, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err == f"error: {err}\n"
+
+
 def test_state_specs(tmp_path):
     s = cli.parse_state_spec("psi_plus(1/4pi)")
     assert np.allclose(s.amps, [math.cos(math.pi / 8), math.sin(math.pi / 8)])

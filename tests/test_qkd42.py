@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmiplab import entanglement_lab as elab
 from cmiplab import interferometer as ifo
@@ -449,6 +451,32 @@ def test_pulse_log_keeps_every_byte_of_the_row_comprehension(start, n):
     every_code = np.arange(32)
     assert (qkd42.pulse_log_csv(every_code, 9, start)
             == _comprehension_log(every_code, 9, start))
+
+
+def _assert_log_matches(codes, seed, start):
+    got, want = qkd42.pulse_log_csv(codes, seed, start), _comprehension_log(codes, seed, start)
+    if got != want:  # the first row that differs: pytest's diff of long texts takes minutes
+        pytest.fail(next((f"{g!r} != {w!r}" for g, w in zip(got.splitlines(), want.splitlines())
+                          if g != w), f"{len(got)} != {len(want)} characters"))
+
+
+@pytest.mark.parametrize("start, n", [
+    (19_990, 20), (123_459_990, 20), (119_990, qkd42.QKD_CHUNK), (9_990, qkd42.QKD_CHUNK),
+], ids=["19990_to_20009", "123459990_to_123460009", "three_blocks", "three_blocks_from_9990"])
+def test_pulse_log_crosses_blocks_of_ten_thousand(start, n):
+    # the log writes the last four digits from a table and the digits above
+    # them once per block of 10^4, so a row run ends at each block and width
+    for codes in (np.random.default_rng(start).integers(0, 32, n), np.arange(n) % 32 & ~2):
+        _assert_log_matches(codes, 9, start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 10 - 1), st.integers(1, 2 * qkd42.QKD_CHUNK),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_pulse_log_equals_the_row_comprehension(start, n, seed, monitor):
+    # without monitor rows (as at theta = pi/2) no padding is dropped
+    _assert_log_matches(np.random.default_rng(seed).integers(0, 32, n) & (31 if monitor else ~2),
+                        seed, start)
 
 
 @pytest.fixture
