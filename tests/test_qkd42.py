@@ -455,7 +455,7 @@ def test_pulse_log_keeps_every_byte_of_the_row_comprehension(start, n):
 
 def _assert_log_matches(codes, seed, start):
     got, want = qkd42.pulse_log_csv(codes, seed, start), _comprehension_log(codes, seed, start)
-    if got != want:  # the first row that differs: pytest's diff of long texts takes minutes
+    if got != want:  # one row: a long diff, redone at each Hypothesis shrink, took minutes
         pytest.fail(next((f"{g!r} != {w!r}" for g, w in zip(got.splitlines(), want.splitlines())
                           if g != w), f"{len(got)} != {len(want)} characters"))
 
