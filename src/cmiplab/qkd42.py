@@ -187,12 +187,15 @@ def pulse_log_csv(codes: np.ndarray, seed: int, start: int) -> str:
     """CSV rows of a run of pulses numbered from `start`, led by the
     "# seed=" and column header lines when start == 0.
 
-    `codes` holds each pulse's 5-bit row code (see _ROW_SUFFIX); Bob's bit
-    is meaningless on monitor pulses, whose rows leave it empty.  run_session
-    writes one call's text per chunk, built in one byte buffer.  A run of
-    numbers of one width w and 10^4-block reads its last min(w, 4) digits
-    from _DIGITS and drops monitor rows' padding as whole gcd(w, 4)-byte items.
+    `codes` holds each pulse's 5-bit row code (see _ROW_SUFFIX), and any
+    other value raises ValueError; Bob's bit is meaningless on monitor
+    pulses, whose rows leave it empty.  run_session writes one call's text
+    per chunk, built in one byte buffer.  A run of numbers of one width w and
+    10^4-block reads its last min(w, 4) digits from _DIGITS and drops monitor
+    rows' padding as whole gcd(w, 4)-byte items.
     """
+    if len(codes) and not 0 <= codes.min() <= codes.max() <= 31:
+        raise ValueError("a pulse log row code must lie in 0..31")
     head = (f"# seed={seed}\npulse,alice_bit,alice_output,bob_guess,result,bit\n"
             if start == 0 else "").encode()
     out = np.empty(len(head) + len(codes) * (len(str(start + len(codes))) + 20), np.uint8)
@@ -202,7 +205,8 @@ def pulse_log_csv(codes: np.ndarray, seed: int, start: int) -> str:
         d, n = min(w, 4), min(len(codes), 10 ** w - start, 10 ** 4 - low)
         top = str(start)[:-4].encode() + bytes(d)  # the upper digits, then d for _DIGITS
         rows, run, codes = out[pos:pos + n * (w + 20)].reshape(n, w + 20), codes[:n], codes[n:]
-        np.frombuffer(top + top.join(_ROW_SUFFIX), np.uint8).reshape(32, -1).take(run, 0, rows)
+        table = np.frombuffer(top + top.join(_ROW_SUFFIX), np.uint8).reshape(32, -1)
+        table.take(run, 0, rows, mode="clip")  # codes checked: no "raise"-mode temporary
         rows[:, w - d:w].view(f"V{d}")[:] = _DIGITS[low:low + n, 4 - d:].view(f"V{d}")
         if (run & 2).any():  # 2·monitor: drop the monitor rows' padding
             items = rows.reshape(-1).view(f"u{math.gcd(w, 4)}")

@@ -52,9 +52,10 @@ class Catalog(NamedTuple):
     paulis: np.ndarray       # Pauli products spanning the operators, (4^n, 2^n, 2^n)
     design: np.ndarray       # tr(Π_i P_k), exact integers: _TRACES' Kronecker power
 
-    def born(self, matrix: np.ndarray) -> np.ndarray:
-        """Born probabilities tr(ρ Π_i) of every setting, in catalog order."""
-        return np.trace(matrix @ self.projectors, axis1=1, axis2=2).real
+    def born(self, m: np.ndarray) -> np.ndarray:
+        """Born probabilities tr(ρ Π_i) of every setting, in catalog order, of
+        one (d, d) matrix or of each of an (n, d, d) stack."""
+        return np.trace(m[..., None, :, :] @ self.projectors, axis1=-2, axis2=-1).real
 
 
 def _catalog(n_qubits: int) -> Catalog:
@@ -173,27 +174,30 @@ class TomoReport:
         return json.dumps(doc, indent=2)
 
 
-def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoReport:
-    """Linear inversion by exact projection, with positivity repair.
+def estimate_rows(n_qubits: int, freqs: np.ndarray) -> np.ndarray:
+    """Linear inversion by exact projection, with positivity repair, of each
+    row of an (n, 6^k) stack of k-qubit frequencies; returns (n, 2^k, 2^k).
 
     The integer design D = tr(Π_i P_k) has orthogonal columns, so the
-    least-squares c of D c = f is D^T f / diag(D^T D).  The Hermitian
-    estimate is clipped to nonnegative eigenvalues and renormalized to unit
-    trace; the residual, the RMS mismatch between its Born probabilities
-    and the frequencies, shows when that repair mattered.
+    least-squares c of D c = f is D^T f / diag(D^T D).  Each Hermitian
+    estimate is clipped to nonnegative eigenvalues and scaled to unit trace.
     """
-    catalog = CATALOG[counts.n_qubits]
-    basis = catalog.basis
-    f = counts.frequencies()
-    c = catalog.design.T @ f / (catalog.design ** 2).sum(axis=0)
-    raw = (c[:, None, None] * catalog.paulis).sum(axis=0)
-    w, V = np.linalg.eigh(raw)
+    catalog = CATALOG[n_qubits]
+    c = (catalog.design.T @ freqs[:, :, None])[:, :, 0] / (catalog.design ** 2).sum(axis=0)
+    w, V = np.linalg.eigh((c[:, :, None, None] * catalog.paulis).sum(axis=1))
     w = np.clip(w, 0.0, None)
-    total = float(w.sum())
-    if total < 1e-300:
+    if np.any((total := w.sum(axis=1)) < 1e-300):
         raise ValueError("reconstruction collapsed to the zero matrix")
-    rho_hat = DensityMatrix(basis, (V * (w / total)) @ V.conj().T)
+    return (V * (w / total[:, None])[:, None, :]) @ V.conj().swapaxes(1, 2)
+
+
+def reconstruct(counts: CountsTable, target: StateVector | None = None) -> TomoReport:
+    """The table's `estimate_rows` estimate; its residual, the RMS mismatch of
+    its Born probabilities and the frequencies, shows when the repair mattered."""
+    catalog = CATALOG[counts.n_qubits]
+    f = counts.frequencies()
+    rho_hat = DensityMatrix(catalog.basis, estimate_rows(counts.n_qubits, f[None])[0])
     residual = float(np.sqrt(np.mean((catalog.born(rho_hat.matrix) - f) ** 2)))
     fid = None if target is None else fidelity(rho_hat, target)
-    conc = concurrence(rho_hat) if basis == PAIR_BASIS else None
+    conc = concurrence(rho_hat) if catalog.basis == PAIR_BASIS else None
     return TomoReport(rho_hat, fid, conc, residual)

@@ -25,7 +25,7 @@ import numpy as np
 from . import entanglement_lab as elab
 from . import interferometer as ifo
 from . import qkd42, tomography
-from .qcore import (POSTSELECT_MIN, DensityMatrix, apply_rows, concurrences,
+from .qcore import (POSTSELECT_MIN, apply_rows, check_density_rows, concurrences,
                     density_rows, normalize_rows, postselect_rows, row_norms)
 
 
@@ -228,14 +228,17 @@ def _check_predicate_equivalence(gen, closed_grid):
 
 
 def _check_tomography_round_trip(gen):
+    # draw order is output: each round draws a one-qubit, then a two-qubit state
+    z = {1: np.empty((10, 2, 2, 2)), 2: np.empty((10, 2, 4, 4))}
+    for i in range(10):
+        for draws in z.values():
+            draws[i] = gen.normal(size=draws.shape[1:])
     worst = 0.0
-    for _ in range(10):
-        for n, dim in ((1, 2), (2, 4)):
-            basis = tomography.CATALOG[n].basis
-            rho = DensityMatrix(basis, _mixed_rows(gen.normal(size=(1, 2, dim, dim)))[0])
-            table = tomography.simulate_counts(rho, None, 0)
-            report = tomography.reconstruct(table)
-            worst = max(worst, np.max(np.abs(report.rho_hat.matrix - rho.matrix)))
+    for n, draws in z.items():
+        check_density_rows(rhos := _mixed_rows(draws))
+        estimates = tomography.estimate_rows(n, np.clip(tomography.CATALOG[n].born(rhos), 0.0, 1.0))
+        check_density_rows(estimates)
+        worst = max(worst, np.max(np.abs(estimates - rhos)))
     return worst
 
 

@@ -479,6 +479,18 @@ def test_pulse_log_equals_the_row_comprehension(start, n, seed, monitor):
                         seed, start)
 
 
+@pytest.mark.parametrize("bad", [-1, 32], ids=["minus_one", "thirty_two"])
+def test_pulse_log_refuses_a_code_outside_its_table(bad):
+    # the gather clips, which would log -1 as row 31 and 32 as row 31, so the
+    # codes are checked first; a checked empty run still writes its header
+    for codes in (np.array([bad, 3]), np.array([3, bad]), np.array([bad])):
+        with pytest.raises(ValueError, match=r"0\.\.31"):
+            qkd42.pulse_log_csv(codes, 1, 5)
+    assert qkd42.pulse_log_csv(np.array([], np.int64), 1, 5) == ""
+    assert qkd42.pulse_log_csv(np.array([], np.int64), 1, 0) == _comprehension_log(
+        np.array([], np.int64), 1, 0)
+
+
 @pytest.fixture
 def formatting_threads(monkeypatch):
     """The threads that format pulse-log rows, one id per thread."""

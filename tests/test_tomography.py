@@ -193,16 +193,70 @@ def test_two_qubit_reconstruction_decomposes_its_estimate_twice(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     report = tomography.reconstruct(table)
-    assert [np.shape(a) for a in calls] == [(4, 4), (1, 4, 4)]
+    # the repair decomposes the table's one-row stack
+    assert [np.shape(a) for a in calls] == [(1, 4, 4), (1, 4, 4)]
     # the raw estimate is the projection's Pauli sum, exactly Hermitian with
     # no symmetrizing step (only its diagonal's zero imaginary parts may
     # differ from the conjugate's in sign)
     catalog = tomography.CATALOG[2]
     c = projection(catalog, table.frequencies())
-    assert calls[0].tobytes() == (c[:, None, None] * catalog.paulis).sum(axis=0).tobytes()
-    assert np.array_equal(calls[0], calls[0].conj().T)
+    assert calls[0][0].tobytes() == (c[:, None, None] * catalog.paulis).sum(axis=0).tobytes()
+    assert np.array_equal(calls[0][0], calls[0][0].conj().T)
     # the same bits as Wootters on a fresh decomposition of the estimate
     assert report.concurrence == qcore.concurrences(report.rho_hat.matrix[None])[0]
+
+
+def random_rhos(gen, n_qubits, count):
+    """`count` random n-qubit density matrices g·g†/tr, of ranks 1 to 2^n in turn."""
+    d = 2 ** n_qubits
+    rhos = []
+    for i in range(count):
+        g = gen.normal(size=(d, 1 + i % d)) + 1j * gen.normal(size=(d, 1 + i % d))
+        m = g @ g.conj().T
+        rhos.append(m / np.trace(m).real)
+    return np.array(rhos)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_born_equals_each_matrix_born(n):
+    catalog = tomography.CATALOG[n]
+    rhos = random_rhos(np.random.default_rng(20 + n), n, 16)
+    stacked = catalog.born(rhos)
+    assert stacked.shape == (16, 6 ** n)
+    assert stacked.tobytes() == np.array([catalog.born(rho) for rho in rhos]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_estimate_equals_its_one_row_calls(n):
+    # verify estimates a stack per qubit count and reconstruct a one-row
+    # stack: the same bits, for exact frequency rows and 10^4-shot rows
+    catalog = tomography.CATALOG[n]
+    rhos = [DensityMatrix(catalog.basis, m)
+            for m in random_rhos(np.random.default_rng(30 + n), n, 12)]
+    freqs = np.array([tomography.simulate_counts(rho, shots, i).frequencies()
+                      for i, rho in enumerate(rhos) for shots in (None, 10_000)])
+    stacked = tomography.estimate_rows(n, freqs)
+    assert stacked.shape == (24, 2 ** n, 2 ** n)
+    for f, estimate in zip(freqs, stacked):
+        assert estimate.tobytes() == tomography.estimate_rows(n, f[None])[0].tobytes()
+    # the report holds the one-row estimate as it came
+    table = tomography.simulate_counts(rhos[0], 10_000, 5)
+    report = tomography.reconstruct(table)
+    assert (report.rho_hat.matrix.tobytes()
+            == tomography.estimate_rows(n, table.frequencies()[None])[0].tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_collapsed_row_is_refused(n):
+    catalog = tomography.CATALOG[n]
+    freqs = np.tile(catalog.born(np.eye(2 ** n) / 2 ** n), (3, 1))
+    tomography.estimate_rows(n, freqs)
+    freqs[1] = 0.0
+    with pytest.raises(ValueError, match="reconstruction collapsed to the zero matrix"):
+        tomography.estimate_rows(n, freqs)
+    zeros = tomography.CountsTable(dict.fromkeys(catalog.settings, 0), 100, 0)
+    with pytest.raises(ValueError, match="reconstruction collapsed to the zero matrix"):
+        tomography.reconstruct(zeros)
 
 
 def test_finite_shot_fidelity_is_high():
