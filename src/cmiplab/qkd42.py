@@ -8,15 +8,17 @@ path 1; path-2 clicks are the monitor channel.  Sifting keeps pulses where
 the guess matched the sent port and the click was conclusive.  Both device
 passes run through the interferometer engine; `theta_angles` is the only
 closed form here.  A session runs on the calling thread in chunks addressed
-by pulse index; a chance reads a 32-bit half word and a coin one bit, but a
-role whose thresholds are all 0 or 2^32 is not drawn and its table is read
-as bools, and a table of one value is compared as one number.
+by pulse index; a chance reads a 32-bit half word and a coin one bit, and
+every outcome is held packed, 64 pulses to a uint64 word, so a chance costs
+one compare per distinct threshold and no gather, and a role whose
+thresholds are all 0 or 2^32 is not drawn.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,6 +66,10 @@ class QkdConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_pulses < 2 ** 63:  # numpy array sizes are int64
             raise ValueError(f"n_pulses = {self.n_pulses} outside [1, 2^63)")
+        eta = self.eve_basis  # a NaN reached evolve as a state of norm NaN
+        if eta is not None and (isinstance(eta, bool) or not isinstance(eta, numbers.Real)
+                                or not math.isfinite(eta)):
+            raise ValueError(f"eve_basis must be a finite angle or None, got {eta!r}")
         th1, th2 = theta_angles(self.gamma1, self.gamma2)
         for name, th in (("theta1", th1), ("theta2", th2)):
             if th is None or not 0.0 < th <= math.pi / 2 + 1e-12:
@@ -100,18 +106,21 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     over k, and Eve's e1 chance a 4-entry one over the sent state, built once
     per session by the device engine: Alice's inputs, then the arriving
     states under Bob's `plates(θ_guess, π/2)`, go through one
-    `evolve` call each.  The tables hold uint64 `rng.thresholds`, and a
-    pulse misses a chance when its 32-bit half word of the role's raw Philox
-    stream reaches the threshold; a coin is one bit of a word.  A role whose
-    thresholds are all 0 or 2^32 is not drawn, as no half word changes its
-    result, and its table is read as bools (t == 0); a table of one value is
-    compared as one number.  Draw order is output: pulse i takes half word i
-    (bit i for a coin) of each drawn role's stream of cfg.seed via `rng.addressed`,
-    so a chunk depends on its index alone and the session on no `Generator` method.
-    Each chunk adds to the integer tallies and writes its rows of the pulse
-    log (see pulse_log_csv) to `log`, an open text stream or None, as it
-    goes, so memory stays bounded; an exception, a failed write included,
-    raises from the loop.
+    `evolve` call each.  A pulse misses a chance when its 32-bit half word h
+    of the role's raw Philox stream reaches the `rng.thresholds` value t; a
+    coin is one bit of a word.  A chunk holds each outcome packed, 64 pulses
+    to a uint64 word as a coin's raw words hold them (shifted into place when
+    the chunk starts inside a word), and a table, reduced
+    once per session to the outcome bits that pick t (`_tree`), picks from
+    one packed compare h ≥ t per distinct t in (0, 2^32) (`_pick`); as h ≥ 0
+    always holds and h ≥ 2^32 never does, a role with no such t is not
+    drawn.  Draw order is output: pulse i takes half word i (bit i for a
+    coin) of each drawn role's stream of cfg.seed, one `rng.addressed` call
+    per role and chunk, so a chunk depends on its index alone and the session
+    on no `Generator` method.  Each chunk adds bit counts to the integer
+    tallies and writes its rows of the pulse log (see pulse_log_csv) to
+    `log`, an open text stream or None, as it goes, so memory stays bounded;
+    an exception, a failed write included, raises from the loop.
     Sifting keeps matched-guess conclusive pulses, always correct without Eve.
     """
     n = cfg.n_pulses
@@ -120,11 +129,12 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
                        cfg.gamma1, cfg.gamma2)
     draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "bob_guesses")}
 
-    def chance(role, p):  # t = rng.thresholds(p): its one value, t, or t == 0 if decided
-        t = rng.thresholds(p).ravel()
-        if ((0 < t) & (t < 2 ** 32)).any():  # else no half word changes a result
+    def chance(role, p):  # _tree of rng.thresholds(p), and the thresholds it compares
+        t = rng.thresholds(p).ravel().tolist()
+        levels = {v for v in t if 0 < v < 2 ** 32}  # no half word moves 0 or 2^32
+        if levels:
             draw[role] = rng.addressed(cfg.seed, role)
-        return int(t[0]) if t.min() == t.max() else t if role in draw else t == 0
+        return _tree(t), levels
 
     t_port1 = chance("alice_ports", alice.p_success[0])
     states = np.stack([alice.success, alice.failure], axis=1).reshape(4, 2)
@@ -140,37 +150,68 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
                      *zip(*bob_plates * len(states)))
     t_path1 = chance("bob_path", bob.p_success)
     t_plus = chance("bob_bits", np.abs(bob.success.sum(axis=1)) ** 2 / 2)
-    gather_k = not isinstance(t_path1, int) or not isinstance(t_plus, int)
 
-    def reached(role, t, k=None):  # half word >= t: the chance t·2^-32 was missed
-        if role not in draw:  # decided: the half word 0 reaches t where t is 0
-            return np.full(m, t == 0) if isinstance(t, int) else t.take(k)
-        return draw[role](start, m, bits=32) >= (t if isinstance(t, int) else t.take(k))
+    def coins(role):  # bit i of word j is coin start + 64·j + i
+        raw = draw[role](start // 64, words + (start % 64 > 0))
+        return (raw[:-1] >> start % 64) | (raw[1:] << 64 - start % 64) if start % 64 else raw
 
+    def reached(role, table, code):  # the pulses whose half word reaches their threshold
+        tree, levels = table
+        h = draw[role](start, 64 * words, bits=32) if levels else None
+        packed = {v: np.packbits(h >= v, bitorder="little").view("<u8") for v in levels}
+        packed[0], packed[2 ** 32] = ones[:words], zeros[:words]  # h ≥ 0 always, ≥ 2^32 never
+        return _pick(tree, code, packed)
+
+    ones, zeros = (np.full(-(-QKD_CHUNK // 64), w, np.uint64) for w in (2 ** 64 - 1, 0))
     tallies = np.zeros(4, np.int64)
     for start in range(0, n, QKD_CHUNK):
         m = min(QKD_CHUNK, n - start)
-        bits = draw["alice_bits"](start, m, bits=1)
-        port2 = reached("alice_ports", t_port1)
-        s = sent = 2 * bits + port2
+        words = -(-m // 64)
+        bits = coins("alice_bits")
+        port2 = reached("alice_ports", t_port1, ())
+        s = sent = [port2, bits]  # packed bits of the code, least significant first
         if cfg.eve_basis is not None:
-            s = reached("eve", t_e1, sent).view(np.uint8)
-        guess2 = draw["bob_guesses"](start, m, bits=1)
-        k = (2 * s + guess2).astype(np.intp) if gather_k else None  # one cast for both gathers
-        monitor = reached("bob_path", t_path1, k)
+            s = [reached("eve", t_e1, sent)]
+        guess2 = coins("bob_guesses")
+        monitor = reached("bob_path", t_path1, [guess2, *s])
         # the public encoding sign tells Bob which ± outcome means bit 0
-        bob1 = reached("bob_bits", t_plus, k) != (cfg.gamma0 < 0)
-        match = guess2 == port2
+        bob1 = reached("bob_bits", t_plus, [guess2, *s])
+        bob1 = ~bob1 if cfg.gamma0 < 0 else bob1
+        match = ~(guess2 ^ port2)
         kept = match & ~monitor
-        tallies += [np.count_nonzero(x) for x in (match, kept, kept & (bob1 != bits), monitor)]
+        tallies += [np.count_nonzero(np.unpackbits(x.view(np.uint8), count=m, bitorder="little"))
+                    for x in (match, kept, kept & (bob1 ^ bits), monitor)]
         if log is not None:
-            log.write(pulse_log_csv(8 * sent + 4 * guess2 + 2 * monitor + bob1, cfg.seed, start))
+            codes = np.zeros(m, np.uint8)
+            for x in (bits, port2, guess2, monitor, bob1):  # 8·sent + 4·guess2 + 2·monitor + bob1
+                codes <<= 1
+                codes |= np.unpackbits(x.view(np.uint8), count=m, bitorder="little")
+            log.write(pulse_log_csv(codes, cfg.seed, start))
 
     matched, sifted, errors, monitor_clicks = tallies.tolist()
     return SessionStats(n_pulses=n, sifted_key_length=sifted,
                         conclusive_rate=sifted / matched if matched else 0.0,
                         qber=errors / sifted if sifted > 0 else None,
                         monitor_click_rate=monitor_clicks / n, seed=cfg.seed)
+
+
+def _tree(t):
+    """Table t over codes 0 .. len(t) − 1 as a threshold, or as (bit, tree
+    where it is 0, tree where it is 1) from the top bit down, dropping each
+    bit on which the rest of the table does not depend."""
+    if len(t) == 1:
+        return t[0]
+    lo, hi = _tree(t[:len(t) // 2]), _tree(t[len(t) // 2:])
+    return lo if lo == hi else ((len(t) // 2).bit_length() - 1, lo, hi)
+
+
+def _pick(tree, code, packed):
+    """The packed words of `packed[v]` on the pulses whose code bits (code[j]
+    packs bit j) pick v in `tree`: a bitwise mux at each bit of the tree."""
+    if not isinstance(tree, tuple):
+        return packed[tree]
+    x, a, b = code[tree[0]], _pick(tree[1], code, packed), _pick(tree[2], code, packed)
+    return a ^ ((a ^ b) & x)
 
 
 #: the pulse log's row after the pulse number, indexed by the 5-bit code

@@ -1,13 +1,14 @@
 """Hand-made physics faults, and the `verify` checks that catch each one.
 
-Each fault replaces one expression in one function's source and rebinds the
-edited function in its module, where every caller looks it up, for one
-`verify.run_all()`.  The table pins exactly which checks fail.  A fault that
+Each fault replaces one expression in the source of one function or module
+constant and rebinds the edited definition in its module, where every caller
+looks it up, for one `verify.run_all()`.  The table pins exactly which checks fail.  A fault that
 verify misses is a strict xfail that names the tier-1 tests that catch it:
 a check added later turns that xfail into a pass, and the change that adds
 the check moves the fault's checks into the table.
 """
 
+import ast
 import inspect
 from typing import NamedTuple
 
@@ -21,8 +22,8 @@ from cmiplab import entanglement_lab, qcore, qkd42, rng, tomography, verify
 
 class Fault(NamedTuple):
     module: object
-    function: str
-    old: str            # an expression that occurs once in the function's source
+    function: str       # a function, or a module constant bound by one assignment
+    old: str            # an expression that occurs once in its source
     new: str            # what the fault puts in its place
     fails: tuple = ()   # the verify checks that fail, in result order
     caught_by: tuple = ()  # for a fault verify misses: the tier-1 tests that fail
@@ -67,6 +68,23 @@ FAULTS = {
     "estimate_divisor_settings": Fault(
         tomography, "estimate_rows", "/ (catalog.design ** 2).sum(axis=0)",
         "/ len(catalog.design)", fails=("tomography_round_trip",)),
+    # Eve resends e2 on outcome e1 and e1 on e2; verify runs no session with
+    # Eve, and at θ = π/2 an H/V intercept moves no byte
+    "eve_resends_the_other_state": Fault(
+        qkd42, "run_session", "states = np.array([e1, e2])", "states = np.array([e2, e1])",
+        caught_by=("test_qkd42.py::test_monitor_rate_tracks_the_channel",
+                   "test_qkd42.py::test_intercept_resend_error_rates",
+                   "test_qkd42.py::test_session_equals_the_per_pulse_reference"
+                   " [hv-*], [pi8-*] and [eta_random-*]",
+                   "test_golden.py::test_cli_output_matches_golden[qkd_intercept_pi8]")),
+    # one bit of one pulse-log row: Bob's bit 1 logged as 0 on row code 21
+    # (Alice's bit 1 sent from port 1, family 2 guessed); verify writes no log
+    "row_suffix_bit_flipped": Fault(
+        qkd42, "_ROW_SUFFIX", "conclusive,{b}", "conclusive,{b ^ ((a, o, g, b) == (1, 1, 2, 1))}",
+        caught_by=("test_qkd42.py::test_pulse_log_keeps_every_byte_of_the_row_comprehension",
+                   "test_qkd42.py::test_session_equals_the_per_pulse_reference",
+                   "test_golden.py::test_cli_output_matches_golden[qkd_no_eve],"
+                   " [qkd_intercept] and [qkd_intercept_pi8]")),
 }
 
 #: one tier-1 test per fault that verify misses, called directly under it
@@ -74,12 +92,25 @@ PHYSICS_CATCHERS = {
     "wootters_plus_lambda4": test_qcore.test_concurrence_werner_family,
     "theta_angles_swapped": test_qkd42.test_theta_angles_and_empty_ports,
     "thresholds_by_floor": lambda: test_rng.test_thresholds_split_the_words_at_p(0.3),
+    "eve_resends_the_other_state": test_qkd42.test_monitor_rate_tracks_the_channel,
+    "row_suffix_bit_flipped":
+        lambda: test_qkd42.test_pulse_log_keeps_every_byte_of_the_row_comprehension(0, 100),
 }
 
 
+def definition_source(module, name):
+    """The source of the module's top-level function or assignment that binds `name`."""
+    source = inspect.getsource(module)
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.FunctionDef) and node.name == name
+                or isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]):
+            return ast.get_source_segment(source, node)
+    raise LookupError(f"{module.__name__} binds no {name} at top level")
+
+
 def inject(monkeypatch, fault):
-    """Rebind the fault's function to its source with `old` replaced by `new`."""
-    source = inspect.getsource(getattr(fault.module, fault.function))
+    """Rebind the fault's definition to its source with `old` replaced by `new`."""
+    source = definition_source(fault.module, fault.function)
     assert source.count(fault.old) == 1, f"{fault.function} no longer holds {fault.old!r}"
     namespace = {}
     exec(compile("from __future__ import annotations\n" + source.replace(fault.old, fault.new),

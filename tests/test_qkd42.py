@@ -3,6 +3,7 @@ import io
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ def test_config_refuses_a_non_integer_pulse_count_or_seed(bad):
         qkd42.QkdConfig(n_pulses=bad)
     with pytest.raises(ValueError, match="seed must be an integer"):
         qkd42.QkdConfig(seed=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float32("nan"), True,
+                                 np.True_, "0.3", 1j],
+                         ids=["nan", "inf", "minus_inf", "numpy_nan", "bool", "numpy_bool",
+                              "str", "complex"])
+def test_config_refuses_an_eve_basis_that_is_no_finite_angle(bad):
+    # a NaN passed a RuntimeWarning in rng.thresholds and then failed inside
+    # evolve on a state of norm NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eve_basis must be a finite angle"):
+            qkd42.config_for_theta(math.pi / 3, eve_basis=bad)
+    for good in (0, math.pi / 8, np.float64(-0.3), np.float32(2.0), np.int64(1)):
+        assert qkd42.config_for_theta(math.pi / 3, eve_basis=good).eve_basis is good
 
 
 def test_config_for_theta_balances_the_ports():
@@ -287,12 +303,33 @@ def test_session_equals_the_per_pulse_reference(eve, gamma0, n, theta, monkeypat
     # draws every role's chance table per pulse; at θ = π/2 and π/3 some
     # tables are decided (all 0 or 2^32) or hold one value, and the
     # reference still reads every role's half word
+    _assert_session_equals_the_reference(eve, gamma0, n, theta, (7, 65), monkeypatch,
+                                         formatting_threads)
+
+
+@pytest.mark.parametrize("gamma0", [math.pi / 8, -math.pi / 8], ids=["enc+", "enc-"])
+@pytest.mark.parametrize("eve, theta", [(math.pi / 8, None), (None, math.pi / 3)],
+                         ids=["general_pi8", "pi3_no_eve"])
+def test_session_equals_the_per_pulse_reference_at_the_default_chunk(eve, theta, gamma0,
+                                                                     monkeypatch,
+                                                                     formatting_threads):
+    # chunks of QKD_CHUNK pulses start on a word, and the last chunk's 65
+    # pulses fill one word and one bit of the next, whose 63 pad bits no
+    # tally or log row may read
+    _assert_session_equals_the_reference(eve, gamma0, qkd42.QKD_CHUNK + 65, theta,
+                                         (qkd42.QKD_CHUNK,), monkeypatch, formatting_threads)
+
+
+def _assert_session_equals_the_reference(eve, gamma0, n, theta, chunks, monkeypatch,
+                                         formatting_threads):
+    """run_session at each chunk size of `chunks` equals _reference_session,
+    stats and log, for γ = (0.2, 0.3) where theta is None."""
     common = dict(gamma0=gamma0, n_pulses=n, seed=n * 7919 + 13, eve_basis=eve)
     cfg = (qkd42.QkdConfig(gamma1=0.2, gamma2=0.3, **common) if theta is None
            else qkd42.config_for_theta(theta, **common))
     ref_log = io.StringIO()
     want = _reference_session(cfg, ref_log), ref_log.getvalue()
-    for chunk in (7, 65):
+    for chunk in chunks:
         monkeypatch.setattr(qkd42, "QKD_CHUNK", chunk)
         formatting_threads.clear()
         got_log = io.StringIO()
@@ -333,6 +370,32 @@ def test_decided_chances_read_no_stream(monkeypatch):
     assert _roles_drawn(general, monkeypatch) == coins | chances
     assert _roles_drawn(dataclasses.replace(general, eve_basis=0.0), monkeypatch) == (
         coins | chances | {"eve"})
+
+
+def test_each_drawn_role_reads_its_stream_once_per_chunk(monkeypatch):
+    # Eve's and Bob's tables hold several thresholds in (0, 2^32) here, each
+    # compared with the chunk's one read of half words, not drawn per threshold
+    cfg = qkd42.QkdConfig(gamma1=0.2, gamma2=0.3, eve_basis=math.pi / 8,
+                          n_pulses=2 * qkd42.QKD_CHUNK + 1)
+    tables, thresholds = [], rng.thresholds
+    monkeypatch.setattr(rng, "thresholds", lambda p: tables.append(thresholds(p)) or tables[-1])
+    calls, addressed = {}, rng.addressed
+
+    def spy(seed, role):
+        draw = addressed(seed, role)
+
+        def counted(start, m, bits=64):
+            calls[role] = calls.get(role, 0) + 1
+            return draw(start, m, bits)
+        return counted
+
+    monkeypatch.setattr(rng, "addressed", spy)
+    qkd42.run_session(cfg)
+    # Eve's table over the sent state, then Bob's path-1 and + over (outcome, guess)
+    assert [len({v for v in t.ravel().tolist() if 0 < v < 2 ** 32}) for t in tables[1:]] == [
+        4, 4, 4]
+    assert calls == {role: 3 for role in ("alice_bits", "alice_ports", "eve", "bob_guesses",
+                                          "bob_path", "bob_bits")}
 
 
 def _bob_plus_thresholds(cfg, monkeypatch):
