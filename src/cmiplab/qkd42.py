@@ -183,7 +183,7 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
                     for x in (match, kept, kept & (bob1 ^ bits), monitor)]
         if log is not None:
             codes = np.zeros(m, np.uint8)
-            for x in (bits, port2, guess2, monitor, bob1):  # 8·sent + 4·guess2 + 2·monitor + bob1
+            for x in (bits, port2, guess2, monitor, bob1):  # 8·sent + 4·guess2 + 2·monitor + bit
                 codes <<= 1
                 codes |= np.unpackbits(x.view(np.uint8), count=m, bitorder="little")
             log.write(pulse_log_csv(codes, cfg.seed, start))

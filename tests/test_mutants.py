@@ -2,10 +2,11 @@
 
 Each fault replaces one expression in the source of one function or module
 constant and rebinds the edited definition in its module, where every caller
-looks it up, for one `verify.run_all()`.  The table pins exactly which checks fail.  A fault that
-verify misses is a strict xfail that names the tier-1 tests that catch it:
-a check added later turns that xfail into a pass, and the change that adds
-the check moves the fault's checks into the table.
+looks it up, for one `verify.run_all()`.  The table pins exactly which
+checks fail.  A fault that verify misses is a strict xfail that names the
+tier-1 tests that catch it: a check added later turns that xfail into a
+pass, and the change that adds the check moves the fault's checks into the
+table.
 """
 
 import ast
@@ -102,8 +103,8 @@ def definition_source(module, name):
     """The source of the module's top-level function or assignment that binds `name`."""
     source = inspect.getsource(module)
     for node in ast.parse(source).body:
-        if (isinstance(node, ast.FunctionDef) and node.name == name
-                or isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]):
+        if (isinstance(node, ast.FunctionDef) and node.name == name or isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == [name]):
             return ast.get_source_segment(source, node)
     raise LookupError(f"{module.__name__} binds no {name} at top level")
 
