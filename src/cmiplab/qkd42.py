@@ -7,11 +7,12 @@ to orthogonal (θ → π/2) with the heralded device, and reads the ± basis on
 path 1; path-2 clicks are the monitor channel.  Sifting keeps pulses where
 the guess matched the sent port and the click was conclusive.  Both device
 passes run through the interferometer engine; `theta_angles` is the only
-closed form here.  A session runs on the calling thread in chunks addressed
-by pulse index; a chance reads a 32-bit half word and a coin one bit, and
-every outcome is held packed, 64 pulses to a uint64 word, so a chance costs
-one compare per distinct threshold and no gather, and a role whose
-thresholds are all 0 or 2^32 is not drawn.
+closed form here.  A session runs on the calling thread in chunks, each
+reading the next raw words of every drawn role's Philox stream; a chance
+reads a 32-bit half word and a coin one bit, and every outcome is held
+packed, 64 pulses to a uint64 word, so a chance costs one compare per
+distinct threshold and no gather, and a role whose thresholds are all 0 or
+2^32 is not drawn.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 from . import interferometer as ifo
 from . import rng
 
-#: pulses per chunk of run_session; bounds its memory
+#: pulses per chunk of run_session; bounds its memory.  A multiple of 64, so
+#: every chunk starts on a coin word and an even half word
 QKD_CHUNK = 16_384
 
 
@@ -59,7 +61,7 @@ class QkdConfig:
     eve_basis: float | None = None
 
     def __post_init__(self):
-        if abs(abs(self.gamma0) - math.pi / 8) > 1e-12:
+        if not abs(abs(self.gamma0) - math.pi / 8) <= 1e-12:  # a NaN fails <=
             raise ValueError(f"gamma0 must be ±pi/8 (the ±45° encoding), got {self.gamma0}")
         for name, value in (("n_pulses", self.n_pulses), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, int):
@@ -109,31 +111,32 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     `evolve` call each.  A pulse misses a chance when its 32-bit half word h
     of the role's raw Philox stream reaches the `rng.thresholds` value t; a
     coin is one bit of a word.  A chunk holds each outcome packed, 64 pulses
-    to a uint64 word as a coin's raw words hold them (shifted into place when
-    the chunk starts inside a word), and a table, reduced
+    to a uint64 word as a coin's raw words hold them, and a table, reduced
     once per session to the outcome bits that pick t (`_tree`), picks from
     one packed compare h ≥ t per distinct t in (0, 2^32) (`_pick`); as h ≥ 0
     always holds and h ≥ 2^32 never does, a role with no such t is not
     drawn.  Draw order is output: pulse i takes half word i (bit i for a
-    coin) of each drawn role's stream of cfg.seed, one `rng.addressed` call
-    per role and chunk, so a chunk depends on its index alone and the session
-    on no `Generator` method.  Each chunk adds bit counts to the integer
-    tallies and writes its rows of the pulse log (see pulse_log_csv) to
-    `log`, an open text stream or None, as it goes, so memory stays bounded;
-    an exception, a failed write included, raises from the loop.
+    coin) of each drawn role's stream of cfg.seed, read front to back by one
+    `random_raw` call per role and chunk, so the session depends on no
+    `Generator` method, nor on the chunk size while it is a multiple of 64.
+    Each chunk adds bit counts to the integer tallies and writes its rows of
+    the pulse log (see pulse_log_csv) to `log`, an open text stream or None,
+    as it goes, so memory stays bounded; an exception, a failed write
+    included, raises from the loop.
     Sifting keeps matched-guess conclusive pulses, always correct without Eve.
     """
     n = cfg.n_pulses
     enc = 1.0 if cfg.gamma0 > 0 else -1.0
     alice = ifo.evolve(np.kron([[1, enc], [1, -enc]], [[1, 0]]) / math.sqrt(2),  # bits 0, 1
                        cfg.gamma1, cfg.gamma2)
-    draw = {role: rng.addressed(cfg.seed, role) for role in ("alice_bits", "bob_guesses")}
+    draw = {role: rng.stream(cfg.seed, role).bit_generator.random_raw
+            for role in ("alice_bits", "bob_guesses")}
 
     def chance(role, p):  # _tree of rng.thresholds(p), and the thresholds it compares
         t = rng.thresholds(p).ravel().tolist()
         levels = {v for v in t if 0 < v < 2 ** 32}  # no half word moves 0 or 2^32
         if levels:
-            draw[role] = rng.addressed(cfg.seed, role)
+            draw[role] = rng.stream(cfg.seed, role).bit_generator.random_raw
         return _tree(t), levels
 
     t_port1 = chance("alice_ports", alice.p_success[0])
@@ -151,28 +154,24 @@ def run_session(cfg: QkdConfig, log=None) -> SessionStats:
     t_path1 = chance("bob_path", bob.p_success)
     t_plus = chance("bob_bits", np.abs(bob.success.sum(axis=1)) ** 2 / 2)
 
-    def coins(role):  # bit i of word j is coin start + 64·j + i
-        raw = draw[role](start // 64, words + (start % 64 > 0))
-        return (raw[:-1] >> start % 64) | (raw[1:] << 64 - start % 64) if start % 64 else raw
-
     def reached(role, table, code):  # the pulses whose half word reaches their threshold
         tree, levels = table
-        h = draw[role](start, 64 * words, bits=32) if levels else None
+        h = draw[role](32 * words).astype("<u8", copy=False).view("<u4") if levels else None
         packed = {v: np.packbits(h >= v, bitorder="little").view("<u8") for v in levels}
         packed[0], packed[2 ** 32] = ones[:words], zeros[:words]  # h ≥ 0 always, ≥ 2^32 never
         return _pick(tree, code, packed)
 
-    ones, zeros = (np.full(-(-QKD_CHUNK // 64), w, np.uint64) for w in (2 ** 64 - 1, 0))
+    ones, zeros = (np.full(QKD_CHUNK // 64, w, np.uint64) for w in (2 ** 64 - 1, 0))
     tallies = np.zeros(4, np.int64)
     for start in range(0, n, QKD_CHUNK):
         m = min(QKD_CHUNK, n - start)
         words = -(-m // 64)
-        bits = coins("alice_bits")
+        bits = draw["alice_bits"](words)  # bit i of word j is coin start + 64·j + i
         port2 = reached("alice_ports", t_port1, ())
         s = sent = [port2, bits]  # packed bits of the code, least significant first
         if cfg.eve_basis is not None:
             s = [reached("eve", t_e1, sent)]
-        guess2 = coins("bob_guesses")
+        guess2 = draw["bob_guesses"](words)
         monitor = reached("bob_path", t_path1, [guess2, *s])
         # the public encoding sign tells Bob which ± outcome means bit 0
         bob1 = reached("bob_bits", t_plus, [guess2, *s])

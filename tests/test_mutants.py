@@ -14,11 +14,13 @@ import inspect
 from typing import NamedTuple
 
 import pytest
+import test_entanglement_lab
 import test_qcore
 import test_qkd42
 import test_rng
+import test_tomography
 
-from cmiplab import entanglement_lab, qcore, qkd42, rng, tomography, verify
+from cmiplab import entanglement_lab, interferometer, qcore, qkd42, rng, tomography, verify
 
 
 class Fault(NamedTuple):
@@ -86,6 +88,23 @@ FAULTS = {
                    "test_qkd42.py::test_session_equals_the_per_pulse_reference",
                    "test_golden.py::test_cli_output_matches_golden[qkd_no_eve],"
                    " [qkd_intercept] and [qkd_intercept_pi8]")),
+    # +i on the path-changing amplitudes conjugates a path-2 branch's global
+    # phase, which no probability, overlap or concurrence that verify reads sees
+    "device_plus_i": Fault(
+        interferometer, "device_unitary", "-1j * s", "1j * s",
+        caught_by=("test_engine.py::test_plate_loop_keeps_the_entrywise_bits",
+                   "test_entanglement_lab.py::test_general_unitary_matrix_entries")),
+    "plate_angle_scaled": Fault(
+        interferometer, "_plate_angle", "0.5 * math.acos(", "0.5 * (1 + 1e-9) * math.acos(",
+        fails=("inner_product_contract", "probability_equivalence")),
+    "n2_from_rounded_n1": Fault(
+        entanglement_lab, "branch_probabilities", "return n1, 1.0 - n1",
+        "return n1, 1.0 - round(n1, 9)", fails=("entanglement_closed_vs_brute",)),
+    # verify's round trip inverts exact Born probabilities of mixed states,
+    # whose estimates are physical up to rounding, within its tolerances
+    "estimate_unclipped": Fault(
+        tomography, "estimate_rows", "np.clip(w, 0.0, None)", "w",
+        caught_by=("test_tomography.py::test_repair_keeps_reconstruction_physical",)),
 }
 
 #: one tier-1 test per fault that verify misses, called directly under it
@@ -96,6 +115,8 @@ PHYSICS_CATCHERS = {
     "eve_resends_the_other_state": test_qkd42.test_monitor_rate_tracks_the_channel,
     "row_suffix_bit_flipped":
         lambda: test_qkd42.test_pulse_log_keeps_every_byte_of_the_row_comprehension(0, 100),
+    "device_plus_i": test_entanglement_lab.test_general_unitary_matrix_entries,
+    "estimate_unclipped": test_tomography.test_repair_keeps_reconstruction_physical,
 }
 
 
@@ -144,5 +165,7 @@ def test_the_clean_tree_fails_no_check():
 def test_a_fault_verify_misses_fails_its_physics_test(name, monkeypatch):
     PHYSICS_CATCHERS[name]()  # passes on the clean tree
     inject(monkeypatch, FAULTS[name])
-    with pytest.raises(AssertionError):
+    # the test fails on its assertions, or on the ValueError of a state check
+    # (an unclipped estimate is no density matrix)
+    with pytest.raises((AssertionError, ValueError)):
         PHYSICS_CATCHERS[name]()

@@ -3,6 +3,7 @@ import io
 import math
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -42,6 +43,9 @@ def test_config_validation():
     qkd42.QkdConfig()  # defaults are valid
     with pytest.raises(ValueError):
         qkd42.QkdConfig(gamma0=0.3)
+    for bad in (math.nan, math.inf, -math.inf):  # a NaN gamma0 ran with qber 1.0
+        with pytest.raises(ValueError, match="gamma0 must be"):
+            qkd42.QkdConfig(gamma0=bad)
     with pytest.raises(ValueError):
         qkd42.QkdConfig(n_pulses=0)
     with pytest.raises(ValueError, match="outside"):
@@ -189,7 +193,7 @@ def test_chunk_size_does_not_change_the_session(eve, monkeypatch):
         return qkd42.run_session(cfg, log=buf), buf.getvalue()
 
     whole = session()
-    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 64)
     assert session() == whole
 
 
@@ -298,12 +302,13 @@ ETA_RANDOM = float(np.random.default_rng(2026).uniform(-math.pi, math.pi))
                          ids=["no_eve", "hv", "pi8", "eta_random"])
 def test_session_equals_the_per_pulse_reference(eve, gamma0, n, theta, monkeypatch,
                                                 formatting_threads):
-    # chunks of 7 and 65 pulses start inside a coin word and on odd half
-    # words; the caller's thread alone formats the log.  γ = (0.2, 0.3)
+    # chunks of 64 and 128 pulses read each stream in several calls, and a
+    # last chunk of 1000 pulses ends inside a coin word; the caller's
+    # thread alone formats the log.  γ = (0.2, 0.3)
     # draws every role's chance table per pulse; at θ = π/2 and π/3 some
     # tables are decided (all 0 or 2^32) or hold one value, and the
     # reference still reads every role's half word
-    _assert_session_equals_the_reference(eve, gamma0, n, theta, (7, 65), monkeypatch,
+    _assert_session_equals_the_reference(eve, gamma0, n, theta, (64, 128), monkeypatch,
                                          formatting_threads)
 
 
@@ -337,23 +342,30 @@ def _assert_session_equals_the_reference(eve, gamma0, n, theta, chunks, monkeypa
         assert formatting_threads == {threading.get_ident()}
 
 
-def _roles_drawn(cfg, monkeypatch):
-    """The roles whose streams a 100-pulse session of cfg builds and reads."""
-    built, read, addressed = set(), set(), rng.addressed
+def _spy_on_streams(monkeypatch):
+    """(built, reads): the roles whose streams rng.stream builds from now on,
+    and the number of random_raw calls on each role's stream."""
+    built, reads, stream = set(), {}, rng.stream
 
     def spy(seed, role):
         built.add(role)
-        draw = addressed(seed, role)
+        random_raw = stream(seed, role).bit_generator.random_raw
 
-        def reading(start, m, bits=64):
-            read.add(role)
-            return draw(start, m, bits)
-        return reading
+        def counted(size):
+            reads[role] = reads.get(role, 0) + 1
+            return random_raw(size)
+        return types.SimpleNamespace(bit_generator=types.SimpleNamespace(random_raw=counted))
 
-    monkeypatch.setattr(rng, "addressed", spy)
+    monkeypatch.setattr(rng, "stream", spy)
+    return built, reads
+
+
+def _roles_drawn(cfg, monkeypatch):
+    """The roles whose streams a 100-pulse session of cfg builds and reads."""
+    built, reads = _spy_on_streams(monkeypatch)
     qkd42.run_session(dataclasses.replace(cfg, n_pulses=100))
-    assert built == read
-    return read
+    assert built == set(reads)
+    return built
 
 
 def test_decided_chances_read_no_stream(monkeypatch):
@@ -379,17 +391,7 @@ def test_each_drawn_role_reads_its_stream_once_per_chunk(monkeypatch):
                           n_pulses=2 * qkd42.QKD_CHUNK + 1)
     tables, thresholds = [], rng.thresholds
     monkeypatch.setattr(rng, "thresholds", lambda p: tables.append(thresholds(p)) or tables[-1])
-    calls, addressed = {}, rng.addressed
-
-    def spy(seed, role):
-        draw = addressed(seed, role)
-
-        def counted(start, m, bits=64):
-            calls[role] = calls.get(role, 0) + 1
-            return draw(start, m, bits)
-        return counted
-
-    monkeypatch.setattr(rng, "addressed", spy)
+    calls = _spy_on_streams(monkeypatch)[1]
     qkd42.run_session(cfg)
     # Eve's table over the sent state, then Bob's path-1 and + over (outcome, guess)
     assert [len({v for v in t.ravel().tolist() if 0 < v < 2 ** 32}) for t in tables[1:]] == [
@@ -588,11 +590,11 @@ class _FailingLog(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("n", [16 * 7, 17 * 7, 100 * 7 + 1])
+@pytest.mark.parametrize("n", [16 * 64, 17 * 64, 100 * 64 + 1])
 def test_a_failed_log_write_raises_from_the_session(n, monkeypatch):
     # the second chunk's write fails: it raises from the session, which runs
     # its chunks on the calling thread and leaves no thread behind
-    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 64)
     before = threading.active_count()
     with pytest.raises(OSError, match="No space left"):
         qkd42.run_session(qkd42.config_for_theta(math.pi / 2, n_pulses=n, seed=5),
@@ -602,18 +604,18 @@ def test_a_failed_log_write_raises_from_the_session(n, monkeypatch):
 
 @pytest.mark.parametrize("failing", [0, 2, 3, 5])
 def test_an_exception_in_a_chunk_reaches_the_caller(failing, monkeypatch):
-    monkeypatch.setattr(qkd42, "QKD_CHUNK", 7)
+    monkeypatch.setattr(qkd42, "QKD_CHUNK", 64)
     formatted = qkd42.pulse_log_csv
 
     def fail_in_one_chunk(codes, seed, start):
-        if start == 7 * failing:
+        if start == 64 * failing:
             raise RuntimeError(f"chunk {failing}")
         return formatted(codes, seed, start)
 
     monkeypatch.setattr(qkd42, "pulse_log_csv", fail_in_one_chunk)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"chunk {failing}"):
-        qkd42.run_session(qkd42.config_for_theta(math.pi / 2, n_pulses=200, seed=5),
+        qkd42.run_session(qkd42.config_for_theta(math.pi / 2, n_pulses=400, seed=5),
                           io.StringIO())
     assert threading.active_count() == before
 

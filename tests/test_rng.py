@@ -86,68 +86,22 @@ def test_each_sampling_loop_builds_one_generator(philox_builds):
         assert len(philox_builds) == builds, name
 
 
-#: call sizes in sequence: odd counts start the next call on an odd half
-#: word, and every call after the first starts its coins inside a word
+#: call sizes in sequence: odd counts start the next call on an odd half word
 CALL_SIZES = (1, 7, 8, 16384, 3)
 EDGE_PS = (0.0, 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.0000000000000004)
-
-
-def _bits_of(words, count):
-    """Bit i of words[i // 64], least significant first, for i < count."""
-    i = np.arange(count)
-    return ((words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
-
-
-def test_coin_flips_equal_generator_integers():
-    # coin i is bit i of Generator.integers' full-range uint64 draws, which
-    # are the raw words
-    words = rng.stream(5, "coins").integers(0, 2 ** 64, sum(CALL_SIZES) // 64 + 1,
-                                            dtype=np.uint64)
-    coins = _bits_of(words, sum(CALL_SIZES))
-    draw, start = rng.addressed(5, "coins"), 0
-    for m in CALL_SIZES:
-        got = draw(start, m, bits=1)
-        assert got.dtype == np.uint8 and len(got) == m
-        assert np.array_equal(got, coins[start:start + m]), (start, m)
-        start += m
-
-
-@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 6, 7, 63, 64, 65, 127, 1001, 8192])
-@pytest.mark.parametrize("m", [1, 2, 5, 64])
-def test_addressed_draws_are_slices_of_one_long_draw(start, m):
-    # words, half words and coins [start, start + m), drawn after unrelated
-    # draws, equal the same slices of one draw from the stream's start:
-    # start % 4 covers each word of a Philox block, an odd start begins on a
-    # high half word, and starts 63 to 127 put coins on either side of a word
-    draw = rng.addressed(11, "slices")
-    draw(start + 3, 9)
-    draw(start + 1, 3, bits=1)
-    words = rng.stream(11, "slices").bit_generator.random_raw(start + m)
-    halves = rng.stream(11, "slices").integers(0, 2 ** 32, start + m, dtype=np.uint32)
-    assert np.array_equal(draw(start, m), words[start:])
-    assert np.array_equal(draw(start, m, bits=32), halves[start:])
-    assert np.array_equal(draw(start, m, bits=1), _bits_of(words, start + m)[start:])
-
-
-def test_addressed_words_far_into_the_stream():
-    # a counter advanced by start // 4 blocks yields word start − start % 4 next
-    start = 2 ** 40 + 3
-    philox = np.random.Philox(key=rng.stream_key(11, "far"))
-    philox.advance(start // 4)
-    words = philox.random_raw(start % 4 + 5)[start % 4:]
-    assert np.array_equal(rng.addressed(11, "far")(start, 5), words)
 
 
 @pytest.mark.parametrize("p", EDGE_PS)
 def test_raw_words_against_thresholds_equal_generator_random(p):
     # a half word h, the uniform u = h·2^-32, reaches t exactly when u
     # reaches t·2^-32, and agrees with Generator.random's test u >= p
-    # wherever u is farther than 2^-33 from p; the half words are
-    # Generator.integers' full-range uint32 draws
-    gen, draw, start = rng.stream(5, "uniforms"), rng.addressed(5, "uniforms"), 0
-    t = rng.thresholds(p)
+    # wherever u is farther than 2^-33 from p; the half words of one raw
+    # read, low half first, are Generator.integers' full-range uint32 draws
+    gen, t, start = rng.stream(5, "uniforms"), rng.thresholds(p), 0
+    raw = rng.stream(5, "uniforms").bit_generator.random_raw(-(-sum(CALL_SIZES) // 2))
+    all_halves = raw.astype("<u8", copy=False).view("<u4")
     for m in CALL_SIZES:
-        halves = draw(start, m, bits=32)
+        halves = all_halves[start:start + m]
         assert halves.dtype == np.uint32
         assert np.array_equal(halves, gen.integers(0, 2 ** 32, m, dtype=np.uint32))
         u, reached = halves * 2.0 ** -32, halves >= t
