@@ -590,10 +590,11 @@ class _FailingLog(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("n", [16 * 64, 17 * 64, 100 * 64 + 1])
+@pytest.mark.parametrize("n", [16 * 7, 17 * 7, 100 * 7 + 1, 16 * 64, 17 * 64, 100 * 64 + 1])
 def test_a_failed_log_write_raises_from_the_session(n, monkeypatch):
     # the second chunk's write fails: it raises from the session, which runs
-    # its chunks on the calling thread and leaves no thread behind
+    # its chunks on the calling thread and leaves no thread behind; the
+    # sessions end inside a chunk, on its last pulse or one pulse past it
     monkeypatch.setattr(qkd42, "QKD_CHUNK", 64)
     before = threading.active_count()
     with pytest.raises(OSError, match="No space left"):

@@ -91,6 +91,49 @@ CALL_SIZES = (1, 7, 8, 16384, 3)
 EDGE_PS = (0.0, 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.0000000000000004)
 
 
+def _bits_of(words, count):
+    """Bit i of words[i // 64], least significant first, for i < count."""
+    i = np.arange(count)
+    return ((words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+
+
+def _coins(words):
+    """The coins of raw words as run_session unpacks them: bit i of word j is
+    coin 64·j + i."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+
+
+def test_coin_flips_equal_generator_integers():
+    # coin i is bit i of Generator.integers' full-range uint64 draws, which
+    # are the raw words, read in order a whole number of words at a time
+    sizes = [-(-m // 64) for m in CALL_SIZES]
+    words = rng.stream(5, "coins").integers(0, 2 ** 64, sum(sizes), dtype=np.uint64)
+    coins = _bits_of(words, 64 * sum(sizes))
+    random_raw, start = rng.stream(5, "coins").bit_generator.random_raw, 0
+    for w in sizes:
+        got = _coins(random_raw(w))
+        assert got.dtype == np.uint8 and len(got) == 64 * w
+        assert np.array_equal(got, coins[start:start + 64 * w]), (start, w)
+        start += 64 * w
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 6, 7, 63, 64, 65, 127, 1001, 8192])
+@pytest.mark.parametrize("m", [1, 2, 5, 64])
+def test_addressed_draws_are_slices_of_one_long_draw(start, m):
+    # words [start, start + m), read in order after words [0, start), and
+    # their half words and coins, equal the same slices of one draw from the
+    # stream's start: start % 4 covers each word of a Philox block, and
+    # starts 63 to 127 put the read on either side of a 64-word coin chunk
+    random_raw = rng.stream(11, "slices").bit_generator.random_raw
+    random_raw(start)
+    got = random_raw(m)
+    words = rng.stream(11, "slices").bit_generator.random_raw(start + m)
+    halves = rng.stream(11, "slices").integers(0, 2 ** 32, 2 * (start + m), dtype=np.uint32)
+    assert np.array_equal(got, words[start:])
+    assert np.array_equal(got.astype("<u8", copy=False).view("<u4"), halves[2 * start:])
+    assert np.array_equal(_coins(got), _bits_of(words, 64 * (start + m))[64 * start:])
+
+
 @pytest.mark.parametrize("p", EDGE_PS)
 def test_raw_words_against_thresholds_equal_generator_random(p):
     # a half word h, the uniform u = h·2^-32, reaches t exactly when u
